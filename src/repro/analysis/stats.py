@@ -2,8 +2,10 @@
 
 Fig. 12a fits a linear regression of scheduling efficiency against
 normalized step time (the paper reports R² = 0.98); Fig. 12b compares step
-time CDFs and 95th percentiles. These helpers wrap scipy so experiments
-and tests share one implementation.
+time CDFs and 95th percentiles. These helpers are plain numpy (the
+regression is the closed form ``scipy.stats.linregress`` evaluates, bit
+for bit), so experiments and tests share one implementation and the
+package needs nothing beyond its declared dependencies.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,19 @@ def linear_regression(x: Sequence[float], y: Sequence[float]) -> Regression:
         raise ValueError("x and y must be 1-D arrays of equal length")
     if len(x) < 3:
         raise ValueError("regression needs at least 3 points")
-    fit = _scipy_stats.linregress(x, y)
+    if x.max() == x.min():
+        raise ValueError("regression needs at least two distinct x values")
+    # population (co)variances, in linregress's operation order
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = 0.0
+    else:
+        r = float(np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0))
+    slope = ssxym / ssxm
     return Regression(
-        slope=float(fit.slope),
-        intercept=float(fit.intercept),
-        r2=float(fit.rvalue) ** 2,
+        slope=float(slope),
+        intercept=float(np.mean(y) - slope * np.mean(x)),
+        r2=r**2,
         n=len(x),
     )
 

@@ -3,12 +3,12 @@
 Three backends ship: the parameter-server architecture
 (:class:`~repro.ps.cluster.ClusterSpec`), the collective all-reduce
 architecture (:class:`~repro.collectives.CollectiveSpec`), and the
-multi-job co-scheduling union (:class:`~repro.sim.jobmix.JobMixSpec`),
-which composes the other two under per-job namespaces. A spec object
-fully names a cluster shape; this module dispatches on its *type* so the
-simulation entry points (:mod:`repro.sim.runner`), the sweep runner and
-the experiment drivers stay backend-agnostic. Third-party backends
-register with :func:`register_backend`.
+multi-job co-scheduling mix (:class:`~repro.sim.jobmix.JobMixSpec`),
+which places the other two under per-job namespaces on shared hosts. A
+spec object fully names a cluster shape; this module dispatches on its
+*type* so the simulation entry points (:mod:`repro.sim.runner`), the
+sweep runner and the experiment drivers stay backend-agnostic.
+Third-party backends register with :func:`register_backend`.
 
 The module also owns the **wizard memo** (ROADMAP item): an in-process
 cache of ordering-wizard passes keyed by the *reference projection* of a
@@ -230,6 +230,8 @@ def build_comm_graph(ir, spec, **kwargs):
     Plain calls (no builder kwargs) are memoized per (model structural
     fingerprint, spec): two sweep groups over the same DAG — e.g. one
     cluster shape swept across platforms — share one assembled graph.
+    Eviction is least-recently-used, so the per-job graphs every job mix
+    reuses outlive the stream of one-off mixes.
     The returned graph must be treated as read-only; pass builder kwargs
     (or call the backend's ``build_graph`` directly) to get a private,
     mutable instance.
@@ -238,15 +240,15 @@ def build_comm_graph(ir, spec, **kwargs):
     if kwargs:
         return backend.build_graph(ir, spec, **kwargs)
     key = (ir.structural_fingerprint(), spec)
-    graph = _graph_memo.get(key)
+    graph = _graph_memo.pop(key, None)
     if graph is None:
         _memo_stats["graph_memo_misses"] += 1
         graph = backend.build_graph(ir, spec)
         while len(_graph_memo) >= _GRAPH_MEMO_CAP:
             _graph_memo.pop(next(iter(_graph_memo)))
-        _graph_memo[key] = graph
     else:
         _memo_stats["graph_memo_hits"] += 1
+    _graph_memo[key] = graph  # (re)inserted as the most recent entry
     return graph
 
 

@@ -38,14 +38,15 @@ iteration index).
   dense gate/priority arrays, slowdown-scaled durations, jitter sigma.
   Variant compilation touches only O(n) array fills — no graph traversal.
 
-**Multi-job mixes.** A core compiled from a job-mix cluster (see
-:mod:`repro.sim.jobmix`) carries job tags (``jobs``/``job_of``) and
-per-root release times (``root_times``): roots of a job with a non-zero
-arrival offset enter the event loop through deferred code-3 heap events
-instead of the t=0 init path, and a placement's ``host_map`` lets
-co-located jobs share NIC resources while keeping per-job wire channels.
-Single-job clusters leave all of this empty and execute byte-identically
-to the pre-mix engine.
+**Multi-job mixes.** A core of a job mix (see :mod:`repro.sim.jobmix`)
+is composed from per-shape compiled blocks rather than compiled from a
+union DAG, and carries job tags (``jobs``/``job_of``) and per-root
+release times (``root_times``): roots of a job with a non-zero arrival
+offset enter the event loop through deferred code-3 heap events instead
+of the t=0 init path, and a placement's ``host_map`` lets co-located
+jobs share NIC resources while keeping per-job wire channels. Single-job
+clusters leave all of this empty and execute byte-identically to the
+pre-mix engine.
 
 The hot loop itself is array-native:
 flat per-channel queues with head/tail cursors instead of ``list.pop(0)``,
@@ -83,6 +84,7 @@ from ..ps.cluster import ClusterGraph
 from ..timing import Platform
 from . import kernel as _kernel
 from .config import SimConfig
+from .jobmix import JobMixGraph, compose_core, job_fault_plan
 
 #: Revision of the engine's compiled-array layout / numerical contract.
 #: Folded into the sweep cache key (see :mod:`repro.sweep.fingerprint`):
@@ -189,6 +191,36 @@ def _find_activation(g, transfer_op_id: int) -> Optional[int]:
     return None
 
 
+def egress_tables(chan_eid: list[int], n_res: int) -> tuple[list, list, list]:
+    """Round-robin tables of the wire channels: egress NIC ids in order of
+    their lowest channel id, each egress's channel ids ascending, and the
+    resource id -> position-in-egress map (-1 for non-egress resources).
+    Channels are numbered by first transfer, so these are the reference
+    orders: egress NICs by first transfer, channels by first transfer
+    on their pair."""
+    egress_ids: list[int] = []
+    eg_chan_lists: list[list[int]] = []
+    eg_pos = [-1] * n_res
+    for c, eid in enumerate(chan_eid):
+        pos = eg_pos[eid]
+        if pos < 0:
+            pos = eg_pos[eid] = len(egress_ids)
+            egress_ids.append(eid)
+            eg_chan_lists.append([])
+        eg_chan_lists[pos].append(c)
+    return egress_ids, eg_chan_lists, eg_pos
+
+
+def nic_capacity(res_index: dict[str, int], platform: Platform) -> np.ndarray:
+    """Concurrent capacity per resource id: one for compute engines,
+    ``platform.nic_slots(host)`` for NICs."""
+    capacity = np.ones(len(res_index), dtype=np.int64)
+    for name, rid in res_index.items():
+        if name.startswith(("nic_out:", "nic_in:")):
+            capacity[rid] = platform.nic_slots(name.split(":", 1)[1])
+    return capacity
+
+
 class CompiledCore:
     """``(cluster, platform)`` lowered to immutable flat arrays.
 
@@ -196,7 +228,11 @@ class CompiledCore:
     collective :class:`~repro.collectives.CollectiveGraph` — the engine
     only consumes their shared surface (``graph``, ``transfers_by_link``,
     ``worker_ops``) plus, for collective graphs, the chunk metadata that
-    lowers schedule priorities onto chunk transfer ops.
+    lowers schedule priorities onto chunk transfer ops. A
+    :class:`~repro.sim.jobmix.JobMixGraph` is composed from its jobs'
+    per-shape cores (:func:`~repro.sim.jobmix.compose_core`); the
+    optional ``host_map``/``job_ops``/``job_arrivals`` surfaces of the
+    traversal compile describe the same mix as a spliced union DAG.
 
     Everything here is independent of :class:`Schedule` and
     :class:`SimConfig`; bind those with :class:`SimVariant`. The arrays are
@@ -205,6 +241,11 @@ class CompiledCore:
     """
 
     def __init__(self, cluster: ClusterGraph, platform: Platform) -> None:
+        if isinstance(cluster, JobMixGraph):
+            # a job mix never walks its union DAG: its core is composed
+            # from per-shape compiled blocks (see repro.sim.jobmix)
+            self._adopt(*compose_core(cluster, platform))
+            return
         self.cluster = cluster
         self.platform = platform
         g = cluster.graph
@@ -279,27 +320,17 @@ class CompiledCore:
         chan_eid: list[int] = []
         chan_iid: list[int] = []
         chan_devices: list[tuple[str, str]] = []
-        self.egress_ids: list[int] = []
-        self.eg_chan_lists: list[list[int]] = []
-        eg_pos: dict[int, int] = {}
         chan_sizes: list[int] = []
         for op_id in np.flatnonzero(self.is_transfer):
             op_id = int(op_id)
-            eid, iid = int(self.t_egress[op_id]), int(self.t_ingress[op_id])
             key = tr_pair[op_id]
             c = chan_index.get(key)
             if c is None:
                 c = chan_index[key] = len(chan_index)
-                chan_eid.append(eid)
-                chan_iid.append(iid)
+                chan_eid.append(int(self.t_egress[op_id]))
+                chan_iid.append(int(self.t_ingress[op_id]))
                 chan_devices.append(key)
                 chan_sizes.append(0)
-                pos = eg_pos.get(eid)
-                if pos is None:
-                    pos = eg_pos[eid] = len(self.egress_ids)
-                    self.egress_ids.append(eid)
-                    self.eg_chan_lists.append([])
-                self.eg_chan_lists[pos].append(c)
             self.t_chan[op_id] = c
             chan_sizes[c] += 1
         self.n_wire_channels = len(chan_index)
@@ -308,10 +339,11 @@ class CompiledCore:
         #: logical (src, dst) device pair per channel id — the fault
         #: layer's link universe (see :mod:`repro.faults.compile`).
         self.chan_devices = chan_devices
-        #: resource id -> position in ``egress_ids`` (-1 for non-egress).
-        self.eg_pos = [-1] * self.n_res
-        for eid, pos in eg_pos.items():
-            self.eg_pos[eid] = pos
+        #: ``eg_pos``: resource id -> position in ``egress_ids`` (-1 for
+        #: non-egress).
+        self.egress_ids, self.eg_chan_lists, self.eg_pos = egress_tables(
+            chan_eid, self.n_res
+        )
         #: flat per-channel queue layout: channel c owns slots
         #: [q_base[c], q_base[c+1]) of a shared buffer (CSR over channels).
         self.q_base = [0] * (self.n_wire_channels + 1)
@@ -337,11 +369,7 @@ class CompiledCore:
         #: concurrent-capacity per resource: compute engines run one op at
         #: a time; a NIC sustains platform.nic_slots(device) full-rate
         #: connections (PS NICs are fatter than worker NICs in envG).
-        self.capacity = np.ones(self.n_res, dtype=np.int64)
-        for name, rid in self._res_index.items():
-            if name.startswith(("nic_out:", "nic_in:")):
-                device = name.split(":", 1)[1]
-                self.capacity[rid] = platform.nic_slots(device)
+        self.capacity = nic_capacity(self._res_index, platform)
 
         # --- §5.1 counter-channel structure -----------------------------
         # One counter per (link, iteration) parameter group, in (sorted
@@ -390,20 +418,11 @@ class CompiledCore:
         self.root_times = arrival_of[np.asarray(self.roots, dtype=np.int64)] \
             if self.roots else np.zeros(0)
 
-        # --- per-job fault scoping (ISSUE 9) ------------------------------
-        # A job-mix spec may attach a FaultPlan per job; scope each into
-        # the job's ``j<i>/`` namespace at compile time. Variants merge
-        # this with SimConfig.faults when compiling fault windows.
-        self.job_faults = None
-        spec = getattr(cluster, "spec", None)
-        for i, job in enumerate(getattr(spec, "jobs", ()) or ()):
-            jp = getattr(job, "faults", None)
-            if jp is not None and jp.events:
-                scoped = jp.scoped(f"j{i}/")
-                self.job_faults = (
-                    scoped if self.job_faults is None
-                    else self.job_faults + scoped
-                )
+        # --- per-job fault scoping --------------------------------------
+        # A job-mix spec may attach a FaultPlan per job, scoped into the
+        # job's ``j<i>/`` namespace. Variants merge this with
+        # SimConfig.faults when compiling fault windows.
+        self.job_faults = job_fault_plan(getattr(cluster, "spec", None))
 
         # --- resource_loads index arrays ---------------------------------
         self.tr_ids = np.flatnonzero(self.is_transfer)
@@ -424,16 +443,19 @@ class CompiledCore:
         exposing only the post-compile surface (``worker_ops``,
         ``chunk_params``, ``chunk_order``)."""
         core = cls.__new__(cls)
-        for name, arr in arrays.items():
-            setattr(core, name, arr)
-        for name, value in state.items():
-            setattr(core, name, value)
-        core.device_compute_ops = {
-            dev: np.asarray(ids, dtype=np.int64)
-            for dev, ids in core.device_compute_ops.items()
-        }
-        core._build_mirrors()
+        core._adopt(arrays, state)
         return core
+
+    def _adopt(self, arrays: dict, state: dict) -> None:
+        for name, arr in arrays.items():
+            setattr(self, name, arr)
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.device_compute_ops = {
+            dev: np.asarray(ids, dtype=np.int64)
+            for dev, ids in self.device_compute_ops.items()
+        }
+        self._build_mirrors()
 
     def _build_mirrors(self) -> None:
         # --- python-native mirrors for the event loop --------------------

@@ -14,17 +14,24 @@ touching the engine's semantics for single jobs:
   :func:`repro.sim.runner.simulate_cluster`, the sweep cache and the
   shared-core publication all consume it through the backend registry.
 
-**The union compile path.** :func:`build_jobmix_graph` builds each job's
-cluster DAG through the (memoized) backend builders, then splices them
-into one graph under per-job namespaces ``j0/``, ``j1/``, ...: op names,
-devices, parameters, chunk names and link resources are all prefixed, so
-the union is a concatenation — op ids of job *i* are the original ids
-plus an offset, and the engine's channel numbering (keyed on logical
-(src, dst) device pairs) reproduces each job's private channels exactly.
-The placement's ``host_map`` is the only coupling between jobs: devices
-sharing a host share NIC resources in the compiled core. A 1-job mix on
-the ``dedicated`` placement is **byte-identical** to the plain single-job
-path (pinned by ``tests/sim/test_jobmix_golden.py``).
+**Composition, not splicing.** :func:`build_jobmix_graph` builds each
+job's cluster DAG through the (memoized) backend builders and returns a
+light :class:`JobMixGraph`: the per-job parts, each at an op offset, the
+placement's ``host_map`` and the namespaced (``j0/``, ``j1/``, ...)
+per-job surfaces the metrics layer reads. The mix is a concatenation —
+op ids of job *i* are its own ids plus an offset — so
+:class:`~repro.sim.engine.CompiledCore` never walks a union DAG for it.
+:func:`compose_core` compiles every job *shape* once (memoized on model
+fingerprint, backend spec and platform) and block-concatenates the
+per-shape arrays with op/resource/channel offsets, remapping NIC
+resources through ``host_map``, the only coupling between jobs: devices
+sharing a host share NIC resources in the composed core. The composed
+core equals, attribute for attribute, the core compiled from the spliced
+union DAG (pinned by ``tests/sim/test_jobmix_compose.py``); that union
+still exists as :attr:`JobMixGraph.graph`, spliced on first access for
+the readers that need op names (trace export, timelines). A 1-job mix on
+the ``dedicated`` placement is **byte-identical** to the plain
+single-job path (pinned by ``tests/sim/test_jobmix_golden.py``).
 
 **Priority namespaces.** :func:`prepare_jobmix_schedule` runs the
 ordering wizard per job (memoized, per-job reference projections) and
@@ -43,6 +50,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Optional
+
+import numpy as np
 
 from ..core.schedules import Schedule
 from ..graph import Graph, Op, Resource, ResourceKind
@@ -51,6 +61,10 @@ from ..ps.cluster import Transfer
 
 #: workload label reported for mixed-job results.
 MIX_WORKLOAD = "mix"
+
+#: Most per-shape compiled cores kept in-process, like the backends'
+#: graph memo (each core pins its job's cluster DAG).
+_SHAPE_CORE_CAP = 8
 
 
 def job_label(index: int) -> str:
@@ -164,26 +178,58 @@ class JobMixSpec:
         )
 
 
+@dataclass(frozen=True)
+class JobPart:
+    """One job of a built mix: its own cluster DAG at an op-id offset."""
+
+    label: str
+    #: the job's backend-built DAG (memoized by the backends: read-only).
+    cluster: object
+    #: structural fingerprint of the job's model IR (shape-core memo key).
+    fingerprint: str
+    #: op id of the job's first op in the mix.
+    offset: int
+
+    @property
+    def prefix(self) -> str:
+        return self.label + "/"
+
+
 @dataclass
 class JobMixGraph:
-    """The union cluster DAG of a mix (the engine's cluster surface)."""
+    """A built mix (the engine's cluster surface): per-job parts placed
+    on shared hosts, plus the namespaced per-job surfaces the metrics
+    layer reads. The union DAG is spliced only when :attr:`graph` or
+    :attr:`transfers_by_link` is first read."""
 
     spec: JobMixSpec
-    graph: Graph
-    #: every transfer, grouped by the (prefixed) link resource.
-    transfers_by_link: dict[Resource, list[Transfer]] = field(default_factory=dict)
+    parts: tuple[JobPart, ...] = ()
     #: op ids per (prefixed) worker device.
     worker_ops: dict[str, list[int]] = field(default_factory=dict)
     #: collective chunk metadata, prefixed (schedule lowering seam).
     chunk_params: dict[str, tuple[str, ...]] = field(default_factory=dict)
     chunk_order: dict[str, int] = field(default_factory=dict)
-    #: op ids per job label (per-job completion accounting).
-    job_ops: dict[str, list[int]] = field(default_factory=dict)
+    #: op id range per job label (per-job completion accounting).
+    job_ops: dict[str, range] = field(default_factory=dict)
     #: job label -> arrival offset in seconds.
     job_arrivals: dict[str, float] = field(default_factory=dict)
     #: logical device -> shared host (the placement's output).
     host_map: dict[str, str] = field(default_factory=dict)
     n_iterations: int = 1
+    _union: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def graph(self) -> Graph:
+        """The union DAG, every op, device, parameter and link prefixed
+        with its job's namespace (spliced on first access)."""
+        return self._spliced()[0]
+
+    @property
+    def transfers_by_link(self) -> dict[Resource, list[Transfer]]:
+        """Every transfer of the union, grouped by its (prefixed) link."""
+        return self._spliced()[1]
 
     @property
     def param_transfers(self) -> list[Transfer]:
@@ -194,6 +240,11 @@ class JobMixGraph:
             if t.kind == "param"
         ]
 
+    def _spliced(self) -> tuple:
+        if self._union is None:
+            self._union = _splice(self)
+        return self._union
+
 
 def _prefixed_resource(res: Resource, prefix: str) -> Resource:
     if res.kind is ResourceKind.LINK:
@@ -202,27 +253,13 @@ def _prefixed_resource(res: Resource, prefix: str) -> Resource:
     return Resource.compute(prefix + res.name[len("compute:"):])
 
 
-def build_jobmix_graph(ir, spec: JobMixSpec) -> JobMixGraph:
-    """Assemble the union DAG of ``spec``.
-
-    ``ir`` (the conventional builder argument) is ignored: a mix names
-    several models, each built at its native batch size through the
-    memoized per-job builders.
-    """
-    from ..backends import build_comm_graph
-    from ..backends.placement import place_jobs
-    from ..models import build_model
-
-    union = Graph("jobmix/" + "+".join(j.model for j in spec.jobs))
-    mix = JobMixGraph(spec=spec, graph=union)
-    devices_by_job: list[list[str]] = []
-
-    for i, job in enumerate(spec.jobs):
-        prefix = job_label(i) + "/"
-        jir = build_model(job.model)
-        jspec = job.to_spec()
-        sub = build_comm_graph(jir, jspec)
-        devices_by_job.append([prefix + d for d in job.devices()])
+def _splice(mix: JobMixGraph) -> tuple:
+    """Splice the parts of ``mix`` into one namespaced union DAG; returns
+    ``(graph, transfers_by_link)``."""
+    union = Graph("jobmix/" + "+".join(j.model for j in mix.spec.jobs))
+    transfers_by_link: dict[Resource, list[Transfer]] = {}
+    for part in mix.parts:
+        prefix, offset = part.prefix, part.offset
 
         def rebuild(op: Op, new_id: int, _prefix=prefix) -> Op:
             if op.resource is None:
@@ -238,14 +275,11 @@ def build_jobmix_graph(ir, spec: JobMixSpec) -> JobMixGraph:
                 attrs=dict(op.attrs),
             )
 
-        mapping = union.splice(sub.graph, rebuild)
-        mix.job_ops[job_label(i)] = sorted(mapping.values())
-        mix.job_arrivals[job_label(i)] = float(job.arrival)
-        for link, transfers in sub.transfers_by_link.items():
-            new_link = _prefixed_resource(link, prefix)
-            mix.transfers_by_link[new_link] = [
+        union.splice(part.cluster.graph, rebuild)
+        for link, transfers in part.cluster.transfers_by_link.items():
+            transfers_by_link[_prefixed_resource(link, prefix)] = [
                 Transfer(
-                    op_id=mapping[t.op_id],
+                    op_id=t.op_id + offset,
                     param=prefix + t.param,
                     src=prefix + t.src,
                     dst=prefix + t.dst,
@@ -254,13 +288,49 @@ def build_jobmix_graph(ir, spec: JobMixSpec) -> JobMixGraph:
                 )
                 for t in transfers
             ]
+    return union, transfers_by_link
+
+
+def build_jobmix_graph(ir, spec: JobMixSpec) -> JobMixGraph:
+    """Build every job's cluster DAG and place the mix's devices.
+
+    ``ir`` (the conventional builder argument) is ignored: a mix names
+    several models, each built at its native batch size through the
+    memoized per-job builders.
+    """
+    from ..backends import build_comm_graph
+    from ..backends.placement import place_jobs
+    from ..models import build_model
+
+    mix = JobMixGraph(spec=spec)
+    shapes: dict[tuple, tuple] = {}  # (model, spec) -> (DAG, fingerprint)
+    parts: list[JobPart] = []
+    devices_by_job: list[list[str]] = []
+    offset = 0
+    for i, job in enumerate(spec.jobs):
+        label = job_label(i)
+        prefix = label + "/"
+        shape = (job.model, job.to_spec())
+        if shape not in shapes:
+            jir = build_model(job.model)
+            shapes[shape] = (
+                build_comm_graph(jir, shape[1]), jir.structural_fingerprint()
+            )
+        sub, fingerprint = shapes[shape]
+        n = len(sub.graph)
+        parts.append(JobPart(label, sub, fingerprint, offset))
+        devices_by_job.append([prefix + d for d in job.devices()])
+        mix.job_ops[label] = range(offset, offset + n)
+        mix.job_arrivals[label] = float(job.arrival)
         for worker, ids in sub.worker_ops.items():
-            mix.worker_ops[prefix + worker] = [mapping[o] for o in ids]
+            mix.worker_ops[prefix + worker] = [o + offset for o in ids]
         for cname, params in (getattr(sub, "chunk_params", None) or {}).items():
             mix.chunk_params[prefix + cname] = tuple(prefix + p for p in params)
         for cname, order in (getattr(sub, "chunk_order", None) or {}).items():
             mix.chunk_order[prefix + cname] = order
+        offset += n
 
+    mix.parts = tuple(parts)
     mix.host_map = place_jobs(
         devices_by_job,
         spec.placement,
@@ -269,6 +339,189 @@ def build_jobmix_graph(ir, spec: JobMixSpec) -> JobMixGraph:
         rack_size=spec.rack_size,
     )
     return mix
+
+
+def job_fault_plan(spec):
+    """Every job's :class:`~repro.faults.FaultPlan`, scoped into its
+    ``j<i>/`` namespace and merged in job order; ``None`` when no job of
+    ``spec`` (any cluster spec) carries faults."""
+    plan = None
+    for i, job in enumerate(getattr(spec, "jobs", ()) or ()):
+        jp = getattr(job, "faults", None)
+        if jp is not None and jp.events:
+            scoped = jp.scoped(job_label(i) + "/")
+            plan = scoped if plan is None else plan + scoped
+    return plan
+
+
+_shape_cores: dict[tuple, object] = {}
+
+
+def _shape_core(part: JobPart, platform):
+    """The compiled core of one job shape on ``platform`` (memoized,
+    least-recently-used eviction)."""
+    key = (part.fingerprint, part.cluster.spec, platform)
+    core = _shape_cores.pop(key, None)
+    if core is None:
+        from .engine import CompiledCore
+
+        core = CompiledCore(part.cluster, platform)
+        while len(_shape_cores) >= _SHAPE_CORE_CAP:
+            _shape_cores.pop(next(iter(_shape_cores)))
+    _shape_cores[key] = core
+    return core
+
+
+def _remap(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``table[ids]`` where ``ids >= 0``; -1 entries stay -1."""
+    out = np.full_like(ids, -1)
+    hit = ids >= 0
+    out[hit] = table[ids[hit]]
+    return out
+
+
+def compose_core(mix: JobMixGraph, platform) -> tuple[dict, dict]:
+    """The compiled-core tables of ``mix``, composed from per-shape cores.
+
+    Returns ``(arrays, state)`` in the layout of
+    :meth:`~repro.sim.engine.CompiledCore.from_arrays`, equal attribute
+    for attribute to compiling the spliced union DAG:
+
+    * ops, edges, channels, chunks and roots concatenate in job order,
+      offset by the job's first op / channel id;
+    * resource ids walk each job's local ids in order, renamed (compute:
+      ``j<i>/`` prefix; NIC: through ``host_map``) and deduplicated
+      first-seen — the order the union's op walk assigns; capacities
+      follow from the host names;
+    * egress NICs are ordered by their lowest channel id, each listing
+      its channels ascending;
+    * §5.1 parameter groups are ordered by job label *string*
+      (``j1 < j10 < j2``: the union sorts them by prefixed link name),
+      then by each job's own order.
+    """
+    from .engine import egress_tables, nic_capacity
+
+    parts = mix.parts
+    cores = [_shape_core(part, platform) for part in parts]
+    host_map = mix.host_map
+
+    res_index: dict[str, int] = {}
+    res_maps = []
+    for part, core in zip(parts, cores):
+        ids = []
+        for name in core._res_index:  # insertion order == local id order
+            kind, dev = name.split(":", 1)
+            dev = part.prefix + dev
+            if kind in ("nic_out", "nic_in"):
+                dev = host_map.get(dev, dev)
+            ids.append(res_index.setdefault(f"{kind}:{dev}", len(res_index)))
+        res_maps.append(np.array(ids, dtype=np.int64))
+    n_res = len(res_index)
+
+    def cat(arrays) -> np.ndarray:
+        return np.concatenate(list(arrays))
+
+    edges = 0
+    indptr = [np.zeros(1, dtype=np.int64)]
+    chan_off = 0
+    t_chan = []
+    chan_eid: list[int] = []
+    chan_iid: list[int] = []
+    chan_devices: list[tuple[str, str]] = []
+    q_base = [0]
+    device_ops: dict = {}
+    chunk_op_ids: list[int] = []
+    chunk_param_names: list[str] = []
+    roots: list[int] = []
+    root_times = []
+    for part, core, rmap in zip(parts, cores, res_maps):
+        p, off = part.prefix, part.offset
+        indptr.append(core.succ_indptr[1:] + edges)
+        edges += int(core.succ_indptr[-1])
+        t_chan.append(np.where(core.t_chan >= 0, core.t_chan + chan_off, -1))
+        chan_off += core.n_wire_channels
+        rids = rmap.tolist()
+        chan_eid += [rids[r] for r in core.chan_eid]
+        chan_iid += [rids[r] for r in core.chan_iid]
+        chan_devices += [(p + s, p + d) for s, d in core.chan_devices]
+        q_base += [q_base[-1] + b for b in core.q_base[1:]]
+        for dev, ids in core.device_compute_ops.items():
+            device_ops.setdefault(p + dev if dev else None, []).append(ids + off)
+        chunk_op_ids += [i + off for i in core.chunk_op_ids]
+        chunk_param_names += [p + name for name in core.chunk_param_names]
+        roots += [r + off for r in core.roots]
+        arrival = mix.job_arrivals[part.label]
+        root_times.append(np.full(len(core.roots), arrival if arrival else 0.0))
+
+    param_groups = [
+        (
+            tuple(part.prefix + x for x in params),
+            [i + part.offset for i in op_ids],
+            [None if a is None else a + part.offset for a in acts],
+        )
+        for part, core in sorted(zip(parts, cores), key=lambda pc: pc[0].label)
+        for params, op_ids, acts in core.param_groups
+    ]
+    egress_ids, eg_chan_lists, eg_pos = egress_tables(chan_eid, n_res)
+
+    is_transfer = cat(c.is_transfer for c in cores)
+    op_res = cat(_remap(c.op_res, m) for c, m in zip(cores, res_maps))
+    t_egress = cat(_remap(c.t_egress, m) for c, m in zip(cores, res_maps))
+    t_ingress = cat(_remap(c.t_ingress, m) for c, m in zip(cores, res_maps))
+    tr_ids = np.flatnonzero(is_transfer)
+    comp_ids = np.flatnonzero(~is_transfer)
+    arrays = {
+        "base_indeg": cat(c.base_indeg for c in cores),
+        "succ_indptr": cat(indptr),
+        "succ_indices": cat(
+            c.succ_indices + part.offset for part, c in zip(parts, cores)
+        ),
+        "is_transfer": is_transfer,
+        "op_res": op_res,
+        "t_egress": t_egress,
+        "t_ingress": t_ingress,
+        "base_dur": cat(c.base_dur for c in cores),
+        "wire_base": cat(c.wire_base for c in cores),
+        "lat": cat(c.lat for c in cores),
+        "t_chan": cat(t_chan),
+        "is_chunk": cat(c.is_chunk for c in cores),
+        "capacity": nic_capacity(res_index, platform),
+        "tr_ids": tr_ids,
+        "tr_eg": t_egress[tr_ids],
+        "tr_in": t_ingress[tr_ids],
+        "comp_ids": comp_ids,
+        "comp_res": op_res[comp_ids],
+        "root_times": cat(root_times),
+        "job_of": cat(
+            np.full(c.n, j, dtype=np.int32) for j, c in enumerate(cores)
+        ),
+    }
+    state = {
+        "cluster": mix,
+        "platform": platform,
+        "n": len(is_transfer),
+        "n_res": n_res,
+        "n_wire_channels": chan_off,
+        "_res_index": res_index,
+        "chan_eid": chan_eid,
+        "chan_iid": chan_iid,
+        "chan_devices": chan_devices,
+        "egress_ids": egress_ids,
+        "eg_chan_lists": eg_chan_lists,
+        "eg_pos": eg_pos,
+        "q_base": q_base,
+        "q_slots": q_base[-1],
+        "chunk_op_ids": chunk_op_ids,
+        "chunk_param_names": chunk_param_names,
+        "param_groups": param_groups,
+        "roots": roots,
+        "jobs": tuple(part.label for part in parts),
+        "job_faults": job_fault_plan(mix.spec),
+        "device_compute_ops": {
+            dev: np.concatenate(ids) for dev, ids in device_ops.items()
+        },
+    }
+    return arrays, state
 
 
 def prepare_jobmix_schedule(
@@ -292,15 +545,19 @@ def prepare_jobmix_schedule(
 
     priorities: dict[str, int] = {}
     algorithms: list[str] = []
+    passes: dict[tuple, Schedule] = {}  # one wizard call per job shape
     for i, job in enumerate(spec.jobs):
         alg = job.algorithm if algorithm == MIX_WORKLOAD else algorithm
         algorithms.append(alg)
         if alg == "baseline":
             continue
-        sched = prepare_comm_schedule(
-            build_model(job.model), job.to_spec(), alg, platform,
-            trace_runs=trace_runs, seed=seed,
-        )
+        shape = (job.model, job.to_spec(), alg)
+        if shape not in passes:
+            passes[shape] = prepare_comm_schedule(
+                build_model(job.model), shape[1], alg, platform,
+                trace_runs=trace_runs, seed=seed,
+            )
+        sched = passes[shape]
         prefix = job_label(i) + "/"
         for param, rank in sched.priorities.items():
             priorities[prefix + param] = rank

@@ -63,7 +63,7 @@ def simulate_cluster(
     selects the communication backend by type: a PS
     :class:`~repro.ps.cluster.ClusterSpec`, a collective
     :class:`~repro.collectives.CollectiveSpec`, or a multi-job
-    :class:`~repro.sim.jobmix.JobMixSpec` (several jobs unioned onto
+    :class:`~repro.sim.jobmix.JobMixSpec` (several jobs placed on
     shared hosts; per-job completions land in
     ``IterationResult.job_finish``).
     """

@@ -46,6 +46,53 @@ def test_regression_input_validation():
         linear_regression([1, 2, 3], [1, 2])
 
 
+def test_regression_matches_hand_computation():
+    # Sxx = 5, Sxy = 5.5, Syy = 8.75 about the means (1.5, 2.75)
+    fit = linear_regression([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 2.0, 5.0])
+    assert fit.slope == pytest.approx(1.1)
+    assert fit.intercept == pytest.approx(1.1)
+    assert fit.r2 == pytest.approx(5.5**2 / (5.0 * 8.75))
+    assert fit.n == 4
+
+
+def test_regression_degenerate_inputs():
+    flat = linear_regression([1.0, 2.0, 3.0], [2.0, 2.0, 2.0])
+    assert (flat.slope, flat.intercept, flat.r2) == (0.0, 2.0, 0.0)
+    with pytest.raises(ValueError, match="distinct x"):
+        linear_regression([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+
+def test_regression_is_bit_identical_to_scipy():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(12)
+    for _ in range(500):
+        n = int(rng.integers(3, 40))
+        x = rng.normal(size=n) * rng.uniform(0.01, 100.0)
+        y = rng.uniform(-3, 3) * x + rng.normal(size=n) * rng.uniform(0, 10)
+        fit = linear_regression(x, y)
+        ref = scipy_stats.linregress(x, y)
+        assert fit.slope == float(ref.slope)
+        assert fit.intercept == float(ref.intercept)
+        assert fit.r2 == float(ref.rvalue) ** 2
+
+
+def test_package_imports_without_scipy():
+    """The package imports under its declared numpy-only dependencies."""
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (
+        "import sys, repro.api, repro.experiments.cli; "
+        "assert 'scipy' not in sys.modules, sorted("
+        "m for m in sys.modules if m.startswith('scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_empirical_cdf_monotone():
     xs, ps = empirical_cdf([3.0, 1.0, 2.0, 2.0])
     assert xs.tolist() == [1.0, 2.0, 2.0, 3.0]

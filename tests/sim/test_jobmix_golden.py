@@ -1,10 +1,11 @@
 """Golden regression: a 1-job mix on ``dedicated`` placement IS the
 single-job path.
 
-The union compile path (:mod:`repro.sim.jobmix`) namespaces every op,
-device, parameter and link under ``j0/`` and reuses the engine's logical
-(src, dst) channel numbering — so wrapping a single job in a
-:class:`~repro.sim.jobmix.JobMixSpec` must change *nothing*: every
+A mix's core is composed from its jobs' own compiled cores
+(:mod:`repro.sim.jobmix`), renaming every device, parameter and NIC
+under ``j0/`` and keeping each job's channel numbering — so wrapping a
+single job in a :class:`~repro.sim.jobmix.JobMixSpec` must change
+*nothing*: every
 iteration's makespan, per-worker finish time and efficiency report is
 bit-identical under both event-loop kernels, and the quick-grid CSV rows
 (fig7's PS grid and the allreduce grid) regenerate byte-for-byte.

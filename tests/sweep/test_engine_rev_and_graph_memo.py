@@ -101,3 +101,15 @@ def test_graph_memo_capacity_bounded():
         backends.build_comm_graph(ir, ClusterSpec(w, 1, "inference"))
     assert backends.graph_memo_size() == backends._GRAPH_MEMO_CAP
     backends.clear_graph_memo()
+
+
+def test_graph_memo_evicts_least_recently_used():
+    backends.clear_graph_memo()
+    ir = tiny_model()
+    kept = backends.build_comm_graph(ir, ClusterSpec(1, 1, "inference"))
+    for w in range(2, backends._GRAPH_MEMO_CAP + 4):
+        # touching the first graph keeps it fresh while others cycle out
+        assert backends.build_comm_graph(ir, ClusterSpec(1, 1, "inference")) is kept
+        backends.build_comm_graph(ir, ClusterSpec(w, 1, "inference"))
+    assert backends.build_comm_graph(ir, ClusterSpec(1, 1, "inference")) is kept
+    backends.clear_graph_memo()

@@ -12,23 +12,52 @@ three field failure modes without losing the batch:
 * a **cell that hangs**: ``cell_timeout_s`` writes it off and retries
   it on a fresh task.
 
-The SIGKILL test is the acceptance scenario: kill a pool worker while a
-multi-cell sweep is in flight, assert the run completes, results match
-a clean serial run, ``pool_rebuilds >= 1`` and nothing is quarantined.
+The SIGKILL test is the acceptance scenario: a pool worker kills itself
+inside its cell task while a multi-cell sweep is in flight; the run
+completes, results match a clean serial run, ``pool_rebuilds >= 1`` and
+nothing is quarantined. Crashes are triggered from inside the worker,
+never by a timer: the first task to create an ``O_EXCL`` marker file
+dies, so exactly one worker dies whatever the timing.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import signal
-import threading
 import time
 
 from repro.ps import ClusterSpec
 from repro.sim import SimConfig
 from repro.sweep import SimCell, SweepRunner
+from repro.sweep import runner as sweep_runner
 
 CFG = SimConfig(iterations=2, warmup=0)
+
+#: the real batched-lane worker entry point, captured before any patch.
+_run_batched = sweep_runner._run_shared_cells_batched
+
+
+def _die_first(marker: str) -> None:
+    """SIGKILL the calling process if it is the first to create
+    ``marker``: ``O_EXCL`` lets exactly one caller win, whatever the
+    timing, so exactly one pool worker dies."""
+    try:
+        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return
+    os.close(fd)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _batched_dying_once(marker: str, args: tuple) -> tuple:
+    _die_first(marker)
+    return _run_batched(args)
+
+
+def _len_dying_once(marker: str, items: list) -> int:
+    _die_first(marker)
+    return len(items)
 
 
 def grid_cells():
@@ -48,7 +77,9 @@ def assert_results_identical(a, b):
 
 
 class TestPoolCrashRecovery:
-    def test_sigkill_mid_sweep_completes_with_rebuilt_pool(self):
+    def test_sigkill_mid_sweep_completes_with_rebuilt_pool(
+        self, tmp_path, monkeypatch
+    ):
         """Kill one pool worker while the sweep is in flight: the runner
         rebuilds the pool, retries every lost cell and the batch
         completes — same results as a clean run, empty quarantine."""
@@ -56,48 +87,38 @@ class TestPoolCrashRecovery:
         with SweepRunner(jobs=1) as serial:
             want = serial.run_cells(cells)
 
+        marker = tmp_path / "killed"
+        # Patched before the pool forks: the first batched cell task to
+        # win the marker SIGKILLs its own worker mid-sweep. Retried cells
+        # run on the single-cell lane, which is not patched.
+        monkeypatch.setattr(
+            sweep_runner,
+            "_run_shared_cells_batched",
+            functools.partial(_batched_dying_once, str(marker)),
+        )
         with SweepRunner(jobs=2, retry_backoff_s=0.0) as runner:
-            pool = runner._get_pool()
-            # spawn the workers now so there is something to kill, then
-            # shoot one shortly after the sweep starts.
-            victims = []
-
-            def shoot() -> None:
-                deadline = time.monotonic() + 5.0
-                while time.monotonic() < deadline:
-                    procs = list(pool._processes.values())
-                    if procs:
-                        victims.append(procs[0].pid)
-                        os.kill(procs[0].pid, signal.SIGKILL)
-                        return
-                    time.sleep(0.01)
-
-            killer = threading.Timer(0.05, shoot)
-            killer.start()
-            try:
-                got = runner.run_cells(cells)
-            finally:
-                killer.cancel()
-            assert victims, "test harness never found a worker to kill"
+            got = runner.run_cells(cells)
+            assert marker.exists(), "no batched cell task ever ran"
             counters = runner.telemetry.as_dict()
             assert counters.get("pool_rebuilds", 0) >= 1
             assert runner.quarantined == []
             assert all(r is not None for r in got)
         assert_results_identical(got, want)
 
-    def test_broken_pool_map_lane_retries_on_fresh_pool(self):
+    def test_broken_pool_map_lane_retries_on_fresh_pool(self, tmp_path):
         """The classic map lane (fn tasks, one-task-per-group) also
         survives a dead pool: one rebuild, one retry, same values."""
+        marker = str(tmp_path / "killed")
         with SweepRunner(jobs=2) as runner:
-            pool = runner._get_pool()
-            pids = {pool.submit(os.getpid).result() for _ in range(8)}
-            os.kill(next(iter(pids)), signal.SIGKILL)
-            deadline = time.monotonic() + 5.0
-            while not pool._broken and time.monotonic() < deadline:
-                time.sleep(0.01)
-            # the map raises BrokenProcessPool internally; the runner
-            # rebuilds and retries, so the caller sees only the values.
-            assert runner._map(len, [[1], [1, 2], [1, 2, 3]]) == [1, 2, 3]
+            # the first task to win the marker kills its worker, so the
+            # first map dies with its pool; the retry on the rebuilt pool
+            # finds the marker taken and runs clean.
+            got = runner._map(
+                functools.partial(_len_dying_once, marker),
+                [[1], [1, 2], [1, 2, 3]],
+            )
+            assert got == [1, 2, 3]
+            assert os.path.exists(marker)
             assert runner.telemetry.as_dict().get("pool_rebuilds", 0) >= 1
 
 
