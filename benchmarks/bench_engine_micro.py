@@ -115,25 +115,3 @@ def test_bench_kernel_scheduled_iteration(benchmark, kern):
     sim.run_iteration(0)  # warm the JIT outside the timed region
     record = benchmark(sim.run_iteration, 0)
     assert record.makespan > 0
-
-
-def test_bench_shared_core_attach(benchmark):
-    """Worker-side cost of attaching a published core (vs recompiling:
-    see test_bench_core_compilation + test_bench_cluster_graph_assembly)."""
-    from repro.sweep import sharedcore
-
-    cluster = build_cluster_graph(
-        build_model("Inception v3"), ClusterSpec(4, 1, "training")
-    )
-    core = CompiledCore(cluster, ENV_G)
-    handle = sharedcore.publish(core, meta={})
-    try:
-        def attach_fresh():
-            sharedcore.detach_all()
-            return sharedcore.attach(handle)[0]
-
-        attached = benchmark(attach_fresh)
-        assert attached.n == core.n
-    finally:
-        sharedcore.detach_all()
-        handle.unlink()

@@ -46,25 +46,6 @@ recording on. Tracing *off* is free by construction (the flag only adds
 side-array writes behind a branch, and the untraced workloads above are
 what ``check`` gates), so this stage documents the opt-in cost instead of
 gating it; ``--update pr7`` records it in ``BENCH_engine.json``.
-
-``pr8`` measures the variant-batched dispatch stages (ISSUE 8) and
-``--update pr8`` records them under a ``pr8`` block keyed by resolved
-kernel (suffixed ``_parallel`` when ``REPRO_ENGINE_PARALLEL`` is on):
-
-* ``batch_variants_8`` vs ``variant_dispatch_8`` — 8 seed-variants of an
-  AlexNet v2 2-worker cluster on ONE shared core, 2 iterations each:
-  one ``run_variants`` sweep against 8 ``run_iterations`` calls (the
-  engine-layer batch entry; per-second numbers are per iteration).
-* ``sweep_group_batched`` vs ``sweep_group_dispatch`` — a 32-cell
-  shared-core group (single-worker AlexNet v2 inference, one measured
-  iteration per cell: the fine-grained autotuning regime) through
-  ``SweepRunner(jobs=2)``: the batched phase-B lane (chunks of cells
-  per worker task) against one task per cell (per-second numbers are
-  per cell-iteration).
-
-``check`` gates the committed pr8 stage entry for the resolved kernel
-alongside pr4; the sweep stages gate at a widened tolerance (pool
-scheduling noise) while the engine stages use the standard one.
 """
 
 from __future__ import annotations
@@ -122,86 +103,6 @@ def build_workloads(kernel: str = "auto", trace: bool = False):
         "batch_10": (lambda: plain.run_iterations(0, 10), 10),
         "jobmix_packed": (lambda: mix.run_iteration(0), 1),
     }, plain.kernel
-
-
-def build_pr8_workloads(kernel: str = "auto"):
-    """ISSUE 8 stages (see module docstring). Returns ``(workloads,
-    resolved_kernel, runner)`` — the caller must ``runner.close()``."""
-    from repro.models import build_model
-    from repro.ps import ClusterSpec, build_cluster_graph
-    from repro.sim import CompiledCore, SimConfig, SimVariant, run_variants
-    from repro.sweep import SimCell, SweepRunner
-    from repro.timing import ENV_G
-
-    ir = build_model("AlexNet v2")
-    spec = ClusterSpec(2, 1, "training")
-    core = CompiledCore(build_cluster_graph(ir, spec), ENV_G)
-    iters = 2
-    variants = [
-        SimVariant(core, None, SimConfig(kernel=kernel, seed=s))
-        for s in range(8)
-    ]
-
-    def batched():
-        return run_variants(core, variants, iters)
-
-    def dispatch():
-        return [v.run_iterations(0, iters) for v in variants]
-
-    # The sweep stage models the fine-grained autotuning regime batching
-    # exists for: MANY cheap variants of one shared core, one measured
-    # iteration each — per-cell dispatch overhead rivals the simulation.
-    cfg = SimConfig(iterations=1, warmup=0, kernel=kernel)
-    sweep_spec = ClusterSpec(1, 1, "inference")
-    cells = [
-        SimCell(model="AlexNet v2", spec=sweep_spec, algorithm="baseline",
-                config=cfg.with_(seed=s))
-        for s in range(32)
-    ]
-    runner = SweepRunner(jobs=2)
-    # warm outside timing: spawn the pool, import-warm the workers,
-    # publish the group core once (reused by every timed run).
-    runner.run_cells(cells)
-
-    def sweep_batched():
-        runner.batch_cells = True
-        return runner.run_cells(cells)
-
-    def sweep_dispatch():
-        runner.batch_cells = False
-        return runner.run_cells(cells)
-
-    workloads = {
-        "batch_variants_8": (batched, 8 * iters),
-        "variant_dispatch_8": (dispatch, 8 * iters),
-        "sweep_group_batched": (sweep_batched, len(cells)),
-        "sweep_group_dispatch": (sweep_dispatch, len(cells)),
-    }
-    return workloads, variants[0].kernel, runner
-
-
-def measure_pr8(repeats: int = 5,
-                kernel: str = "auto") -> tuple[dict, dict, str]:
-    """(seconds-per-iteration per pr8 stage, dispatch/batched speedup
-    ratios, resolved kernel name)."""
-    workloads, resolved, runner = build_pr8_workloads(kernel)
-    try:
-        results = {}
-        for name, (fn, per_call) in workloads.items():
-            fn()  # warm
-            best = min(_time_once(fn) for _ in range(repeats))
-            results[name] = best / per_call
-    finally:
-        runner.close()
-    ratios = {
-        "variants": round(
-            results["variant_dispatch_8"] / results["batch_variants_8"], 2
-        ),
-        "sweep_group": round(
-            results["sweep_group_dispatch"] / results["sweep_group_batched"], 2
-        ),
-    }
-    return results, ratios, resolved
 
 
 def _calibration_kernel() -> float:
@@ -274,7 +175,7 @@ def _gate_baseline(bench: dict, resolved: str) -> tuple[dict, float, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("command",
-                        choices=["measure", "check", "trace-overhead", "pr8"])
+                        choices=["measure", "check", "trace-overhead"])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional slowdown vs baseline (check)")
@@ -283,10 +184,9 @@ def main(argv=None) -> int:
                         help="event-loop kernel to measure (ISSUE 4 seam); "
                         "explicit 'numba' fails loudly when numba is missing")
     parser.add_argument("--update",
-                        choices=["before", "after", "pr4", "pr7", "pr8"],
+                        choices=["before", "after", "pr4", "pr7"],
                         help="write measurements into BENCH_engine.json "
-                        "(pr7 records the trace-overhead stage, pr8 the "
-                        "variant-batched stages)")
+                        "(pr7 records the trace-overhead stage)")
     parser.add_argument("--min-numba-speedup", type=float, default=1.5,
                         help="when checking --kernel numba WITHOUT a committed "
                         "pr4[numba] stage entry, require at least this "
@@ -294,12 +194,6 @@ def main(argv=None) -> int:
                         "compiles-but-interprets runs at python speed and "
                         "must fail, not slip through the fallback gate")
     args = parser.parse_args(argv)
-    if args.update == "pr8" and args.command != "pr8":
-        parser.error("--update pr8 belongs to the 'pr8' command")
-    if args.command == "pr8":
-        if args.update not in (None, "pr8"):
-            parser.error("the 'pr8' command only accepts --update pr8")
-        return pr8_stage(args)
     if args.command == "trace-overhead":
         return trace_overhead(args)
     if args.command == "check" and args.kernel == "portable":
@@ -375,28 +269,6 @@ def main(argv=None) -> int:
                       f"{ref*scale*1e3:.1f} ms ({slowdown:+.0%}) {status}")
             if bad:
                 failures.append(name)
-        pr8_entry = (bench.get("pr8") or {}).get(_stage_key(resolved))
-        if pr8_entry and pr8_entry.get("workloads"):
-            p8_results, p8_ratios, _ = measure_pr8(args.repeats, args.kernel)
-            cal8 = pr8_entry.get("calibration")
-            scale8 = calibration / cal8 if cal8 else 1.0
-            print(f"pr8 stages (batched dispatch, {p8_ratios} speedups):")
-            for name, sec in p8_results.items():
-                ref = pr8_entry["workloads"].get(name)
-                if ref is None:
-                    continue
-                # sweep stages ride a live process pool: scheduling noise
-                # earns them a wider gate than the in-process ones.
-                tol = (args.tolerance if name.startswith(("batch_", "variant_"))
-                       else max(args.tolerance, 0.5))
-                slowdown = sec / (ref * scale8) - 1.0
-                bad = slowdown > tol
-                status = "FAIL" if bad else "ok"
-                print(f"  {name}: {sec*1e3:.1f} ms vs scaled baseline "
-                      f"{ref*scale8*1e3:.1f} ms ({slowdown:+.0%}, "
-                      f"tol {tol:.0%}) {status}")
-                if bad:
-                    failures.append(name)
         if failures:
             if min_speedup:
                 print(f"REGRESSION: {', '.join(failures)} below the "
@@ -408,40 +280,6 @@ def main(argv=None) -> int:
                       file=sys.stderr)
             return 1
         print("engine perf within tolerance")
-    return 0
-
-
-def pr8_stage(args) -> int:
-    """Measure the variant-batched dispatch stages and optionally record
-    them (``--update pr8``) under a kernel-keyed ``pr8`` block. The key
-    gains a ``_parallel`` suffix when ``REPRO_ENGINE_PARALLEL`` is on so
-    prange numbers never overwrite (or gate against) serial ones."""
-    from repro.sim.kernel import resolve_parallel
-
-    results, ratios, resolved = measure_pr8(args.repeats, args.kernel)
-    _calibration_kernel()
-    calibration = min(_time_once(_calibration_kernel)
-                      for _ in range(args.repeats))
-    key = _stage_key(resolved) + ("_parallel" if resolve_parallel() else "")
-    print(json.dumps(
-        {**{k: round(v, 6) for k, v in results.items()},
-         "speedup": ratios,
-         "calibration": round(calibration, 6),
-         "kernel": resolved, "stage_key": key},
-        indent=1,
-    ))
-    if args.update == "pr8":
-        bench = load_baseline()
-        bench.setdefault("pr8", {})[key] = {
-            "kernel": resolved,
-            "workloads": {k: round(v, 6) for k, v in results.items()},
-            "speedup": ratios,
-            "calibration": round(calibration, 6),
-        }
-        with open(BASELINE_PATH, "w") as fh:
-            json.dump(bench, fh, indent=1)
-            fh.write("\n")
-        print(f"updated 'pr8' [{key}] in {BASELINE_PATH}")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Statistics and plain-text reporting for the experiment drivers."""
 
 from .render import bar_chart, format_table, scatter_sketch, write_csv
-from .timeline import ascii_gantt, chrome_trace, write_chrome_trace
+from .timeline import ascii_gantt
 from .stats import (
     Regression,
     coefficient_of_variation,
@@ -17,8 +17,6 @@ __all__ = [
     "scatter_sketch",
     "write_csv",
     "ascii_gantt",
-    "chrome_trace",
-    "write_chrome_trace",
     "Regression",
     "coefficient_of_variation",
     "empirical_cdf",

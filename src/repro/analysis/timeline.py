@@ -1,18 +1,14 @@
-"""Execution-timeline tooling: ASCII Gantt charts and Chrome-trace export.
+"""Execution-timeline tooling: ASCII Gantt charts.
 
-Both consume an :class:`~repro.sim.engine.IterationRecord` together with
-the :class:`~repro.sim.engine.SimVariant` that produced it:
-
-* :func:`ascii_gantt` renders per-resource occupancy as text — handy to
-  eyeball why a schedule wins (the paper's Fig. 1b/1c, for real models);
-* :func:`chrome_trace` emits the Chrome/Perfetto ``trace_event`` JSON
-  format (load via chrome://tracing or ui.perfetto.dev), one row per
-  resource, one slice per op.
+:func:`ascii_gantt` renders per-resource occupancy of one
+:class:`~repro.sim.engine.IterationRecord` as text — handy to eyeball
+why a schedule wins (the paper's Fig. 1b/1c, for real models). For an
+interactive timeline, record the iteration with ``SimConfig(trace=True)``
+and export it with :func:`repro.obs.export.chrome_trace` (Perfetto).
 """
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
 import numpy as np
@@ -66,57 +62,3 @@ def ascii_gantt(
     for resource in sorted(rows):
         lines.append(f"{resource.rjust(label_w)} |{''.join(rows[resource])}|")
     return "\n".join(lines)
-
-
-def chrome_trace(
-    sim: SimVariant,
-    record: IterationRecord,
-    *,
-    min_duration_frac: float = 0.0,
-) -> list[dict]:
-    """Chrome ``trace_event`` objects (phase ``X``, microsecond units).
-
-    Resources map to pids/tids so each gets its own track.
-    """
-    span = record.makespan or 1.0
-    track = {name: i for i, name in enumerate(sorted(sim.resource_names()))}
-    events: list[dict] = []
-    for resource, op_name, start, end in _op_rows(
-        sim, record, min_duration=span * min_duration_frac
-    ):
-        events.append(
-            {
-                "name": op_name,
-                "cat": "transfer" if "->" in op_name or resource.startswith("nic") else "compute",
-                "ph": "X",
-                "ts": start * 1e6,
-                "dur": (end - start) * 1e6,
-                "pid": 0,
-                "tid": track[resource],
-                "args": {"resource": resource},
-            }
-        )
-    # thread-name metadata so the viewer labels tracks by resource
-    for name, tid in track.items():
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": tid,
-                "args": {"name": name},
-            }
-        )
-    return events
-
-
-def write_chrome_trace(
-    path: str, sim: SimVariant, record: IterationRecord, **kw
-) -> str:
-    """Serialize :func:`chrome_trace` to ``path`` (JSON array format)."""
-    import os
-
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(chrome_trace(sim, record, **kw), fh)
-    return path

@@ -2,8 +2,8 @@
 
 Three nouns:
 
-* :class:`Session` — owns execution (scale, worker pool, shared cores,
-  on-disk sweep cache); a context manager.
+* :class:`Session` — owns execution (scale, worker pool, on-disk sweep
+  cache); a context manager.
 * :class:`Scenario` — a declarative, registry-validated description of a
   study: backends x models x workers x algorithms x SimConfig knobs,
   plus a named analysis callback. The built-in registry covers every

@@ -9,7 +9,7 @@ Every scenario runs at one of two scales:
   ``REPRO_SCALE=full`` or ``--full`` on the CLI.
 
 :class:`Context` owns the shared :class:`~repro.sweep.SweepRunner`
-(worker pool, shared cores, on-disk result cache) for one run of one or
+(worker pool, on-disk result cache) for one run of one or
 more scenarios. :class:`~repro.api.Session` is the public facade over it;
 the legacy ``repro.experiments.common`` module re-exports everything here
 for backward compatibility.
@@ -127,12 +127,12 @@ class Context:
         return self._sweep
 
     def close(self) -> None:
-        """Release the sweep runner's pool and shared-memory cores.
+        """Release the sweep runner's worker pool.
 
         The CLI and :class:`~repro.api.Session` call this from a
-        ``finally``/``__exit__`` so published ``CompiledCore`` blocks
-        never outlive the run (the runner's own ``atexit`` hook is the
-        backstop for embedders that skip it)."""
+        ``finally``/``__exit__`` so pool workers never outlive the run
+        (the runner's own ``atexit`` hook is the backstop for embedders
+        that skip it)."""
         runner, self._sweep = self._sweep, None
         if runner is not None:
             runner.close()

@@ -7,7 +7,7 @@ and the platform. The generic ``jobmix`` analysis callback expands it
 into :class:`~repro.sweep.spec.SimCell`\\ s — one per (algorithm,
 placement), always including the ``dedicated`` reference placement —
 runs them through the shared sweep runner (so mixes hit the same disk
-cache and shared-core publication as single-job sweeps), and reports
+cache and worker pool as single-job sweeps), and reports
 per-job completion time (JCT), slowdown vs dedicated, mix makespan and
 Jain fairness.
 

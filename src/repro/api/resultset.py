@@ -86,8 +86,8 @@ class ResultSet:
     extras: dict = field(default_factory=dict)
     provenance: Optional[Provenance] = None
     #: run telemetry: the sweep runner's counter deltas over this
-    #: scenario (cells requested/deduped/cached/simulated, worker wall
-    #: time, shared-core activity, cache and memo hit/miss counts — see
+    #: scenario (cells requested/deduped/cached/simulated, units run,
+    #: worker wall time, cache and memo hit/miss counts — see
     #: :mod:`repro.obs.telemetry` for the schema). Empty when the run
     #: touched no sweep machinery.
     telemetry: dict = field(default_factory=dict)

@@ -12,8 +12,8 @@ pipeline::
         print(rs.provenance.as_dict())      # engine rev, kernel, cache
 
 It wraps an execution :class:`~repro.api.context.Context` — the shared
-:class:`~repro.sweep.SweepRunner` with its persistent worker pool,
-shared-memory cores and on-disk result cache — and guarantees cleanup on
+:class:`~repro.sweep.SweepRunner` with its persistent worker pool and
+on-disk result cache — and guarantees cleanup on
 ``close()``/``__exit__`` (the runner's ``atexit`` hook is the backstop).
 Scenarios may be names from the registry or ad-hoc
 :class:`~repro.api.scenario.Scenario` objects; either way execution goes
@@ -126,8 +126,8 @@ class Session:
 
     def close(self) -> None:
         """Apply the cache size cap (``cache_max_mb`` — no-op without
-        one), then shut the worker pool down and unlink shared-memory
-        cores. Idempotent; also runs from ``with`` exits."""
+        one), then shut the worker pool down. Idempotent; also runs from
+        ``with`` exits."""
         try:
             self._ctx.gc_cache()
         finally:

@@ -52,13 +52,7 @@ def print_listing() -> None:
     from ..backends import backends, spec_fields
     from ..backends.placement import placements
     from ..obs.export import EXPORTERS
-    from ..sim.kernel import (
-        HAVE_NUMBA,
-        KERNELS,
-        PARALLEL_ENV_VAR,
-        resolve,
-        resolve_parallel,
-    )
+    from ..sim.kernel import HAVE_NUMBA, KERNELS, resolve
     from ..timing import PLATFORMS
 
     print("scenarios (presentation order):")
@@ -83,21 +77,6 @@ def print_listing() -> None:
         else:
             note = "available"
         print(f"  {name:<12} {note}")
-    try:
-        parallel = resolve_parallel()
-    except ValueError as exc:  # bad $REPRO_ENGINE_PARALLEL: show, not crash
-        parallel = None
-        print(f"  {'!':<12} {exc}")
-    if parallel is not None:
-        active = resolve("auto")
-        if active == "python":
-            mode = "per-iteration dispatch (tuned python loop)"
-        elif parallel:
-            mode = "batched dispatch, parallel rows (prange)"
-        else:
-            mode = "batched dispatch, serial rows"
-        print(f"  {'active':<12} {active}: {mode} [{PARALLEL_ENV_VAR}="
-              f"{os.environ.get(PARALLEL_ENV_VAR, '') or 'off'}]")
     print("\ntrace exporters (tictac-repro trace <scenario> --exporter NAME):")
     for name in sorted(EXPORTERS):
         print(f"  {name:<12} {_EXPORTER_NOTES.get(name, '')}")

@@ -3,8 +3,7 @@
 Where :mod:`repro.obs.trace` looks *inside* one simulated iteration,
 :class:`Telemetry` watches the machinery *around* it: how many cells a
 run asked for, how many were deduplicated, served from the on-disk
-cache, or actually simulated; how many compile-once groups and shared
-cores that took; how much worker wall time the simulations consumed and
+cache, or actually simulated; how many compile-once units that took; how much worker wall time the simulations consumed and
 how busy that kept the pool. The :class:`~repro.sweep.runner.SweepRunner`
 owns one instance and increments it as batches flow through;
 :func:`repro.api.engine.execute_scenario` snapshots it around each
@@ -28,13 +27,11 @@ Counter schema (all optional — absent means zero):
 ``cells_simulated``       cells actually simulated
 ``sim_wall_s``            worker-side wall time over all simulations
 ``cell_wall_max_s``       slowest single simulation unit
-``groups_run``            one-task-per-group units executed
-``cores_published``       shared-memory core publishes (phase A)
-``shared_cell_tasks``     cells fanned out against attached cores (phase B,
-                          either lane; each task attaches the core once)
-``shared_batch_tasks``    batched phase-B tasks (one chunk of a group's
-                          cells per worker, variant-batched kernel sweeps)
-``schedule_topups``       wizard top-up tasks for reused cores
+``groups_run``            cell units run (one group, or one chunk of a
+                          group when groups < jobs; retries count again)
+``retries``               cells re-run after their unit was lost
+``quarantined``           cells given up on after ``max_retries``
+``pool_rebuilds``         dead worker pools replaced
 ``fn_tasks``              function tasks executed (non-cell work)
 ``cache_hits/misses/writes``  on-disk cache counters (delta per scenario)
 ``wizard_memo_hits/misses``   in-process ordering-wizard memo counters

@@ -132,9 +132,7 @@ class Trace:
         """Join ``record``'s event streams with ``variant``'s structure.
 
         Raises ``ValueError`` when the record carries no trace (run the
-        variant with ``SimConfig(trace=True)``). Op names degrade to
-        ``op#<id>`` when the core's graph is a detached shared-memory
-        stand-in.
+        variant with ``SimConfig(trace=True)``).
         """
         ev: Optional[TraceEvents] = record.trace
         if ev is None:

@@ -15,7 +15,7 @@ history. This engine chains the two worlds:
   recomputed per epoch — the ``host_map`` follows the surviving jobs)
   and simulated for one iteration through the shared
   :class:`~repro.sweep.SweepRunner` — so rate cells hit the same disk
-  cache, shared cores and quarantine machinery as every other sweep.
+  cache, worker pool and quarantine machinery as every other sweep.
   Identical compositions (a multiset of job shapes) are memoized, which
   is what makes a 1000-job day tractable: a day has thousands of epochs
   but only dozens-to-hundreds of distinct compositions;

@@ -12,8 +12,6 @@ from .engine import (
     CompiledCore,
     IterationRecord,
     SimVariant,
-    iter_variant_records,
-    run_variants,
 )
 from .jobmix import (
     JobMixGraph,
@@ -42,8 +40,6 @@ __all__ = [
     "CompiledCore",
     "SimVariant",
     "IterationRecord",
-    "iter_variant_records",
-    "run_variants",
     "IterationResult",
     "SimulationResult",
     "summarize_iteration",

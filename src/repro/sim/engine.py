@@ -433,19 +433,6 @@ class CompiledCore:
 
         self._build_mirrors()
 
-    @classmethod
-    def from_arrays(cls, arrays: dict, state: dict) -> "CompiledCore":
-        """Rebuild a core from its compiled arrays + small python state,
-        skipping the graph traversal entirely (the cross-process shared-
-        core path — see :mod:`repro.sweep.sharedcore`). The arrays may be
-        read-only views of a shared-memory buffer; the core never writes
-        them. ``state['cluster']`` is typically a detached stand-in
-        exposing only the post-compile surface (``worker_ops``,
-        ``chunk_params``, ``chunk_order``)."""
-        core = cls.__new__(cls)
-        core._adopt(arrays, state)
-        return core
-
     def _adopt(self, arrays: dict, state: dict) -> None:
         for name, arr in arrays.items():
             setattr(self, name, arr)
@@ -796,14 +783,6 @@ class SimVariant:
         n = core.n
         sigma = self._jitter_sigma
         use_kernel = self._kernel_loop is not None
-        if use_kernel and not cfg.trace:
-            # untraced array-kernel runs go through the variant-batched
-            # entry: the whole slab of iterations becomes ONE kernel call
-            # (the iteration loop lives inside the JIT), bit-exact with
-            # the per-iteration dispatch below.
-            for _vi, record in iter_variant_records([self], count, first):
-                yield record
-            return
         for lo in range(0, max(count, 0), self._SLAB):
             slab = min(self._SLAB, count - lo)
             rngs = [
@@ -1389,125 +1368,3 @@ class SimVariant:
                 wire_actual[core.is_transfer].sum() / self.config.fabric_slots
             )
         return out
-
-
-# ----------------------------------------------------------------------
-# variant-batched execution (ISSUE 8)
-# ----------------------------------------------------------------------
-def iter_variant_records(variants, count, first=0, *, parallel=None):
-    """Stream ``(variant_index, IterationRecord)`` for every variant of a
-    shared-core set across ``count`` iterations, variant-major.
-
-    This is the batched lane behind :func:`run_variants` and the sweep
-    runner: the ``(variant, iteration)`` grid is flattened into rows,
-    sliced into ``SimVariant._SLAB``-row slabs, and each slab runs as ONE
-    kernel call (:func:`repro.sim.kernel.execute_rows`) against the
-    shared :class:`CompiledCore` tables plus stacked per-variant arrays.
-    Every row's RNG, jitter factors and dedicated times are built exactly
-    as :meth:`SimVariant.iter_iterations` builds them, so the records are
-    bit-identical to the one-at-a-time path — batching (like ``kernel``
-    and ``trace``) never changes results.
-
-    Falls back to per-variant :meth:`~SimVariant.iter_iterations` when
-    any variant cannot batch (python kernel, or tracing on) — same yield
-    order, same records, just per-iteration dispatch.
-
-    ``parallel=None`` reads ``REPRO_ENGINE_PARALLEL`` (see
-    :func:`repro.sim.kernel.resolve_parallel`); rows are independent, so
-    the ``prange`` entry is bit-exact too.
-    """
-    if not variants:
-        return
-    core = variants[0].core
-    for v in variants[1:]:
-        if v.core is not core:
-            raise ValueError(
-                "iter_variant_records requires variants sharing one "
-                "CompiledCore (got distinct cores)"
-            )
-    count = max(int(count), 0)
-    if any(v._kernel_loop is None or v.config.trace for v in variants):
-        for vi, v in enumerate(variants):
-            for record in v.iter_iterations(first, count):
-                yield vi, record
-        return
-    n = core.n
-    rows = [(vi, it) for vi in range(len(variants)) for it in range(count)]
-    slab_rows = SimVariant._SLAB
-    for lo in range(0, len(rows), slab_rows):
-        chunk = rows[lo:lo + slab_rows]
-        n_rows = len(chunk)
-        vrow = np.array([vi for vi, _it in chunk], dtype=np.int64)
-        rngs = [
-            np.random.default_rng(
-                np.random.SeedSequence((variants[vi].config.seed, first + it))
-            )
-            for vi, it in chunk
-        ]
-        DUR = np.empty((n_rows, n))
-        WIRE = np.empty((n_rows, n))
-        CHUNK = np.empty((n_rows, n))
-        DED = np.empty((n_rows, n))
-        for r, ((vi, _it), rng) in enumerate(zip(chunk, rngs)):
-            v = variants[vi]
-            sigma = v._jitter_sigma
-            if sigma > 0:
-                # jitter is drawn BEFORE execute_rows pre-draws the raw
-                # stream, so each row's generator position matches the
-                # single-iteration path exactly.
-                factors = rng.lognormal(0.0, sigma, n)
-                DUR[r] = v.base_dur * factors
-                WIRE[r] = core.wire_base * factors
-                CHUNK[r] = v.chunk_wire * factors
-                DED[r] = np.where(core.is_transfer, WIRE[r] + core.lat, DUR[r])
-            else:
-                DUR[r] = v.base_dur
-                WIRE[r] = core.wire_base
-                CHUNK[r] = v._chunk0_arr
-                DED[r] = v._dedicated0
-        START, END = _kernel.execute_rows(
-            variants, vrow, rngs, DUR, WIRE, CHUNK, parallel=parallel
-        )
-        for r, (vi, _it) in enumerate(chunk):
-            v = variants[vi]
-            # rows are copied out of the slab matrices so a surviving
-            # record never pins the whole slab alive
-            end_row = END[r].copy()
-            if np.isnan(end_row).any():  # pragma: no cover - engine bug
-                stuck = int(np.isnan(end_row).sum())
-                raise RuntimeError(
-                    f"simulation deadlock: {stuck} ops never ran"
-                )
-            start_row = START[r].copy()
-            yield vi, IterationRecord(
-                makespan=float(np.nanmax(end_row)),
-                start=start_row,
-                end=end_row,
-                dedicated=DED[r].copy(),
-                out_of_order_handoffs=v._count_out_of_order(start_row),
-            )
-
-
-def run_variants(core, variants, iterations, first=0, *, parallel=None):
-    """Run every variant of one shared core for ``iterations`` iterations
-    through the batched kernel lane; returns one ``IterationRecord`` list
-    per variant, each bit-identical to
-    ``variants[i].run_iterations(first, iterations)``.
-
-    ``core`` must be the (single) ``CompiledCore`` every variant wraps —
-    passing it explicitly keeps call sites honest about the shared-core
-    contract the batched kernel entry relies on.
-    """
-    for v in variants:
-        if v.core is not core:
-            raise ValueError(
-                "run_variants: every variant must wrap the given core"
-            )
-    out: list[list[IterationRecord]] = [[] for _ in variants]
-    for vi, record in iter_variant_records(
-        variants, iterations, first, parallel=parallel
-    ):
-        out[vi].append(record)
-    return out
-
-

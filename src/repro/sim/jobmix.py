@@ -11,8 +11,8 @@ touching the engine's semantics for single jobs:
 * :class:`JobMixSpec` is a *set* of jobs plus a placement policy
   (:mod:`repro.backends.placement`) mapping every job's logical devices
   onto shared hosts. It is a first-class backend spec: ``SimCell`` grids,
-  :func:`repro.sim.runner.simulate_cluster`, the sweep cache and the
-  shared-core publication all consume it through the backend registry.
+  :func:`repro.sim.runner.simulate_cluster` and the sweep cache all
+  consume it through the backend registry.
 
 **Composition, not splicing.** :func:`build_jobmix_graph` builds each
 job's cluster DAG through the (memoized) backend builders and returns a
@@ -383,8 +383,8 @@ def _remap(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
 def compose_core(mix: JobMixGraph, platform) -> tuple[dict, dict]:
     """The compiled-core tables of ``mix``, composed from per-shape cores.
 
-    Returns ``(arrays, state)`` in the layout of
-    :meth:`~repro.sim.engine.CompiledCore.from_arrays`, equal attribute
+    Returns ``(arrays, state)`` in the layout
+    :meth:`~repro.sim.engine.CompiledCore._adopt` takes, equal attribute
     for attribute to compiling the spliced union DAG:
 
     * ops, edges, channels, chunks and roots concatenate in job order,

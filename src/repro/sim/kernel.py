@@ -37,7 +37,11 @@ the re-run is bit-identical.
 Everything the kernel touches is a flat numpy array; the CSR/slot
 layouts are compiled once per :class:`~repro.sim.engine.CompiledCore` /
 :class:`~repro.sim.engine.SimVariant` (``core_tables`` /
-``variant_tables``) and shared by every iteration.
+``variant_tables``) and shared by every iteration. Each iteration is one
+kernel call: :meth:`~repro.sim.engine.SimVariant.iter_iterations` draws
+the iteration's jitter, then hands it to :func:`execute_event_loop`
+through :meth:`~repro.sim.engine.SimVariant._execute_kernel`, traced or
+not.
 """
 
 from __future__ import annotations
@@ -50,12 +54,10 @@ import numpy as np
 #: time beyond this guarded probe, never required for the fallback.
 try:  # pragma: no cover - exercised only where numba is installed
     from numba import njit as _njit
-    from numba import prange
 
     HAVE_NUMBA = True
 except ImportError:  # pragma: no cover - the common container case
     HAVE_NUMBA = False
-    prange = range
 
     def _njit(**kwargs):
         def wrap(fn):
@@ -75,15 +77,6 @@ def kernel_func(fn):
 KERNELS = ("auto", "python", "numba", "portable")
 
 ENV_VAR = "REPRO_ENGINE_KERNEL"
-
-#: opt-in ``prange`` parallelism across the rows of a batched dispatch
-#: (ISSUE 8). Off by default: rows are independent and consume their own
-#: pre-drawn RNG streams, so turning it on is bit-exact — but it claims
-#: every core of the host, which a ``--jobs N`` sweep already does at
-#: the process level.
-PARALLEL_ENV_VAR = "REPRO_ENGINE_PARALLEL"
-_PARALLEL_OFF = ("0", "off", "false", "no")
-_PARALLEL_ON = ("1", "on", "true", "yes")
 
 # kernel exit statuses
 _OK = 0
@@ -140,27 +133,6 @@ def resolve(name: str) -> str:
     if name not in KERNELS or name == "auto":
         raise ValueError(f"unknown engine kernel {name!r}; expected one of {KERNELS}")
     return name
-
-
-def resolve_parallel() -> bool:
-    """Resolve ``REPRO_ENGINE_PARALLEL`` to a bool (default off).
-
-    Unknown values raise with a suggestion instead of being silently
-    ignored — a typo like ``REPRO_ENGINE_PARALLEL=ture`` must not quietly
-    run serial. On hosts without numba the flag is accepted but has no
-    effect (the batched entry runs the same source uncompiled, serially).
-    """
-    raw = os.environ.get(PARALLEL_ENV_VAR, "")
-    value = raw.strip().lower()
-    if not value or value in _PARALLEL_OFF:
-        return False
-    if value in _PARALLEL_ON:
-        return True
-    known = _PARALLEL_ON + _PARALLEL_OFF
-    raise ValueError(
-        f"{PARALLEL_ENV_VAR}={raw!r} is not one of {known}"
-        + _did_you_mean(value, known)
-    )
 
 
 def loop_for(resolved: str):
@@ -299,86 +271,6 @@ def variant_tables(variant) -> VariantTables:
     if tables is None:
         tables = variant._kernel_variant_tables = VariantTables(variant)
     return tables
-
-
-def _flat_with_offsets(arrays, dtype):
-    """CSR-pack variable-length per-variant arrays: (flat, offsets)."""
-    off = np.zeros(len(arrays) + 1, dtype=np.int64)
-    np.cumsum([a.shape[0] for a in arrays], out=off[1:])
-    if off[-1]:
-        flat = np.ascontiguousarray(np.concatenate(arrays), dtype=dtype)
-    else:
-        flat = np.zeros(0, dtype=dtype)
-    return flat, off
-
-
-class StackedVariantTables:
-    """Several same-core variants' tables stacked along a leading axis.
-
-    This is what the variant-batched kernel entry consumes: the dense
-    per-op arrays become ``(V, n)`` matrices, the variable-length ones
-    (channel lists, group-slot bases) CSR-pack into flat+offset pairs,
-    and the per-variant scalars become length-``V`` vectors. Values are
-    exactly the :class:`VariantTables` entries — stacking changes layout,
-    never content.
-    """
-
-    def __init__(self, variants) -> None:
-        vts = [variant_tables(v) for v in variants]
-        self.hg_ch = np.stack([vt.hg_ch for vt in vts])
-        self.hg_rank = np.stack([vt.hg_rank for vt in vts])
-        self.dg_ch = np.stack([vt.dg_ch for vt in vts])
-        self.dg_rank = np.stack([vt.dg_rank for vt in vts])
-        self.prio = np.stack([vt.prio for vt in vts])
-        self.rc_indptr = np.stack([vt.rc_indptr for vt in vts])
-        self.rc_indices, self.rc_off = _flat_with_offsets(
-            [vt.rc_indices for vt in vts], np.int64
-        )
-        self.gs_base, self.gsb_off = _flat_with_offsets(
-            [vt.gs_base for vt in vts], np.int64
-        )
-        self.mode = np.array([vt.mode for vt in vts], dtype=np.int64)
-        self.noise = np.array([vt.noise for vt in vts], dtype=np.float64)
-        self.fabric_cap = np.array(
-            [vt.fabric_cap for vt in vts], dtype=np.int64
-        )
-        self.random_compute = np.array(
-            [vt.random_compute for vt in vts], dtype=np.uint8
-        )
-        self.has_dag = np.array([vt.has_dag for vt in vts], dtype=np.uint8)
-        self.has_prio = np.array([vt.has_prio for vt in vts], dtype=np.uint8)
-        # fault CSRs: indptr rows stack densely; the window payloads
-        # (equal lengths per variant) share one flat+offset packing.
-        self.fc_indptr = np.stack([vt.fc_indptr for vt in vts])
-        self.fc_w0, self.fcw_off = _flat_with_offsets(
-            [vt.fc_w0 for vt in vts], np.float64
-        )
-        self.fc_w1, _ = _flat_with_offsets([vt.fc_w1 for vt in vts], np.float64)
-        self.fc_rate, _ = _flat_with_offsets(
-            [vt.fc_rate for vt in vts], np.float64
-        )
-        self.fw_indptr = np.stack([vt.fw_indptr for vt in vts])
-        self.fw_w0, self.fww_off = _flat_with_offsets(
-            [vt.fw_w0 for vt in vts], np.float64
-        )
-        self.fw_w1, _ = _flat_with_offsets([vt.fw_w1 for vt in vts], np.float64)
-        self.fw_rate, _ = _flat_with_offsets(
-            [vt.fw_rate for vt in vts], np.float64
-        )
-
-
-def stacked_tables(variants) -> StackedVariantTables:
-    """Stacked tables for a variant set; the ubiquitous single-variant
-    stack (the in-JIT iteration loop of ``iter_iterations``) is cached
-    on the variant like the flat tables are."""
-    if len(variants) == 1:
-        tables = getattr(variants[0], "_kernel_stacked_tables", None)
-        if tables is None:
-            tables = variants[0]._kernel_stacked_tables = StackedVariantTables(
-                variants
-            )
-        return tables
-    return StackedVariantTables(variants)
 
 
 # ----------------------------------------------------------------------
@@ -1131,99 +1023,8 @@ def _event_loop(
 
 
 # ----------------------------------------------------------------------
-# variant-batched dispatch (ISSUE 8): many (variant, iteration) rows per
-# compiled call
-# ----------------------------------------------------------------------
-def _rows_body(
-    # core tables (shared by every row)
-    succ_indptr, succ_indices, base_indeg,
-    is_transfer, is_chunk, op_res, t_egress, t_ingress, t_chan, lat,
-    capacity, chan_iid, eg_pos, egress_ids,
-    eg_chan_indptr, eg_chan_indices, q_base, roots, root_times, pq_base,
-    # stacked variant tables (leading axis = variant)
-    hg_ch2, hg_rank2, dg_ch2, dg_rank2, prio2,
-    rc_indptr2, rc_ind_flat, rc_off, gsb_flat, gsb_off,
-    modes, noises, fabric_caps, rand_comp, dag_flags, prio_flags,
-    fc_indptr2, fc_w0_flat, fc_w1_flat, fc_rate_flat, fcw_off,
-    fw_indptr2, fw_w0_flat, fw_w1_flat, fw_rate_flat, fww_off,
-    # per-row inputs (leading axis = row)
-    vrow, DUR, WIRE, CHUNK, raw_flat, raw_off, heap_cap,
-    # per-row outputs
-    START, END, STATUS,
-):
-    """Run every (variant, iteration) row through ``_event_loop``.
-
-    Rows are fully independent — each consumes its own pre-drawn RNG
-    block and owns one output slice — so the ``prange`` compilation is
-    bit-exact with the serial one. Rows that abort (raw exhaustion, heap
-    overflow) report through ``STATUS``; the python driver replays just
-    those rows with bigger buffers, mirroring the single-row retry loop.
-    Tracing never routes through here (traced runs keep the one-row
-    entry), so the trace side-arrays are 0-size dummies.
-    """
-    zf = np.zeros(0, np.float64)
-    zi = np.zeros(0, np.int64)
-    for r in prange(vrow.shape[0]):
-        v = vrow[r]
-        status, start, end, _n_tce = _event_loop(
-            succ_indptr, succ_indices, base_indeg,
-            is_transfer, is_chunk, op_res, t_egress, t_ingress, t_chan, lat,
-            capacity, chan_iid, eg_pos, egress_ids,
-            eg_chan_indptr, eg_chan_indices, q_base, roots, root_times,
-            pq_base,
-            hg_ch2[v], hg_rank2[v], dg_ch2[v], dg_rank2[v], prio2[v],
-            rc_indptr2[v], rc_ind_flat[rc_off[v]:rc_off[v + 1]],
-            gsb_flat[gsb_off[v]:gsb_off[v + 1]],
-            modes[v], noises[v], fabric_caps[v],
-            rand_comp[v] == 1, dag_flags[v] == 1, prio_flags[v] == 1,
-            fc_indptr2[v], fc_w0_flat[fcw_off[v]:fcw_off[v + 1]],
-            fc_w1_flat[fcw_off[v]:fcw_off[v + 1]],
-            fc_rate_flat[fcw_off[v]:fcw_off[v + 1]],
-            fw_indptr2[v], fw_w0_flat[fww_off[v]:fww_off[v + 1]],
-            fw_w1_flat[fww_off[v]:fww_off[v + 1]],
-            fw_rate_flat[fww_off[v]:fww_off[v + 1]],
-            DUR[r], WIRE[r], CHUNK[r],
-            raw_flat[raw_off[r]:raw_off[r + 1]], heap_cap,
-            False, zf, zi, zi, zf, zf,
-        )
-        STATUS[r] = status
-        START[r] = start
-        END[r] = end
-
-
-#: serial rows entry: jitted where numba exists, plain source elsewhere
-#: (``prange`` degrades to ``range`` in both of those cases).
-_run_rows = _njit(cache=True)(_rows_body)
-if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-    #: opt-in parallel entry (REPRO_ENGINE_PARALLEL): same body compiled
-    #: with ``parallel=True`` so the row loop fans out across cores.
-    _run_rows_parallel = _njit(cache=True, parallel=True)(_rows_body)
-else:
-    _run_rows_parallel = _run_rows
-
-
-# ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
-def _loop_args(ct, vt):
-    """Positional prefix shared by every ``_event_loop`` call: the 20
-    core-table arrays followed by the 22 variant tables/scalars."""
-    return (
-        ct.succ_indptr, ct.succ_indices, ct.base_indeg,
-        ct.is_transfer, ct.is_chunk, ct.op_res, ct.t_egress,
-        ct.t_ingress, ct.t_chan, ct.lat,
-        ct.capacity, ct.chan_iid, ct.eg_pos, ct.egress_ids,
-        ct.eg_chan_indptr, ct.eg_chan_indices, ct.q_base, ct.roots,
-        ct.root_times, ct.pq_base,
-        vt.hg_ch, vt.hg_rank, vt.dg_ch, vt.dg_rank, vt.prio,
-        vt.rc_indptr, vt.rc_indices, vt.gs_base,
-        vt.mode, vt.noise, vt.fabric_cap, vt.random_compute,
-        vt.has_dag, vt.has_prio,
-        vt.fc_indptr, vt.fc_w0, vt.fc_w1, vt.fc_rate,
-        vt.fw_indptr, vt.fw_w0, vt.fw_w1, vt.fw_rate,
-    )
-
-
 def execute_event_loop(variant, rng, dur, wire, chunk_of, loop):
     """Run one iteration through an array kernel.
 
@@ -1256,7 +1057,21 @@ def execute_event_loop(variant, rng, dur, wire, chunk_of, loop):
     tce_op = np.zeros(tce_cap, dtype=np.int64)
     tce_t0 = np.zeros(tce_cap)
     tce_dur = np.zeros(tce_cap)
-    args = _loop_args(ct, vt)
+    # the 20 core-table arrays, then the 22 variant tables/scalars
+    args = (
+        ct.succ_indptr, ct.succ_indices, ct.base_indeg,
+        ct.is_transfer, ct.is_chunk, ct.op_res, ct.t_egress,
+        ct.t_ingress, ct.t_chan, ct.lat,
+        ct.capacity, ct.chan_iid, ct.eg_pos, ct.egress_ids,
+        ct.eg_chan_indptr, ct.eg_chan_indices, ct.q_base, ct.roots,
+        ct.root_times, ct.pq_base,
+        vt.hg_ch, vt.hg_rank, vt.dg_ch, vt.dg_rank, vt.prio,
+        vt.rc_indptr, vt.rc_indices, vt.gs_base,
+        vt.mode, vt.noise, vt.fabric_cap, vt.random_compute,
+        vt.has_dag, vt.has_prio,
+        vt.fc_indptr, vt.fc_w0, vt.fc_w1, vt.fc_rate,
+        vt.fw_indptr, vt.fw_w0, vt.fw_w1, vt.fw_rate,
+    )
     while True:
         status, start, end, n_tce = loop(
             *args,
@@ -1289,78 +1104,3 @@ def execute_event_loop(variant, rng, dur, wire, chunk_of, loop):
             tce_dur = np.zeros(tce_cap)
         else:  # pragma: no cover - unreachable
             raise RuntimeError(f"kernel returned unknown status {status}")
-
-
-def execute_rows(variants, vrow, rngs, DUR, WIRE, CHUNK, *, parallel=None):
-    """Run many (variant, iteration) rows through one batched kernel call.
-
-    ``variants`` all share one ``CompiledCore``; ``vrow[r]`` names the
-    variant index of row ``r``; ``rngs[r]`` is row ``r``'s fresh
-    per-iteration generator, and ``DUR``/``WIRE``/``CHUNK`` are ``(R, n)``
-    float64 matrices whose rows were built exactly as the one-at-a-time
-    path builds them (jitter drawn *before* the raw pre-draw below, so
-    every stream position matches). Returns ``(START, END)`` ``(R, n)``
-    matrices bit-identical to ``R`` calls of :func:`execute_event_loop`.
-
-    ``parallel=None`` reads ``REPRO_ENGINE_PARALLEL``; the parallel entry
-    is the same source compiled with ``prange`` and stays bit-exact
-    because rows never share state. Rows that abort inside the batch
-    (raw exhaustion / heap overflow) are replayed one-at-a-time with
-    grown buffers, mirroring the single-row retry loop.
-    """
-    ct = core_tables(variants[0].core)
-    svt = stacked_tables(variants)
-    n_rows = vrow.shape[0]
-    raws = [rng.bit_generator.random_raw(ct.raw_init) for rng in rngs]
-    raw_flat, raw_off = _flat_with_offsets(raws, np.uint64)
-    START = np.empty((n_rows, ct.n), dtype=np.float64)
-    END = np.empty((n_rows, ct.n), dtype=np.float64)
-    STATUS = np.empty(n_rows, dtype=np.int64)
-    if parallel is None:
-        parallel = resolve_parallel()
-    rows = _run_rows_parallel if parallel else _run_rows
-    rows(
-        ct.succ_indptr, ct.succ_indices, ct.base_indeg,
-        ct.is_transfer, ct.is_chunk, ct.op_res, ct.t_egress,
-        ct.t_ingress, ct.t_chan, ct.lat,
-        ct.capacity, ct.chan_iid, ct.eg_pos, ct.egress_ids,
-        ct.eg_chan_indptr, ct.eg_chan_indices, ct.q_base, ct.roots,
-        ct.root_times, ct.pq_base,
-        svt.hg_ch, svt.hg_rank, svt.dg_ch, svt.dg_rank, svt.prio,
-        svt.rc_indptr, svt.rc_indices, svt.rc_off,
-        svt.gs_base, svt.gsb_off,
-        svt.mode, svt.noise, svt.fabric_cap, svt.random_compute,
-        svt.has_dag, svt.has_prio,
-        svt.fc_indptr, svt.fc_w0, svt.fc_w1, svt.fc_rate, svt.fcw_off,
-        svt.fw_indptr, svt.fw_w0, svt.fw_w1, svt.fw_rate, svt.fww_off,
-        vrow, DUR, WIRE, CHUNK, raw_flat, raw_off, ct.heap_cap,
-        START, END, STATUS,
-    )
-    zf = np.zeros(0)
-    zi = np.zeros(0, dtype=np.int64)
-    for r in np.nonzero(STATUS != _OK)[0]:
-        # rare per-row retries run outside the batch: extend that row's
-        # raw stream / heap exactly like the single-row driver would.
-        args = _loop_args(ct, variant_tables(variants[int(vrow[r])]))
-        raw = raws[r]
-        heap_cap = ct.heap_cap
-        while STATUS[r] != _OK:
-            if STATUS[r] == _RAW_EXHAUSTED:
-                raw = np.concatenate(
-                    [raw, rngs[r].bit_generator.random_raw(raw.shape[0])]
-                )
-            elif STATUS[r] == _HEAP_OVERFLOW:  # pragma: no cover - belt
-                heap_cap *= 2
-            else:  # pragma: no cover - unreachable
-                raise RuntimeError(
-                    f"kernel returned unknown status {STATUS[r]}"
-                )
-            status, start, end, _n_tce = _event_loop(
-                *args, DUR[r], WIRE[r], CHUNK[r], raw, heap_cap,
-                False, zf, zi, zi, zf, zf,
-            )
-            STATUS[r] = status
-            if status == _OK:
-                START[r] = start
-                END[r] = end
-    return START, END

@@ -7,7 +7,6 @@ drivers (and re-runs) hit the cache, and ``--jobs N`` fans independent
 cells out across cores with bitwise-identical results.
 """
 
-from . import sharedcore
 from .cache import CacheStats, ResultCache, cache_key
 from .fingerprint import code_fingerprint, module_fingerprint
 from .runner import Speedup, SweepRunner
@@ -15,7 +14,6 @@ from .serialize import result_from_dict, result_to_dict
 from .spec import FnTask, GridSpec, SimCell
 
 __all__ = [
-    "sharedcore",
     "CacheStats",
     "ResultCache",
     "cache_key",

@@ -52,7 +52,11 @@ def test_enforcement_tour():
 
 @pytest.mark.slow
 def test_timeline_visualization(tmp_path):
-    proc = run_example("timeline_visualization.py")
+    from repro.obs.export import validate_chrome_trace
+
+    proc = run_example("timeline_visualization.py", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert "chrome trace" in proc.stdout
     assert "tic: one inference iteration" in proc.stdout
+    for label in ("baseline", "tic"):
+        validate_chrome_trace(str(tmp_path / f"trace_{label}.json"))

@@ -2,16 +2,14 @@
 
 The trace subsystem's one hard invariant is that turning it on changes
 *nothing* — no RNG draw, no event reorder, no float — and that both
-event-loop kernels record the *same* streams. Pinned four ways:
+event-loop kernels record the *same* streams. Pinned three ways:
 
 * traced vs untraced records are bit-identical (start/end/dedicated/
   makespan/out-of-order), per kernel;
 * the committed golden matrix replays byte-identically with tracing ON
   (tracing can never change ENGINE_REV semantics);
 * python-loop and array-kernel event streams are identical on every
-  golden case and on a co-scheduled job mix;
-* a traced run against a shared-memory attached core matches the
-  in-process streams (the sharedcore round trip adds nothing).
+  golden case and on a co-scheduled job mix.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.sim import CompiledCore, SimConfig, SimVariant
-from repro.sweep import sharedcore
 from repro.timing import get_platform
 
 from ..sim.test_engine_golden import (
@@ -138,21 +135,3 @@ def test_ooo_recount_matches_engine_audit():
         trace = Trace.from_record(variant, record)
         diag = trace.scheduler_diagnostics()
         assert diag["total_inversions"] == record.out_of_order_handoffs
-
-
-# ----------------------------------------------------------------------
-# shared-core round trip
-# ----------------------------------------------------------------------
-def test_attached_core_traces_identically():
-    ir, cluster = build_cluster("ps")
-    core = CompiledCore(cluster, FLAT)
-    cfg = SimConfig(enforcement="sender", iterations=1, seed=7, trace=True)
-    local = SimVariant(core, layerwise(ir), cfg).run_iteration(0)
-    handle = sharedcore.publish(core, meta={"model": ir.name})
-    try:
-        attached, _ = sharedcore.attach(handle)
-        remote = SimVariant(attached, layerwise(ir), cfg).run_iteration(0)
-    finally:
-        handle.unlink()
-    assert _records_identical(local, remote)
-    assert local.trace.same_stream(remote.trace)

@@ -4,8 +4,8 @@ Complements :mod:`tests.sim.test_jobmix_golden` (1-job bit-exactness):
 here the mixes are real — several jobs, arrival offsets, shared hosts —
 and the invariants are structural (namespaces partition the union DAG),
 semantic (contention can only hurt; arrivals delay roots) and
-infrastructural (cache keys fold the mix structure in; shared-core
-publication and JSON serialization carry the per-job surfaces).
+infrastructural (cache keys fold the mix structure in; the process
+pool and JSON serialization carry the per-job surfaces).
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def test_kernels_agree_on_mixes():
 
 
 # ----------------------------------------------------------------------
-# Infrastructure: cache keys, serialization, shared cores
+# Infrastructure: cache keys, serialization, the process pool
 # ----------------------------------------------------------------------
 
 def _cell(spec: JobMixSpec, algorithm: str = "baseline") -> SimCell:

@@ -4,7 +4,7 @@
 concatenating per-shape compiled blocks (:func:`repro.sim.jobmix.compose_core`)
 instead of walking the union DAG. The reference here is the traversal
 compile of that union (:attr:`JobMixGraph.graph`, spliced on demand),
-handed to the core as a plain cluster surface: every shared-core array
+handed to the core as a plain cluster surface: every compiled array
 and state attribute, the per-device compute ops, the §5.1 parameter
 groups and the scoped per-job fault plans must be equal.
 """
@@ -28,10 +28,25 @@ from repro.sim import (
     SimVariant,
     build_jobmix_graph,
 )
-from repro.sweep.sharedcore import ARRAY_ATTRS, STATE_ATTRS
 from repro.timing import get_platform
 
 PLATFORM = get_platform("envC")
+
+#: every array attribute of a compiled core.
+ARRAY_ATTRS = (
+    "base_indeg", "succ_indptr", "succ_indices", "is_transfer", "op_res",
+    "t_egress", "t_ingress", "base_dur", "wire_base", "lat", "t_chan",
+    "is_chunk", "capacity", "tr_ids", "tr_eg", "tr_in", "comp_ids",
+    "comp_res", "root_times", "job_of",
+)
+
+#: every non-array attribute of a compiled core the engine reads.
+STATE_ATTRS = (
+    "n", "n_res", "n_wire_channels", "_res_index", "chan_eid", "chan_iid",
+    "egress_ids", "eg_chan_lists", "eg_pos", "q_base", "q_slots",
+    "chunk_op_ids", "chunk_param_names", "param_groups", "roots", "jobs",
+    "platform", "chan_devices", "job_faults",
+)
 MODELS = ("AlexNet v2", "VGG-16")
 
 

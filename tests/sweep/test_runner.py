@@ -1,5 +1,8 @@
 """Sweep-runner behavior: hit/miss, rerun, dedupe, parallel == serial,
-lossless serialization, and grid expansion."""
+unit splitting, quarantine, the persistent pool, lossless serialization,
+and grid expansion."""
+
+import os
 
 import numpy as np
 import pytest
@@ -29,6 +32,10 @@ def tiny_cells():
                 algorithm=a, config=CFG)
         for a in ("baseline", "tic")
     ]
+
+
+def _pid(_=None, tag=None) -> int:
+    return os.getpid()
 
 
 def assert_results_identical(a, b):
@@ -165,8 +172,87 @@ class TestParallel:
             algorithms=("baseline", "tic"),
         ).cells(CFG)
         serial = SweepRunner(jobs=1, cache_dir=None).run_cells(cells)
-        parallel = SweepRunner(jobs=2, cache_dir=None).run_cells(cells)
+        with SweepRunner(jobs=2, cache_dir=None) as runner:
+            parallel = runner.run_cells(cells)
+            again = runner.run_cells(cells)  # same runner, same pool
         assert_results_identical(serial, parallel)
+        assert_results_identical(serial, again)
+
+    def test_small_batch_splits_groups_across_workers(self):
+        """One 6-cell group at jobs=2 runs as two units, bit-identical
+        to the serial single-unit run."""
+        cells = [
+            SimCell(model="AlexNet v2", spec=ClusterSpec(2, 1, "training"),
+                    algorithm=a, config=CFG.with_(seed=s))
+            for a in ("baseline", "tic") for s in (0, 1, 2)
+        ]
+        serial = SweepRunner(jobs=1)
+        want = serial.run_cells(cells)
+        assert serial.telemetry.get("groups_run") == 1
+        with SweepRunner(jobs=2) as runner:
+            got = runner.run_cells(cells)
+            assert runner.telemetry.get("groups_run") == 2
+        assert_results_identical(want, got)
+
+    def test_wizarded_algorithm_never_baseline(self):
+        """A scheduled cell split off into its own unit at jobs=2 runs its
+        wizard schedule — never silently the baseline order."""
+        spec = ClusterSpec(2, 1, "training")
+        cells = [
+            SimCell(model="AlexNet v2", spec=spec, algorithm=a, config=CFG)
+            for a in ("baseline", "tic", "tac", "tic_plus")
+        ]
+        serial = SweepRunner(jobs=1).run_cells(cells)
+        with SweepRunner(jobs=2) as runner:
+            got = runner.run_cells(cells)
+            more = runner.run_cells(
+                [SimCell(model="AlexNet v2", spec=spec, algorithm="tac",
+                         config=CFG.with_(seed=5))]
+            )
+        assert [r.algorithm for r in got] == ["baseline", "tic", "tac",
+                                              "tic_plus"]
+        assert more[0].algorithm == "tac"
+        assert_results_identical(serial, got)
+        # tic reorders transfers: equal times would mean a dropped schedule
+        base, tic = got[0], got[1]
+        assert base.iteration_times.tolist() != tic.iteration_times.tolist()
+
+    def test_cached_pooled_and_serial_share_entries(self, tmp_path):
+        cells = tiny_cells() + [
+            SimCell(model="AlexNet v2", spec=ClusterSpec(4, 1, "training"),
+                    algorithm="tic", config=CFG)
+        ]
+        with SweepRunner(jobs=2, cache_dir=str(tmp_path)) as runner:
+            fresh = runner.run_cells(cells)
+            assert runner.stats.writes == len(cells)
+        warm = SweepRunner(jobs=1, cache_dir=str(tmp_path))
+        hits = warm.run_cells(cells)
+        assert warm.stats.hits == len(cells)
+        assert_results_identical(fresh, hits)
+
+    def test_pool_is_persistent_across_maps(self):
+        with SweepRunner(jobs=2) as runner:
+            first = runner._map(_pid, list(range(8)))
+            pool = runner._pool
+            assert pool is not None
+            second = runner._map(_pid, list(range(8)))
+            assert runner._pool is pool
+            assert set(first) & set(second)  # same worker processes
+            assert os.getpid() not in first
+        assert runner._pool is None
+
+    def test_fn_tasks_use_persistent_pool(self):
+        with SweepRunner(jobs=2) as runner:
+            runner.run_cells(tiny_cells())
+            pool = runner._pool
+            assert pool is not None
+            # two DISTINCT tasks (identical ones dedupe to a single
+            # pending item, which _map would run inline in the parent)
+            values = runner.run_tasks(
+                [FnTask.make(_pid, tag=1), FnTask.make(_pid, tag=2)]
+            )
+            assert runner._pool is pool  # same pool, not a fresh spawn
+            assert os.getpid() not in values  # ran on workers, not inline
 
     def test_parallel_tasks_equal_serial(self):
         tasks = [
@@ -177,6 +263,34 @@ class TestParallel:
         serial = SweepRunner(jobs=1).run_tasks(tasks)
         parallel = SweepRunner(jobs=2).run_tasks(tasks)
         assert serial == parallel
+
+
+POISON = SimCell(model="AlexNet v2", spec=ClusterSpec(2, 1, "training"),
+                 algorithm="no_such_algorithm", config=CFG)
+
+
+class TestQuarantine:
+    @pytest.mark.parametrize("jobs,with_good", [
+        (2, False),  # a single-cell batch on the pool
+        (1, True),   # in-process units
+        (2, True),   # pooled units
+    ])
+    def test_poison_cell_is_quarantined(self, jobs, with_good):
+        good = tiny_cells()[0]
+        cells = [good, POISON] if with_good else [POISON]
+        with SweepRunner(jobs=jobs, retry_backoff_s=0.0) as runner:
+            got = runner.run_cells(cells)
+            assert got[-1] is None
+            if with_good:
+                want = SweepRunner(jobs=1).run_cells([good])
+                assert_results_identical(got[:1], want)
+            (cell, error), = runner.quarantined
+            assert cell == POISON
+            assert "no_such_algorithm" in error
+            counters = runner.telemetry.as_dict()
+            assert counters["quarantined"] == 1
+            # a good cell sharing the poison cell's unit is retried too
+            assert counters["retries"] >= runner.max_retries
 
 
 class TestSpeedups:

@@ -1,4 +1,4 @@
-"""Crash-resilient sweep execution (ISSUE 9).
+"""Crash-resilient sweep execution.
 
 The resilient :class:`~repro.sweep.runner.SweepRunner` must survive the
 three field failure modes without losing the batch:
@@ -34,8 +34,8 @@ from repro.sweep import runner as sweep_runner
 
 CFG = SimConfig(iterations=2, warmup=0)
 
-#: the real batched-lane worker entry point, captured before any patch.
-_run_batched = sweep_runner._run_shared_cells_batched
+#: the real cell worker entry point, captured before any patch.
+_run_group = sweep_runner._run_group
 
 
 def _die_first(marker: str) -> None:
@@ -50,9 +50,9 @@ def _die_first(marker: str) -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _batched_dying_once(marker: str, args: tuple) -> tuple:
+def _group_dying_once(marker: str, cells: list) -> tuple:
     _die_first(marker)
-    return _run_batched(args)
+    return _run_group(cells)
 
 
 def _len_dying_once(marker: str, items: list) -> int:
@@ -88,17 +88,17 @@ class TestPoolCrashRecovery:
             want = serial.run_cells(cells)
 
         marker = tmp_path / "killed"
-        # Patched before the pool forks: the first batched cell task to
-        # win the marker SIGKILLs its own worker mid-sweep. Retried cells
-        # run on the single-cell lane, which is not patched.
+        # Patched before the pool forks: the first cell unit to win the
+        # marker SIGKILLs its own worker mid-sweep. Retried cells find
+        # the marker taken and run clean.
         monkeypatch.setattr(
             sweep_runner,
-            "_run_shared_cells_batched",
-            functools.partial(_batched_dying_once, str(marker)),
+            "_run_group",
+            functools.partial(_group_dying_once, str(marker)),
         )
         with SweepRunner(jobs=2, retry_backoff_s=0.0) as runner:
             got = runner.run_cells(cells)
-            assert marker.exists(), "no batched cell task ever ran"
+            assert marker.exists(), "no cell unit ever ran"
             counters = runner.telemetry.as_dict()
             assert counters.get("pool_rebuilds", 0) >= 1
             assert runner.quarantined == []
@@ -106,8 +106,8 @@ class TestPoolCrashRecovery:
         assert_results_identical(got, want)
 
     def test_broken_pool_map_lane_retries_on_fresh_pool(self, tmp_path):
-        """The classic map lane (fn tasks, one-task-per-group) also
-        survives a dead pool: one rebuild, one retry, same values."""
+        """The map lane (fn tasks) also survives a dead pool: one
+        rebuild, one retry, same values."""
         marker = str(tmp_path / "killed")
         with SweepRunner(jobs=2) as runner:
             # the first task to win the marker kills its worker, so the
@@ -138,8 +138,8 @@ class TestQuarantine:
             assert "no_such_algorithm" in error
             counters = runner.telemetry.as_dict()
             assert counters["quarantined"] == 1
-            # the whole group fails with the poison cell, so every
-            # member gets one retry; only the poison cell exhausts them
+            # every cell of a failed unit gets a retry; only the poison
+            # cell exhausts them
             assert counters["retries"] >= 1
 
     def test_retry_backoff_is_exponential(self):
