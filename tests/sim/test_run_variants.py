@@ -1,10 +1,11 @@
-"""Variant-batched dispatch (ISSUE 8): ``run_variants`` /
-``iter_variant_records`` must be bit-identical to one-at-a-time
-execution under every kernel, with or without the ``prange`` entry.
+"""Variants of one compile-once group reproduce the golden matrix.
 
-The batched lane stacks per-variant tables and runs whole
-(variant, iteration) slabs as ONE kernel call; these tests pin that
-batching — like the kernel choice and tracing — never changes results.
+The sweep runner simulates the cells of a group as several
+:class:`~repro.sim.SimVariant` objects over ONE shared
+:class:`~repro.sim.CompiledCore`, each run as a ``run_iterations``
+batch. These tests pin that this grouping never changes results: every
+golden case, run as a batch on a core another variant has already
+driven, reproduces the committed fingerprints exactly.
 """
 
 from __future__ import annotations
@@ -14,39 +15,22 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.sim import CompiledCore, SimConfig, SimVariant, run_variants
-from repro.sim.engine import iter_variant_records
-from repro.sim.kernel import HAVE_NUMBA, resolve_parallel
+from repro.sim import CompiledCore, SimConfig, SimVariant, kernel as sim_kernel
 
 from .test_engine_golden import (
     _GOLDEN,
     FLAT,
     ITERATIONS,
-    _records_equal,
     build_cluster,
     get_platform,
     layerwise,
     make_config,
 )
 
-#: kernels whose batched lane actually batches ("python" falls back to
-#: per-iteration dispatch — covered separately below). "numba" is the
-#: same algorithm compiled; explicit selection raises without numba, so
-#: gate it rather than silently re-testing "portable".
-BATCH_KERNELS = ["portable"] + (["numba"] if HAVE_NUMBA else [
-    pytest.param("numba", marks=pytest.mark.skip(reason="numba not installed")),
-])
-
-
-def _batch_variant(case: dict, kernel: str) -> SimVariant:
-    ir, cluster = build_cluster(case["backend"])
-    platform = FLAT if case["platform"] == "flat" else get_platform(case["platform"])
-    schedule = None if case["schedule"] == "baseline" else layerwise(ir)
-    cfg = make_config(case["config"]).with_(kernel=kernel)
-    return SimVariant(CompiledCore(cluster, platform), schedule, cfg)
+#: array kernels runnable on this host ('portable' everywhere, plus
+#: 'numba' where installed; they share one code path).
+BATCH_KERNELS = ["portable"] + (["numba"] if sim_kernel.HAVE_NUMBA else [])
 
 
 @pytest.mark.parametrize("kernel", BATCH_KERNELS)
@@ -54,10 +38,20 @@ def _batch_variant(case: dict, kernel: str) -> SimVariant:
     "case_rec", _GOLDEN["cases"], ids=[c["case"]["name"] for c in _GOLDEN["cases"]]
 )
 def test_golden_matrix_through_batched_lane(case_rec, kernel):
-    """Every golden case replayed through ``run_variants`` reproduces the
+    """Every golden case run as one ``run_iterations`` batch, on a core
+    shared with a sibling variant that ran first, reproduces the
     committed reference fingerprints exactly."""
-    sim = _batch_variant(case_rec["case"], kernel)
-    (records,) = run_variants(sim.core, [sim], ITERATIONS)
+    case = case_rec["case"]
+    ir, cluster = build_cluster(case["backend"])
+    platform = FLAT if case["platform"] == "flat" else get_platform(case["platform"])
+    core = CompiledCore(cluster, platform)
+    schedule = None if case["schedule"] == "baseline" else layerwise(ir)
+    sibling = SimVariant(
+        core, schedule, SimConfig(jitter_sigma=0.05, kernel=kernel, seed=99)
+    )
+    sibling.run_iterations(0, 2)
+    sim = SimVariant(core, schedule, make_config(case["config"]).with_(kernel=kernel))
+    records = sim.run_iterations(0, ITERATIONS)
     assert len(records) == ITERATIONS
     for record, expect in zip(records, case_rec["iterations"]):
         digest = hashlib.sha256()
@@ -72,120 +66,3 @@ def test_golden_matrix_through_batched_lane(case_rec, kernel):
         assert record.out_of_order_handoffs == expect["out_of_order"]
         assert digest.hexdigest() == expect["arrays_sha256"]
         assert ldigest == expect["loads_sha256"]
-
-
-@given(
-    st.integers(min_value=0, max_value=50),
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=2, max_value=5),
-    st.booleans(),
-)
-@settings(max_examples=15, deadline=None)
-def test_run_variants_equals_one_at_a_time(first, count, n_variants, parallel):
-    """A mixed-config variant set through the batched lane is bit-equal
-    to each variant's own ``run_iterations`` (serial AND prange entry)."""
-    ir, cluster = build_cluster("ps")
-    core = CompiledCore(cluster, FLAT)
-    sched = layerwise(ir)
-    modes = ["sender", "ready_queue", "dag", "none"]
-    variants = [
-        SimVariant(
-            core,
-            None if modes[i % 4] == "none" else sched,
-            SimConfig(
-                enforcement=modes[i % 4],
-                jitter_sigma=0.05 * (i % 2),
-                kernel="portable",
-                seed=11 + i,
-            ),
-        )
-        for i in range(n_variants)
-    ]
-    batch = run_variants(core, variants, count, first, parallel=parallel)
-    assert [len(records) for records in batch] == [count] * n_variants
-    for v, records in zip(variants, batch):
-        for record, ref in zip(records, v.run_iterations(first, count)):
-            assert _records_equal(record, ref)
-
-
-@pytest.mark.parametrize("kernel", ["python", "portable"])
-def test_fallback_lane_matches_batched(kernel):
-    """The python kernel (and any traced variant) falls back to
-    per-iteration dispatch inside ``iter_variant_records`` — same yield
-    order, same records."""
-    ir, cluster = build_cluster("ps")
-    core = CompiledCore(cluster, FLAT)
-    sched = layerwise(ir)
-    cfg = SimConfig(kernel=kernel, seed=3)
-    variants = [SimVariant(core, sched, cfg.with_(seed=3 + i)) for i in range(3)]
-    got = list(iter_variant_records(variants, 2))
-    assert [vi for vi, _r in got] == [0, 0, 1, 1, 2, 2]
-    ref = [
-        (vi, r)
-        for vi, v in enumerate(variants)
-        for r in v.run_iterations(0, 2)
-    ]
-    for (vi_a, rec_a), (vi_b, rec_b) in zip(got, ref):
-        assert vi_a == vi_b
-        assert _records_equal(rec_a, rec_b)
-
-
-def test_traced_variant_forces_fallback_with_trace_attached():
-    """One traced variant in the set routes the whole set through the
-    fallback; traced records still carry their TraceEvents."""
-    ir, cluster = build_cluster("ps")
-    core = CompiledCore(cluster, FLAT)
-    sched = layerwise(ir)
-    variants = [
-        SimVariant(core, sched, SimConfig(kernel="portable", seed=5)),
-        SimVariant(core, sched, SimConfig(kernel="portable", seed=5, trace=True)),
-    ]
-    plain, traced = run_variants(core, variants, 1)
-    assert plain[0].trace is None
-    assert traced[0].trace is not None
-    ref = SimVariant(core, sched, SimConfig(kernel="portable", seed=5))
-    assert _records_equal(traced[0], ref.run_iteration(0))
-
-
-def test_run_variants_rejects_foreign_core():
-    ir, cluster = build_cluster("ps")
-    core_a = CompiledCore(cluster, FLAT)
-    core_b = CompiledCore(cluster, FLAT)
-    v = SimVariant(core_b, None, SimConfig(seed=1))
-    with pytest.raises(ValueError, match="must wrap the given core"):
-        run_variants(core_a, [v], 1)
-    w = SimVariant(core_a, None, SimConfig(seed=1))
-    with pytest.raises(ValueError, match="distinct cores"):
-        list(iter_variant_records([w, v], 1))
-
-
-def test_run_variants_empty_and_zero_iterations():
-    ir, cluster = build_cluster("ps")
-    core = CompiledCore(cluster, FLAT)
-    assert run_variants(core, [], 3) == []
-    v = SimVariant(core, None, SimConfig(kernel="portable", seed=2))
-    assert run_variants(core, [v], 0) == [[]]
-
-
-class TestResolveParallel:
-    def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE_PARALLEL", raising=False)
-        assert resolve_parallel() is False
-
-    @pytest.mark.parametrize("value,expect", [
-        ("1", True), ("on", True), ("ON", True), ("yes", True),
-        ("0", False), ("off", False), ("", False), ("no", False),
-    ])
-    def test_spellings(self, monkeypatch, value, expect):
-        monkeypatch.setenv("REPRO_ENGINE_PARALLEL", value)
-        assert resolve_parallel() is expect
-
-    def test_bad_value_suggests_closest(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_PARALLEL", "onn")
-        with pytest.raises(ValueError, match="did you mean 'on'"):
-            resolve_parallel()
-
-    def test_bad_value_without_neighbor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_PARALLEL", "sideways")
-        with pytest.raises(ValueError, match="REPRO_ENGINE_PARALLEL"):
-            resolve_parallel()
