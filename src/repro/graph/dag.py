@@ -169,18 +169,37 @@ class Graph:
         self._succs[s].append(d)
 
     def _reaches(self, src: int, dst: int) -> bool:
-        """DFS reachability check used by :meth:`add_edge` cycle detection."""
+        """Whether a path ``src -> ... -> dst`` exists (the cycle check of
+        :meth:`add_edge`).
+
+        Searches forward from ``src`` and backward from ``dst`` in
+        lockstep, one op per side per step, and answers as soon as the two
+        searches meet or either is exhausted. Every op one side visits is
+        checked against the other side's visited set, so the answer is
+        exact; the cost is bounded by the smaller of ``src``'s descendant
+        set and ``dst``'s ancestor set instead of always the former.
+        """
         if src == dst:
             return True
-        seen = {src}
-        stack = [src]
-        while stack:
-            for nxt in self._succs[stack.pop()]:
-                if nxt == dst:
+        succs = self._succs
+        preds = self._preds
+        fwd_seen = {src}
+        bwd_seen = {dst}
+        fwd = [src]
+        bwd = [dst]
+        while fwd and bwd:
+            for nxt in succs[fwd.pop()]:
+                if nxt in bwd_seen:
                     return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
+                if nxt not in fwd_seen:
+                    fwd_seen.add(nxt)
+                    fwd.append(nxt)
+            for prv in preds[bwd.pop()]:
+                if prv in fwd_seen:
+                    return True
+                if prv not in bwd_seen:
+                    bwd_seen.add(prv)
+                    bwd.append(prv)
         return False
 
     # ------------------------------------------------------------------

@@ -182,6 +182,65 @@ def _chunk_fault_end(t: float, work: float, windows) -> float:
     return cur + rem
 
 
+#: raw PCG64 words the python loop pulls per refill of its RNG stream.
+_RAW_BLOCK = 256
+
+
+def _raw_stream(bit_generator):
+    """The python loop's two RNG consumers over one raw PCG64 stream.
+
+    Returns ``(random, integers)`` closures, bit-exact with the
+    ``Generator.random()`` / ``Generator.integers(total)`` calls of a
+    ``Generator`` on ``bit_generator`` — the same consumption model the
+    array kernel implements (see :mod:`repro.sim.kernel`):
+
+    * ``random()`` takes one raw word: ``(u64 >> 11) * 2**-53``;
+    * ``integers(total)`` (``2 <= total < 2**32``) splits raw words
+      low half first into uint32s (the PCG64 ``has_uint32`` buffer) and
+      applies numpy's 32-bit Lemire rejection.
+
+    Words are pulled ``_RAW_BLOCK`` at a time, each block continuing the
+    stream, so the block size never changes a draw.
+    """
+    random_raw = bit_generator.random_raw
+    words: list[int] = []
+    pos = 0
+    half = -1  # stashed high uint32 of the last split word, -1 when none
+    inv53 = 2.0 ** -53
+
+    def random() -> float:
+        nonlocal words, pos
+        if pos == len(words):
+            words = random_raw(_RAW_BLOCK).tolist()
+            pos = 0
+        w = words[pos]
+        pos += 1
+        return (w >> 11) * inv53
+
+    def integers(total: int) -> int:
+        nonlocal words, pos, half
+        while True:
+            if half >= 0:
+                u = half
+                half = -1
+            else:
+                if pos == len(words):
+                    words = random_raw(_RAW_BLOCK).tolist()
+                    pos = 0
+                w = words[pos]
+                pos += 1
+                u = w & 0xFFFFFFFF
+                half = w >> 32
+            m = u * total
+            low = m & 0xFFFFFFFF
+            # accept unless low32(m) < (2**32 - total) % total; the
+            # first test skips the modulo on almost every draw
+            if low >= total or low >= (0x100000000 - total) % total:
+                return m >> 32
+
+    return random, integers
+
+
 def _find_activation(g, transfer_op_id: int) -> Optional[int]:
     """The PS-side send-activation op feeding a param transfer (§5.1's
     hand-off point), or ``None`` when the graph has no such op."""
@@ -854,7 +913,12 @@ class SimVariant:
     # ------------------------------------------------------------------
     def _execute(self, rng, dur, wire, chunk_of, dedicated) -> IterationRecord:
         """The event loop. ``dur``/``wire``/``chunk_of`` are plain-python
-        float lists (read-only); ``dedicated`` is the record's array."""
+        float lists (read-only); ``dedicated`` is the record's array.
+
+        Random compute picks, priority ties and gRPC reorder noise draw
+        from ``rng``'s raw PCG64 stream through :func:`_raw_stream`, the
+        same consumption model as the array kernel; the draws equal
+        ``rng.integers`` / ``rng.random`` bit for bit."""
         core = self.core
         cfg = self.config
         n = core.n
@@ -922,8 +986,7 @@ class SimVariant:
         mode_none = mode == "none"
         mode_dag = mode == "dag"
         noise = cfg.grpc_reorder_prob if mode == "sender" else 0.0
-        rng_integers = rng.integers
-        rng_random = rng.random
+        rng_random, rng_integers = _raw_stream(rng.bit_generator)
 
         has_handoff = bool(self.handoff_gate)
         #: fault windows per compute resource / wire channel (ISSUE 9);
@@ -1111,7 +1174,7 @@ class SimVariant:
                         else:
                             k = cands[0]
                     elif mode_none and tl - h > 1:
-                        k = int(rng_integers(tl - h))
+                        k = rng_integers(tl - h)
                     elif mode_dag and has_dag:
                         # Hand-offs are unordered in this mode; find the
                         # transfer whose DAG predecessor chain is satisfied.
@@ -1217,7 +1280,8 @@ class SimVariant:
                     # pick; resources with no §5.1 channels never merge,
                     # so their arrivals skip the counter entirely.
                     plain[rid].append(op)
-                dispatch_compute(rid, t)
+                if active[rid] < cap[rid]:
+                    dispatch_compute(rid, t)
 
         # --- initialization -----------------------------------------------
         # Roots with a zero arrival offset take the direct path (no heap
@@ -1304,7 +1368,8 @@ class SimVariant:
                             stamp += 1
                         else:
                             plain[rid].append(s)
-                        dispatch_compute(rid, t)
+                        if active[rid] < cap[rid]:
+                            dispatch_compute(rid, t)
 
         end_arr = np.array(end)
         if np.isnan(end_arr).any():  # pragma: no cover - would indicate a bug

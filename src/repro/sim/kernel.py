@@ -16,11 +16,13 @@ behind one seam (selected via ``SimConfig.kernel`` / the
 
 Both implementations are **bit-exact**: same event order, same
 floating-point operation order, and the same RNG stream per
-``(seed, iteration)`` as ``numpy.random.Generator``. The kernel cannot
-call back into a ``Generator``, so it consumes a pre-drawn buffer of raw
-PCG64 ``uint64`` outputs and re-implements exactly the two consumers the
-loop uses (see ``tests/sim/test_kernel_parity.py`` which pins both
-against numpy):
+``(seed, iteration)`` as ``numpy.random.Generator``. Both loops share
+one RNG consumption model: after the jitter draws, each reads the
+iteration generator's raw PCG64 ``uint64`` outputs
+(``bit_generator.random_raw``) and turns them into draws with the same
+two consumers — here over a pre-drawn buffer, in the python loop over
+refilled blocks (:func:`repro.sim.engine._raw_stream`).
+``tests/sim/test_kernel_parity.py`` pins both copies against numpy:
 
 * ``Generator.random()`` — one raw draw: ``(u64 >> 11) * 2**-53``;
 * ``Generator.integers(0, total)`` (int64 dtype, ``total < 2**32``) —

@@ -1,6 +1,8 @@
 """Graph construction, lookup, edges and validation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import Graph, GraphError, OpKind, Resource
 
@@ -90,6 +92,56 @@ def test_add_edge_idempotent():
     g.add_edge("a", "b")
     g.add_edge("a", "b")
     assert g.in_degree("b") == 1
+
+
+def _forward_reaches(g: Graph, src: int, dst: int) -> bool:
+    """Plain forward DFS: the reference the bidirectional search must match."""
+    seen = {src}
+    stack = [src]
+    while stack:
+        u = stack.pop()
+        if u == dst:
+            return True
+        for v in g.succ_ids(u):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return False
+
+
+@st.composite
+def dags_with_back_edges(draw):
+    """A random DAG built forward through ``add_op``, then stitched with
+    ``add_edge`` calls that may point from a later op to an earlier one
+    (the PS send -> recv pattern); calls that would close a cycle must be
+    refused exactly when the reference DFS finds the reverse path."""
+    n = draw(st.integers(min_value=2, max_value=24))
+    g = Graph()
+    for i in range(n):
+        inputs = draw(st.sets(st.integers(0, i - 1), max_size=3)) if i else set()
+        g.add_op(f"op{i}", inputs=sorted(inputs))
+    for a, b in draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30)
+    ):
+        if a == b:
+            continue
+        closes_cycle = _forward_reaches(g, b, a)
+        if closes_cycle:
+            with pytest.raises(GraphError, match="cycle"):
+                g.add_edge(a, b)
+        else:
+            g.add_edge(a, b)
+    return g
+
+
+@given(dags_with_back_edges())
+@settings(max_examples=80, deadline=None)
+def test_bidirectional_reachability_matches_forward_dfs(g):
+    n = len(g)
+    for a in range(n):
+        for b in range(n):
+            assert g._reaches(a, b) == _forward_reaches(g, a, b)
+    g.validate()
 
 
 def test_merge_with_rename():

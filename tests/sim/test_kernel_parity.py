@@ -3,9 +3,10 @@
 Three layers of defence:
 
 * the RNG re-implementation (buffered 32-bit Lemire + 53-bit doubles over
-  a raw PCG64 stream) is pinned against ``numpy.random.Generator`` draw
-  by draw — if a numpy upgrade ever changes the bounded-integer
-  algorithm, these tests fail before any golden digest does;
+  a raw PCG64 stream), in both the kernel's and the python loop's copy,
+  is pinned against ``numpy.random.Generator`` draw by draw — if a numpy
+  upgrade ever changes the bounded-integer algorithm, these tests fail
+  before any golden digest does;
 * the committed golden matrix (``golden_engine.json``) is replayed under
   every available array kernel (``portable`` everywhere; ``numba`` where
   installed — they share one code path, compiled or not);
@@ -34,6 +35,7 @@ from repro.sim import (
     CompiledCore,
     SimConfig,
     SimVariant,
+    engine,
     kernel,
 )
 from repro.timing import get_platform
@@ -116,6 +118,68 @@ def test_rng_exhaustion_sets_status():
 
 
 # ----------------------------------------------------------------------
+# the python loop's raw-stream consumers, pinned the same way
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("block", [1, 3, 256])
+@pytest.mark.parametrize("seed", [0, 7, (3, 41)])
+def test_raw_stream_matches_generator(seed, block, monkeypatch):
+    """The python loop's ``random``/``integers`` closures equal numpy's
+    draws bit for bit, interleaved, whatever the refill block size."""
+    monkeypatch.setattr(engine, "_RAW_BLOCK", block)
+    ref = np.random.default_rng(np.random.SeedSequence(seed))
+    random, integers = engine._raw_stream(
+        np.random.PCG64(np.random.SeedSequence(seed))
+    )
+    mix = np.random.default_rng(123)  # drives the call pattern only
+    for _ in range(5000):
+        if mix.random() < 0.4:
+            assert random() == ref.random()
+        else:
+            total = int(mix.integers(2, 5000))
+            assert integers(total) == int(ref.integers(total))
+
+
+def test_raw_stream_continues_after_lognormal():
+    """The stream picked up after the jitter lognormal draws continues
+    numpy's stream exactly."""
+    ref = np.random.default_rng(np.random.SeedSequence((2, 9)))
+    mine = np.random.default_rng(np.random.SeedSequence((2, 9)))
+    assert np.array_equal(
+        ref.lognormal(0.0, 0.05, 64), mine.lognormal(0.0, 0.05, 64)
+    )
+    random, integers = engine._raw_stream(mine.bit_generator)
+    for total in (5, 17, 2, 999, 3, 3, 256):
+        assert integers(total) == int(ref.integers(total))
+    for _ in range(5):
+        assert random() == ref.random()
+
+
+def test_raw_stream_refill_mid_rejection(monkeypatch):
+    """A rejected draw whose redraw needs a fresh block: the refill
+    continues the stream, so the accepted value is numpy's."""
+    # total = 2**31 + 1 rejects low32(m) < 2**31 - 1: about half the
+    # draws. Find a seed whose first uint32 is rejected and whose high
+    # half (the redraw) is rejected too, so acceptance needs word two.
+    total = 2**31 + 1
+    threshold = (2**32 - total) % total
+    for seed in range(1000):
+        w0 = int(np.random.PCG64(seed).random_raw())
+        lo, hi = w0 & 0xFFFFFFFF, w0 >> 32
+        if (lo * total) & 0xFFFFFFFF < threshold and (
+            hi * total
+        ) & 0xFFFFFFFF < threshold:
+            break
+    else:  # pragma: no cover - vanishingly unlikely
+        pytest.fail("no seed rejects both halves of its first word")
+    monkeypatch.setattr(engine, "_RAW_BLOCK", 1)
+    ref = np.random.default_rng(seed)
+    random, integers = engine._raw_stream(np.random.PCG64(seed))
+    for _ in range(50):
+        assert integers(total) == int(ref.integers(total))
+        assert random() == ref.random()
+
+
+# ----------------------------------------------------------------------
 # golden matrix under the array kernels
 # ----------------------------------------------------------------------
 def run_golden_case(case: dict, kern: str) -> dict:
@@ -151,6 +215,18 @@ def run_golden_case(case: dict, kern: str) -> dict:
 )
 def test_array_kernel_matches_golden_record(case_rec, kern):
     assert run_golden_case(case_rec["case"], kern) == case_rec["iterations"]
+
+
+def test_python_loop_block_size_is_invisible(monkeypatch):
+    """A one-word refill block gives the python loop the same records as
+    the default block, on a golden case that draws both consumers (random
+    compute picks, gRPC reorder noise) after its jitter draws."""
+    rec = next(
+        c for c in _GOLDEN["cases"] if c["case"]["name"] == "ps-sender-j0.05"
+    )
+    default = run_golden_case(rec["case"], "python")
+    monkeypatch.setattr(engine, "_RAW_BLOCK", 1)
+    assert run_golden_case(rec["case"], "python") == default == rec["iterations"]
 
 
 # ----------------------------------------------------------------------

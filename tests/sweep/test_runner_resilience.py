@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import os
 import signal
-import time
 
 from repro.ps import ClusterSpec
 from repro.sim import SimConfig
@@ -142,10 +141,11 @@ class TestQuarantine:
             # cell exhausts them
             assert counters["retries"] >= 1
 
-    def test_retry_backoff_is_exponential(self):
+    def test_retry_backoff_is_exponential(self, monkeypatch):
         """attempt n sleeps retry_backoff_s * 2**(n-1); quarantine after
         max_retries attempts."""
-        t0 = time.perf_counter()
+        slept = []
+        monkeypatch.setattr(sweep_runner.time, "sleep", slept.append)
         cells = [
             SimCell(model="AlexNet v2", spec=ClusterSpec(2, 1, "training"),
                     algorithm="no_such_algorithm", config=CFG),
@@ -157,7 +157,7 @@ class TestQuarantine:
             assert got == [None, None]
             assert len(runner.quarantined) == 2
             assert runner.telemetry.as_dict()["quarantined"] == 2
-        assert time.perf_counter() - t0 > 0.01  # backoff actually slept
+        assert slept == [0.01, 0.02]
 
 
 class TestTimeout:
