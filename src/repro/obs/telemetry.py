@@ -36,6 +36,9 @@ Counter schema (all optional — absent means zero):
 ``cache_hits/misses/writes``  on-disk cache counters (delta per scenario)
 ``wizard_memo_hits/misses``   in-process ordering-wizard memo counters
 ``graph_memo_hits/misses``    in-process cluster-graph memo counters
+``variant_memo_hits``         group variants served from an earlier variant
+                              with an equal ``(config, lowering)`` (see
+                              :func:`repro.sim.runner.simulate_cell_group`)
 ========================  ====================================================
 """
 
@@ -122,10 +125,14 @@ class _Timer:
 
 def memo_counters() -> dict[str, float]:
     """This process's graph/wizard memo counters (see
-    :func:`repro.backends.memo_stats`), as telemetry-ready floats."""
+    :func:`repro.backends.memo_stats`) and variant-reuse counter (see
+    :func:`repro.sim.runner.variant_memo_stats`), as telemetry-ready
+    floats."""
     from ..backends import memo_stats
+    from ..sim.runner import variant_memo_stats
 
-    return {name: float(value) for name, value in memo_stats().items()}
+    counters = {**memo_stats(), **variant_memo_stats()}
+    return {name: float(value) for name, value in counters.items()}
 
 
 def merge_rows(rows: Iterable[Mapping]) -> dict[str, float]:

@@ -148,9 +148,8 @@ class SimConfig:
             raise ValueError(
                 f"kernel must be one of {ENGINE_KERNELS}, got {self.kernel!r}"
             )
-        if self.iterations <= 0 or self.warmup < 0 or self.warmup >= self.iterations + 1:
-            if self.iterations <= 0 or self.warmup < 0:
-                raise ValueError("iterations must be > 0 and warmup >= 0")
+        if self.iterations <= 0 or self.warmup < 0:
+            raise ValueError("iterations must be > 0 and warmup >= 0")
 
     @property
     def total_iterations(self) -> int:

@@ -70,6 +70,7 @@ golden matrix, so the kernel choice is observable only in wall time.
 from __future__ import annotations
 
 import difflib
+import hashlib
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -787,6 +788,28 @@ class SimVariant:
                         )
                     self.handoff_gate[act] = (ch, rank)
         self.n_channels = len(core.param_groups)
+
+    # ------------------------------------------------------------------
+    def lowering_digest(self) -> bytes:
+        """Digest of the schedule's lowering onto the core: the dense
+        priority and gate arrays (``_prio_arr``, ``_hg_ch``/``_hg_rank``,
+        ``_dg_ch``/``_dg_rank``), ``n_channels`` and the out-of-order
+        audit's rank arrays. Everything else a variant holds comes from
+        the core and the config, and both event loops and
+        :meth:`_count_out_of_order` read nothing else of the schedule, so
+        two variants of one core and one config with equal digests
+        produce identical iterations (different schedules can lower
+        equally, e.g. TIC and TAC once fused into all-reduce chunks)."""
+        h = hashlib.blake2b(digest_size=16)
+        h.update(np.array(
+            [self.n_channels, len(self._ooo_groups)], dtype=np.int64
+        ).tobytes())
+        for arr in (self._prio_arr, self._hg_ch, self._hg_rank,
+                    self._dg_ch, self._dg_rank):
+            h.update(np.array(arr, dtype=np.int64).tobytes())
+        for _ids, ranks, _arange in self._ooo_groups:
+            h.update(ranks.tobytes())
+        return h.digest()
 
     # ------------------------------------------------------------------
     def _trace_cap(self) -> int:

@@ -9,6 +9,7 @@ measurement protocol: discard warm-up iterations, record the next N
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence, Union
 
 from ..backends import build_comm_graph, prepare_comm_schedule
@@ -41,6 +42,18 @@ def prepare_schedule(
     )
 
 
+#: this process's count of group variants served from an earlier
+#: variant's result (see :func:`simulate_cell_group`), read into run
+#: telemetry by :func:`repro.obs.telemetry.memo_counters` beside the
+#: graph and wizard memo counters.
+_variant_memo_stats = {"variant_memo_hits": 0}
+
+
+def variant_memo_stats() -> dict:
+    """Snapshot of this process's variant-reuse counter."""
+    return dict(_variant_memo_stats)
+
+
 def simulate_cluster(
     model: Union[str, ModelIR],
     spec: ClusterSpec,
@@ -66,6 +79,14 @@ def simulate_cluster(
     :class:`~repro.sim.jobmix.JobMixSpec` (several jobs placed on
     shared hosts; per-job completions land in
     ``IterationResult.job_finish``).
+
+    The result depends on the schedule only through its *lowering* onto
+    the core (:meth:`~repro.sim.engine.SimVariant.lowering_digest`: the
+    priority and gate arrays, the channel count and the out-of-order
+    audit's ranks). Schedules that lower equally under one config give
+    the same numbers, differing only in ``algorithm``;
+    :func:`simulate_cell_group` relies on this to simulate each distinct
+    ``(config, lowering)`` of a group once.
     """
     plat = get_platform(platform) if isinstance(platform, str) else platform
     cfg = config or SimConfig()
@@ -77,23 +98,35 @@ def simulate_cluster(
     elif cluster.spec != spec:
         raise ValueError("provided cluster graph was built for a different spec")
     if schedule is None:
-        if algorithm == "baseline":
-            schedule = Schedule("baseline")
-        else:
-            schedule = prepare_schedule(ir, spec, algorithm, plat, seed=cfg.seed)
+        schedule = _wizard_schedule(ir, spec, algorithm, plat, cfg)
 
     if core is None:
         core = CompiledCore(cluster, plat)
     elif core.cluster is not cluster or core.platform != plat:
         raise ValueError("provided core was compiled for a different cluster/platform")
-    sim = SimVariant(core, schedule, cfg)
+    return _run_variant(ir, spec, plat, SimVariant(core, schedule, cfg))
+
+
+def _wizard_schedule(
+    ir: ModelIR, spec: ClusterSpec, algorithm: str, plat: Platform, cfg: SimConfig
+) -> Schedule:
+    if algorithm == "baseline":
+        return Schedule("baseline")
+    return prepare_schedule(ir, spec, algorithm, plat, seed=cfg.seed)
+
+
+def _run_variant(
+    ir: ModelIR, spec: ClusterSpec, plat: Platform, sim: SimVariant
+) -> SimulationResult:
+    """Run and summarize ``sim.config``'s warm-up and recorded iterations."""
+    cfg = sim.config
     result = SimulationResult(
         model=ir.name,
         batch_size=ir.batch_size,
         n_workers=spec.n_workers,
         n_ps=spec.n_ps,
         workload=spec.workload,
-        algorithm=schedule.algorithm,
+        algorithm=sim.schedule.algorithm,
         platform=plat.name,
         n_params=ir.n_param_tensors,
     )
@@ -124,16 +157,49 @@ def simulate_cell_group(
     deterministic in its own config: the engine seeds from
     ``(config.seed, iteration)`` and never mutates the core or the cluster
     graph, so results are identical to separate one-shot
-    :func:`simulate_cluster` calls."""
+    :func:`simulate_cluster` calls.
+
+    Each distinct ``(config, lowering)`` is simulated once. The key is
+    the variant's :class:`SimConfig` (by equality, so a different seed,
+    kernel or ``trace`` flag never shares) plus its
+    :meth:`~repro.sim.engine.SimVariant.lowering_digest`. A later variant
+    with an equal key gets a copy of the earlier result, relabelled with
+    its own ``schedule.algorithm`` and given fresh ``iterations`` /
+    ``warmup`` lists (the :class:`IterationResult` entries are shared);
+    each such reuse adds one to ``variant_memo_hits``. Keys are computed
+    only once a group reaches its second variant, so single-variant
+    groups pay nothing."""
     plat = get_platform(platform) if isinstance(platform, str) else platform
     ir = model if isinstance(model, ModelIR) else build_model(model, batch_factor=batch_factor)
     cluster = build_comm_graph(ir, spec)
     core = CompiledCore(cluster, plat)
-    return [
-        simulate_cluster(ir, spec, algorithm=algorithm, platform=plat,
-                         config=config, cluster=cluster, core=core)
-        for algorithm, config in variants
-    ]
+    results: list[SimulationResult] = []
+    seen: dict[tuple, SimulationResult] = {}
+    first: Optional[SimVariant] = None  # keyed once a second variant arrives
+    for algorithm, config in variants:
+        cfg = config or SimConfig()
+        sim = SimVariant(core, _wizard_schedule(ir, spec, algorithm, plat, cfg), cfg)
+        if not results:
+            first = sim
+            results.append(_run_variant(ir, spec, plat, sim))
+            continue
+        if first is not None:
+            seen[first.config, first.lowering_digest()] = results[0]
+            first = None
+        key = (cfg, sim.lowering_digest())
+        earlier = seen.get(key)
+        if earlier is None:
+            result = seen[key] = _run_variant(ir, spec, plat, sim)
+        else:
+            _variant_memo_stats["variant_memo_hits"] += 1
+            result = replace(
+                earlier,
+                algorithm=sim.schedule.algorithm,
+                iterations=list(earlier.iterations),
+                warmup=list(earlier.warmup),
+            )
+        results.append(result)
+    return results
 
 
 def throughput_gain_pct(sched: SimulationResult, base: SimulationResult) -> float:

@@ -17,6 +17,9 @@ PARITY = (
     ("table1", "table1_models"),
     ("stragglers", "straggler_decomposition"),
     ("pipelining", "pipelining_ablation"),
+    # both simulate TAC from TIC's result where the two lower equally
+    ("fig13", "fig13_tic_vs_tac"),
+    ("fault_resilience", "fault_resilience"),
 )
 
 

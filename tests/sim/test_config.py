@@ -34,6 +34,11 @@ def test_invalid_iterations():
         SimConfig(warmup=-1)
 
 
+def test_warmup_may_exceed_iterations():
+    cfg = SimConfig(iterations=2, warmup=5)
+    assert cfg.total_iterations == 7
+
+
 def test_invalid_chunk():
     with pytest.raises(ValueError, match="chunk"):
         SimConfig(chunk_bytes=0)
