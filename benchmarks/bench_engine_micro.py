@@ -4,7 +4,6 @@ event throughput. These guard against performance regressions that would
 make the paper-scale protocol impractical."""
 
 import numpy as np
-import pytest
 
 from repro.core import PropertyEngine, Schedule, tac, tic
 from repro.models import build_model
@@ -94,24 +93,3 @@ def test_bench_cluster_graph_assembly(benchmark):
     ir = build_model("ResNet-50 v1")
     cluster = benchmark(build_cluster_graph, ir, ClusterSpec(8, 2, "training"))
     assert len(cluster.graph) > 10_000
-
-
-def _available_kernels() -> list[str]:
-    from repro.sim import kernel
-
-    return ["python"] + (["numba"] if kernel.HAVE_NUMBA else [])
-
-
-
-@pytest.mark.parametrize("kern", _available_kernels())
-def test_bench_kernel_scheduled_iteration(benchmark, kern):
-    """ISSUE 4 seam: the scheduled hot path per event-loop kernel (the
-    workload where the numba kernel's >=2x target is measured)."""
-    ir = build_model("Inception v3")
-    cluster = build_cluster_graph(ir, ClusterSpec(4, 1, "training"))
-    schedule = Schedule("layerwise", {p.name: i for i, p in enumerate(ir.params)})
-    sim = SimVariant(CompiledCore(cluster, ENV_G), schedule,
-                     SimConfig(enforcement="sender", kernel=kern))
-    sim.run_iteration(0)  # warm the JIT outside the timed region
-    record = benchmark(sim.run_iteration, 0)
-    assert record.makespan > 0

@@ -15,16 +15,10 @@ whose baseline cost is committed alongside the workload numbers. A host
 that is uniformly 1.8x slower scales every expectation by 1.8x, so only a
 *relative* engine regression trips the gate.
 
-``--kernel {auto,python,numba,portable}`` selects the event-loop kernel
-(ISSUE 4's seam) so both maintained paths stay measured. ``check`` gates
-against the committed ``pr4`` stage entry for the *resolved* kernel
-(falling back to the pr3 ``after`` block when a stage entry is absent);
-requesting ``--kernel numba`` on a host without numba fails loudly
-instead of silently timing the python fallback, and a numba build whose
-JIT quietly broke shows up as a >25% regression against its own
-committed numbers. ``measure --update pr4`` rewrites the resolved
-kernel's ``pr4`` entry (plus calibration) in place; ``--update
-before|after`` keep maintaining the historic pr2/pr3 blocks.
+``check`` gates against the committed ``pr4.python`` stage entry.
+``measure --update pr4`` rewrites that entry (plus calibration) in
+place; ``--update before|after`` keep maintaining the historic pr2/pr3
+blocks.
 
 Workloads (chosen to cover both engine regimes):
 
@@ -62,7 +56,7 @@ import numpy as np
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_engine.json")
 
 
-def build_workloads(kernel: str = "auto", trace: bool = False):
+def build_workloads(trace: bool = False):
     from repro.core import Schedule
     from repro.models import build_model
     from repro.ps import ClusterSpec, build_cluster_graph
@@ -80,10 +74,9 @@ def build_workloads(kernel: str = "auto", trace: bool = False):
     cluster = build_cluster_graph(ir, ClusterSpec(4, 1, "training"))
     core = CompiledCore(cluster, ENV_G)
     layerwise = Schedule("layerwise", {p.name: i for i, p in enumerate(ir.params)})
-    plain = SimVariant(core, None, SimConfig(kernel=kernel, trace=trace))
+    plain = SimVariant(core, None, SimConfig(trace=trace))
     sched = SimVariant(core, layerwise,
-                       SimConfig(enforcement="sender", kernel=kernel,
-                                 trace=trace))
+                       SimConfig(enforcement="sender", trace=trace))
 
     mix_spec = JobMixSpec(
         jobs=(
@@ -95,14 +88,14 @@ def build_workloads(kernel: str = "auto", trace: bool = False):
     )
     mix_core = CompiledCore(build_jobmix_graph(None, mix_spec),
                             get_platform("envC"))
-    mix = SimVariant(mix_core, None, SimConfig(kernel=kernel, trace=trace))
+    mix = SimVariant(mix_core, None, SimConfig(trace=trace))
 
     return {
         "iteration_unscheduled": (lambda: plain.run_iteration(0), 1),
         "iteration_scheduled": (lambda: sched.run_iteration(0), 1),
         "batch_10": (lambda: plain.run_iterations(0, 10), 10),
         "jobmix_packed": (lambda: mix.run_iteration(0), 1),
-    }, plain.kernel
+    }
 
 
 def _calibration_kernel() -> float:
@@ -130,19 +123,17 @@ def _calibration_kernel() -> float:
     return acc
 
 
-def measure(repeats: int = 5, kernel: str = "auto",
-            trace: bool = False) -> tuple[dict, float, str]:
-    """(seconds-per-iteration per workload, calibration seconds, resolved
-    kernel name)."""
-    workloads, resolved = build_workloads(kernel, trace)
+def measure(repeats: int = 5, trace: bool = False) -> tuple[dict, float]:
+    """(seconds-per-iteration per workload, calibration seconds)."""
+    workloads = build_workloads(trace)
     results = {}
     for name, (fn, per_call) in workloads.items():
-        fn()  # warm caches (allocator, first-touch numpy paths, JIT)
+        fn()  # warm caches (allocator, first-touch numpy paths)
         best = min(_time_once(fn) for _ in range(repeats))
         results[name] = best / per_call
     _calibration_kernel()
     calibration = min(_time_once(_calibration_kernel) for _ in range(repeats))
-    return results, calibration, resolved
+    return results, calibration
 
 
 def _time_once(fn) -> float:
@@ -156,22 +147,6 @@ def load_baseline() -> dict:
         return json.load(fh)
 
 
-def _stage_key(resolved: str) -> str:
-    """pr4 stage entries are keyed python/numba; 'portable' measures the
-    numba algorithm uncompiled and is never a gate baseline."""
-    return "numba" if resolved == "numba" else "python"
-
-
-def _gate_baseline(bench: dict, resolved: str) -> tuple[dict, float, str]:
-    """(workload baseline, its calibration, label) for the resolved
-    kernel: the pr4 stage entry when committed, else the pr3 'after'."""
-    entry = (bench.get("pr4") or {}).get(_stage_key(resolved))
-    if entry and entry.get("workloads"):
-        return (entry["workloads"], entry.get("calibration"),
-                f"pr4[{_stage_key(resolved)}]")
-    return bench["after"], bench.get("after_calibration"), "after (pr3)"
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("command",
@@ -179,44 +154,25 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional slowdown vs baseline (check)")
-    parser.add_argument("--kernel", default="auto",
-                        choices=["auto", "python", "numba", "portable"],
-                        help="event-loop kernel to measure (ISSUE 4 seam); "
-                        "explicit 'numba' fails loudly when numba is missing")
     parser.add_argument("--update",
                         choices=["before", "after", "pr4", "pr7"],
                         help="write measurements into BENCH_engine.json "
                         "(pr7 records the trace-overhead stage)")
-    parser.add_argument("--min-numba-speedup", type=float, default=1.5,
-                        help="when checking --kernel numba WITHOUT a committed "
-                        "pr4[numba] stage entry, require at least this "
-                        "speedup over the python baseline — a JIT that "
-                        "compiles-but-interprets runs at python speed and "
-                        "must fail, not slip through the fallback gate")
     args = parser.parse_args(argv)
     if args.command == "trace-overhead":
         return trace_overhead(args)
-    if args.command == "check" and args.kernel == "portable":
-        parser.error(
-            "--kernel portable is a debug path (the array kernel, "
-            "uncompiled on numba-less hosts) and has no gate baseline; "
-            "check with --kernel auto|python|numba"
-        )
 
-    results, calibration, resolved = measure(args.repeats, args.kernel)
+    results, calibration = measure(args.repeats)
     print(json.dumps(
         {**{k: round(v, 6) for k, v in results.items()},
-         "calibration": round(calibration, 6),
-         "kernel": resolved},
+         "calibration": round(calibration, 6)},
         indent=1,
     ))
 
     if args.update:
         bench = load_baseline()
         if args.update == "pr4":
-            stage = bench.setdefault("pr4", {})
-            stage[_stage_key(resolved)] = {
-                "kernel": resolved,
+            bench.setdefault("pr4", {})["python"] = {
                 "workloads": {k: round(v, 6) for k, v in results.items()},
                 "calibration": round(calibration, 6),
             }
@@ -231,53 +187,29 @@ def main(argv=None) -> int:
 
     if args.command == "check":
         bench = load_baseline()
-        baseline, base_cal, label = _gate_baseline(bench, resolved)
+        entry = bench["pr4"]["python"]
+        baseline, base_cal = entry["workloads"], entry.get("calibration")
         scale = calibration / base_cal if base_cal else 1.0
-        print(f"kernel: {resolved}; baseline: {label}")
+        print("baseline: pr4[python]")
         print(f"host speed vs baseline host: {scale:.2f}x "
               f"(calibration {calibration*1e3:.0f} ms vs {base_cal*1e3:.0f} ms)"
               if base_cal else "no calibration baseline; absolute comparison")
-        # With no committed numba stage entry the fallback baseline is the
-        # python loop, which a silently-interpreted JIT matches instead of
-        # beating — so in that configuration the gate flips to a minimum-
-        # speedup requirement rather than a maximum-slowdown one.
-        min_speedup = (
-            args.min_numba_speedup
-            if resolved == "numba" and label.endswith("(pr3)")
-            else None
-        )
-        if min_speedup:
-            print(f"no committed pr4[numba] stage: requiring >={min_speedup}x "
-                  "over the python baseline (record one with "
-                  "'measure --update pr4 --kernel numba')")
         failures = []
         for name, sec in results.items():
             ref = baseline.get(name)
             if ref is None:
                 continue
-            if min_speedup:
-                speedup = (ref * scale) / sec
-                bad = speedup < min_speedup
-                status = "FAIL" if bad else "ok"
-                print(f"  {name}: {sec*1e3:.1f} ms vs scaled python baseline "
-                      f"{ref*scale*1e3:.1f} ms ({speedup:.2f}x) {status}")
-            else:
-                slowdown = sec / (ref * scale) - 1.0
-                bad = slowdown > args.tolerance
-                status = "FAIL" if bad else "ok"
-                print(f"  {name}: {sec*1e3:.1f} ms vs scaled baseline "
-                      f"{ref*scale*1e3:.1f} ms ({slowdown:+.0%}) {status}")
+            slowdown = sec / (ref * scale) - 1.0
+            bad = slowdown > args.tolerance
+            status = "FAIL" if bad else "ok"
+            print(f"  {name}: {sec*1e3:.1f} ms vs scaled baseline "
+                  f"{ref*scale*1e3:.1f} ms ({slowdown:+.0%}) {status}")
             if bad:
                 failures.append(name)
         if failures:
-            if min_speedup:
-                print(f"REGRESSION: {', '.join(failures)} below the "
-                      f"{min_speedup}x numba-vs-python floor (broken or "
-                      "non-compiling JIT?)", file=sys.stderr)
-            else:
-                print(f"REGRESSION: {', '.join(failures)} exceeded "
-                      f"{args.tolerance:.0%} over the committed baseline",
-                      file=sys.stderr)
+            print(f"REGRESSION: {', '.join(failures)} exceeded "
+                  f"{args.tolerance:.0%} over the committed baseline",
+                  file=sys.stderr)
             return 1
         print("engine perf within tolerance")
     return 0
@@ -292,8 +224,8 @@ def trace_overhead(args) -> int:
     Samples are PAIRED: each repeat times the untraced and traced
     variant back to back, so slow host-frequency drift hits both sides
     of the ratio equally instead of skewing whichever loop ran last."""
-    untraced_w, resolved = build_workloads(args.kernel, trace=False)
-    traced_w, _ = build_workloads(args.kernel, trace=True)
+    untraced_w = build_workloads(trace=False)
+    traced_w = build_workloads(trace=True)
     untraced, traced = {}, {}
     for name, (fn_u, per_call) in untraced_w.items():
         fn_t, _ = traced_w[name]
@@ -313,14 +245,12 @@ def trace_overhead(args) -> int:
         name: round(traced[name] / untraced[name] - 1.0, 4)
         for name in untraced
     }
-    print(f"kernel: {resolved}")
     for name in untraced:
         print(f"  {name}: {untraced[name]*1e3:.1f} ms untraced, "
               f"{traced[name]*1e3:.1f} ms traced ({overhead[name]:+.1%})")
     if args.update == "pr7":
         bench = load_baseline()
-        bench.setdefault("pr7_trace", {})[_stage_key(resolved)] = {
-            "kernel": resolved,
+        bench.setdefault("pr7_trace", {})["python"] = {
             "untraced": {k: round(v, 6) for k, v in untraced.items()},
             "traced": {k: round(v, 6) for k, v in traced.items()},
             "overhead_frac": overhead,
@@ -334,26 +264,13 @@ def trace_overhead(args) -> int:
 
 
 def _rederive(bench: dict) -> None:
-    """Recompute the derived speedup blocks from whichever stages exist."""
+    """Recompute the derived pr2 -> pr3 speedup block."""
     before, after = bench.get("before"), bench.get("after")
     if before and after:
         bench["speedup"] = {
             k: round(before[k] / after[k], 2)
             for k in after
             if k in before and after[k]
-        }
-    entry = (bench.get("pr4") or {}).get("numba") or {}
-    pr4 = entry.get("workloads")
-    # The two stages may be recorded on different hosts; normalize each
-    # side by its own calibration-kernel time before forming the ratio
-    # (the same host-speed scaling the check gate applies).
-    after_cal = bench.get("after_calibration")
-    pr4_cal = entry.get("calibration")
-    if after and pr4 and after_cal and pr4_cal:
-        bench["speedup_pr3_to_pr4_numba"] = {
-            k: round((after[k] / after_cal) / (pr4[k] / pr4_cal), 2)
-            for k in pr4
-            if k in after and pr4[k]
         }
 
 

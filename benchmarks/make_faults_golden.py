@@ -3,7 +3,7 @@
 Writes ``tests/sim/golden_faults.json``: per-iteration makespans,
 out-of-order counts and array digests of faulted engine runs (the
 matrix is defined once, in ``tests/sim/test_faults_golden.py``, and
-replayed by that test under BOTH event-loop kernels).
+replayed by that test).
 
 Regenerate ONLY when intentionally changing fault semantics::
 

@@ -78,9 +78,8 @@ def run_a_scenario() -> None:
         print(f"\nfig7 at scale 'demo': {len(rs)} rows, schema {rs.schema}")
         print(rs.to_table())
         prov = rs.provenance
-        print(f"provenance: engine rev {prov.engine_rev}, kernel "
-              f"{prov.kernel!r}, cache {dict(prov.cache)}, "
-              f"{prov.elapsed_s:.1f}s")
+        print(f"provenance: engine rev {prov.engine_rev}, "
+              f"cache {dict(prov.cache)}, {prov.elapsed_s:.1f}s")
         # Results are values; persisting them is an explicit step:
         #   rs.to_csv("results")
         row = rs.rows[0]

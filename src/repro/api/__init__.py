@@ -9,7 +9,7 @@ Three nouns:
   plus a named analysis callback. The built-in registry covers every
   table/figure of the paper (``repro.api.scenario_names()``).
 * :class:`ResultSet` — typed results: rows + schema + provenance
-  (engine revision, kernel, cache hits), with ``to_csv``/``to_table``/
+  (engine revision, cache hits), with ``to_csv``/``to_table``/
   ``frame``. Results are values; persistence is explicit.
 
 Quick start::

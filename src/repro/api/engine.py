@@ -10,8 +10,8 @@ Every scenario — paper figure, table, or extension study — runs through
 3. hand the :class:`ScenarioRun` to the scenario's named analysis
    callback, which returns the tables/text/extras;
 4. wrap everything in a :class:`~repro.api.resultset.ResultSet` with
-   provenance (engine revision, event-loop kernel, scale, seed, cache
-   hit/miss deltas, wall time).
+   provenance (engine revision, scale, seed, cache hit/miss deltas,
+   wall time).
 
 The legacy per-driver ``run(ctx)`` functions are deprecation shims over
 this function; the CLI is a loop over it.
@@ -25,7 +25,6 @@ from typing import Optional, Union
 
 from ..obs.telemetry import memo_counters
 from ..sim.engine import ENGINE_REV
-from ..sim.kernel import resolve as resolve_kernel
 from ..sim.metrics import SimulationResult
 from ..sweep.runner import Speedup
 from ..sweep.spec import SimCell
@@ -132,19 +131,12 @@ def execute_scenario(
         if d:
             telemetry[name] = d
     telemetry = dict(sorted(telemetry.items()))
-    # Resolve the kernel the run's SimConfigs actually selected: grid
-    # scenarios carry it on their cells (a sim=(('kernel', ...),) override
-    # is honoured); callback-built cells share ctx.sim_config's default.
-    configured_kernel = (
-        run.cells[0].config.kernel if run.cells else ctx.sim_config().kernel
-    )
     provenance = Provenance(
         scenario=scenario.name,
         scale=ctx.scale.name,
         seed=ctx.seed,
         jobs=ctx.jobs,
         engine_rev=ENGINE_REV,
-        kernel=resolve_kernel(configured_kernel),
         backends=scenario.backends,
         cache={k: stats_after[k] - stats_before[k] for k in stats_after},
         elapsed_s=time.perf_counter() - t0,

@@ -3,10 +3,10 @@
 A :class:`ResultSet` bundles a scenario run's primary table, any
 auxiliary tables (e.g. the all-reduce wire check), the rendered text
 report, free-form extras, and :class:`Provenance` — which engine
-revision, event-loop kernel, scale and cache behaviour produced the
-numbers. Writing CSVs is an explicit, separate step
-(:meth:`ResultSet.to_csv` / :meth:`ResultSet.save`), so embedders can
-consume rows directly and the CLI remains a thin persistence shell.
+revision, scale and cache behaviour produced the numbers. Writing CSVs
+is an explicit, separate step (:meth:`ResultSet.to_csv` /
+:meth:`ResultSet.save`), so embedders can consume rows directly and the
+CLI remains a thin persistence shell.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class Provenance:
     seed: int
     jobs: int
     engine_rev: int
-    kernel: str
     backends: tuple[str, ...]
     #: sweep-cache activity during this run: hits/misses/writes deltas.
     cache: Mapping[str, int]
@@ -57,7 +56,6 @@ class Provenance:
             "seed": self.seed,
             "jobs": self.jobs,
             "engine_rev": self.engine_rev,
-            "kernel": self.kernel,
             "backends": list(self.backends),
             "cache": dict(self.cache),
             "elapsed_s": self.elapsed_s,
@@ -151,7 +149,7 @@ class ResultSet:
 
     def frame(self, table: Optional[str] = None):
         """Columnar view of one table: a pandas ``DataFrame`` when pandas
-        is importable, otherwise a plain ``{column: [values...]}`` dict
+        can be imported, otherwise a plain ``{column: [values...]}`` dict
         (this repo deliberately has no hard pandas dependency)."""
         rows = self._rows_for(table)
         try:  # pragma: no cover - pandas is not in the pinned test env

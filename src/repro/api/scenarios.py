@@ -15,7 +15,7 @@ through this path.
 
 Module-level task functions (``model_characteristics``,
 ``training_run``, ...) are sweep :class:`~repro.sweep.spec.FnTask`
-targets and must stay importable by worker processes.
+targets, so worker processes must be able to import them.
 """
 
 from __future__ import annotations

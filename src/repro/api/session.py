@@ -9,7 +9,7 @@ pipeline::
         rs = session.run("fig7")            # a registered scenario
         print(rs.to_table())                # rows are values...
         rs.to_csv("results")                # ...writing CSV is explicit
-        print(rs.provenance.as_dict())      # engine rev, kernel, cache
+        print(rs.provenance.as_dict())      # engine rev, cache
 
 It wraps an execution :class:`~repro.api.context.Context` — the shared
 :class:`~repro.sweep.SweepRunner` with its persistent worker pool and

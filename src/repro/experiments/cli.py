@@ -48,11 +48,10 @@ _EXPORTER_NOTES = {
 
 
 def print_listing() -> None:
-    """``tictac-repro list``: scenarios, backends, placements, kernels."""
+    """``tictac-repro list``: scenarios, backends, placements, exporters."""
     from ..backends import backends, spec_fields
     from ..backends.placement import placements
     from ..obs.export import EXPORTERS
-    from ..sim.kernel import HAVE_NUMBA, KERNELS, resolve
     from ..timing import PLATFORMS
 
     print("scenarios (presentation order):")
@@ -68,15 +67,6 @@ def print_listing() -> None:
     print("\nplacement policies (job mixes):")
     for name, policy in sorted(placements().items()):
         print(f"  {name:<12} {policy.description}")
-    print("\nengine kernels:")
-    for name in KERNELS:
-        if name == "auto":
-            note = f"-> {resolve('auto')}"
-        elif name == "numba" and not HAVE_NUMBA:
-            note = "unavailable (pip install 'tictac-repro[fast]')"
-        else:
-            note = "available"
-        print(f"  {name:<12} {note}")
     print("\ntrace exporters (tictac-repro trace <scenario> --exporter NAME):")
     for name in sorted(EXPORTERS):
         print(f"  {name:<12} {_EXPORTER_NOTES.get(name, '')}")
@@ -125,9 +115,6 @@ def trace_main(argv: Sequence[str]) -> int:
                         help="which resolved cell to trace (default: first)")
     parser.add_argument("--iteration", type=int, default=None, metavar="I",
                         help="iteration index (default: first measured)")
-    parser.add_argument("--kernel", default=None,
-                        help="event-loop kernel override (python/portable/"
-                        "numba; streams are identical, only speed differs)")
     parser.add_argument("--full", action="store_true",
                         help="resolve the scenario at full (paper) scale")
     parser.add_argument("--results-dir", default="results")
@@ -153,7 +140,6 @@ def trace_main(argv: Sequence[str]) -> int:
             seed=args.seed,
             cell_index=args.cell,
             iteration=args.iteration,
-            kernel=args.kernel,
         )
     except ValueError as exc:  # scenario with no simulation cells
         parser.error(str(exc))
@@ -170,7 +156,7 @@ def trace_main(argv: Sequence[str]) -> int:
         print(
             f"traced {args.scenario} cell {args.cell}: {cell.model} "
             f"{cell.algorithm} on {cell.platform} "
-            f"(iteration {cap.iteration}, kernel {cap.kernel})"
+            f"(iteration {cap.iteration})"
         )
         print(
             f"  makespan {summary['makespan_s']:.4f}s, "
@@ -359,7 +345,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         nargs="*",
         metavar="SCENARIO",
         help="which scenarios to run ('all' for every table/figure, "
-        "'list' to enumerate scenarios/backends/exporters/kernels, "
+        "'list' to enumerate scenarios/backends/exporters, "
         "'trace <scenario>' to capture a Perfetto trace, 'replay' to "
         "stream a job trace through the cluster scheduler): "
         + ", ".join(scenario_names()),

@@ -3,8 +3,8 @@
 Declarative :class:`FaultPlan` objects describe link degradation, NIC
 flaps, straggler bursts and host failures as fixed time windows on the
 simulated clock; :mod:`repro.faults.compile` lowers a plan onto a
-compiled core, and both event-loop kernels honor the windows
-bit-identically. Attach a plan via ``SimConfig(faults=...)`` (whole
+compiled core, and the engine's event loop honors the windows
+deterministically. Attach a plan via ``SimConfig(faults=...)`` (whole
 cluster) or ``JobSpec(faults=...)`` (one job of a mix, auto-scoped into
 its namespace).
 """

@@ -16,8 +16,8 @@ Overlapping windows on one entity compose multiplicatively (a straggler
 burst during a host failure is still a dead host) via a boundary sweep;
 rate-1 stretches are dropped, so a zero-magnitude plan compiles to no
 windows at all — byte-identical to a fault-free run, which the golden
-matrix and hypothesis suites pin. The window lists feed both event-loop
-kernels' fault evaluators (``_compute_fault_end``/``_chunk_fault_end``)
+matrix and hypothesis suites pin. The window lists feed the event
+loop's fault evaluators (``_compute_fault_end``/``_chunk_fault_end``)
 and the trace layer's fault annotations.
 """
 
@@ -59,7 +59,7 @@ def compile_fault_plan(plan: FaultPlan, core):
 
     Returns ``(compute_windows, wire_windows)``: lists indexed by
     compute resource id / wire channel id, each entry either ``None``
-    (unfaulted — the kernels then execute the literal fault-free
+    (unfaulted — the event loop then executes the literal fault-free
     expressions) or a sorted disjoint ``[(w0, w1, rate), ...]`` list.
     """
     chan_devices = list(core.chan_devices)

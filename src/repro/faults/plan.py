@@ -26,9 +26,9 @@ compiled against a concrete cluster (:mod:`repro.faults.compile`), with
 Determinism: a plan contributes no randomness. Fault windows are fixed
 intervals on each iteration's own simulated clock (every iteration runs
 its event loop from t=0, so the same windows apply to every iteration),
-and both event-loop kernels evaluate them with identical floating-point
-operation order — results are bit-identical across kernels, and an
-empty (or zero-magnitude) plan is byte-identical to no plan at all.
+and the event loop evaluates them in a fixed floating-point operation
+order — results are bit-reproducible, and an empty (or
+zero-magnitude) plan is byte-identical to no plan at all.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Three layers, lowest first:
 
 * :mod:`repro.obs.events` — :class:`TraceEvents`, the raw per-iteration
-  arrays both engine kernels record when ``SimConfig.trace=True``
+  arrays the engine's event loop records when ``SimConfig.trace=True``
   (queue-enter times, dispatch-time queue depths, per-chunk wire
   occupancies). Zero overhead when off: the flag gates every write and
   tracing consumes no RNG, so traced and untraced runs are bit-identical.

@@ -18,13 +18,11 @@ from typing import NamedTuple, Optional, Union
 
 class TraceCapture(NamedTuple):
     """What :func:`capture_trace` returns: the reduced trace, the cell
-    that produced it, the iteration index traced and the event-loop
-    kernel that executed it."""
+    that produced it and the iteration index traced."""
 
     trace: object
     cell: object
     iteration: int
-    kernel: str
 
 
 def scenario_cells(scenario, scale, params, make_config) -> list:
@@ -47,7 +45,6 @@ def trace_cell(
     cell,
     *,
     iteration: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> TraceCapture:
     """Trace one iteration of one :class:`~repro.sweep.spec.SimCell`.
 
@@ -64,8 +61,6 @@ def trace_cell(
     from .trace import Trace
 
     cfg = cell.config.with_(trace=True)
-    if kernel is not None:
-        cfg = cfg.with_(kernel=kernel)
     if iteration is None:
         iteration = cfg.warmup
 
@@ -85,7 +80,6 @@ def trace_cell(
         trace=Trace.from_record(variant, record),
         cell=cell,
         iteration=iteration,
-        kernel=variant.kernel,
     )
 
 
@@ -96,17 +90,14 @@ def capture_trace(
     seed: int = 0,
     cell_index: int = 0,
     iteration: Optional[int] = None,
-    kernel: Optional[str] = None,
     **overrides,
 ) -> TraceCapture:
     """Trace one iteration of one cell of a registered scenario.
 
     ``cell_index`` selects among the scenario's resolved cells (default:
     the first); ``iteration`` defaults to the first *measured* iteration
-    (index ``warmup``); ``kernel`` overrides the event-loop kernel
-    (``python``/``portable``/``numba`` — streams are identical across
-    kernels, so this only matters for speed); remaining keyword
-    arguments rebind scenario parameters as ``Session.run`` would.
+    (index ``warmup``); remaining keyword arguments rebind scenario
+    parameters as ``Session.run`` would.
 
     Raises ``ValueError`` for scenarios that expand to no simulation
     cells, listing the traceable ones.
@@ -135,4 +126,4 @@ def capture_trace(
             f"traceable scenarios: {traceable}"
         )
     cell = cells[cell_index % len(cells)]
-    return trace_cell(cell, iteration=iteration, kernel=kernel)
+    return trace_cell(cell, iteration=iteration)

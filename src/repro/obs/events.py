@@ -1,17 +1,16 @@
-"""Raw per-iteration trace events, as recorded by the engine kernels.
+"""Raw per-iteration trace events, as recorded by the engine's event loop.
 
 :class:`TraceEvents` is the lowest layer of :mod:`repro.obs`: the flat
-arrays both event-loop kernels fill when ``SimConfig.trace`` is on.
+arrays the event loop fills when ``SimConfig.trace`` is on.
 It deliberately knows nothing about clusters, schedules or resources —
 op ids index into the owning :class:`~repro.sim.engine.CompiledCore`'s
 arrays, and :class:`repro.obs.trace.Trace` joins the two into named,
 reduced views.
 
-The streams are **kernel-invariant**: the python loop and the array
-(numba/portable) kernel replay the same event order, so the recorded
-arrays are bit-identical between kernels for the same
-``(core, schedule, config, iteration)``. The parity suite pins this
-(``tests/obs/test_trace_parity.py``).
+Recording is **observational**: it consumes no RNG and never reorders
+events, so a traced iteration's records are bit-identical to the
+untraced one's for the same ``(core, schedule, config, iteration)``.
+The parity suite pins this (``tests/obs/test_trace_parity.py``).
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ class TraceEvents:
         return int(self.chunk_op.shape[0])
 
     def same_stream(self, other: "TraceEvents") -> bool:
-        """Bitwise equality of two event streams (the kernel-parity
-        predicate: no tolerance, the kernels must agree exactly)."""
+        """Bitwise equality of two event streams (the parity predicate:
+        no tolerance, the streams must agree exactly)."""
         return (
             np.array_equal(self.ready, other.ready)
             and np.array_equal(self.depth, other.depth)

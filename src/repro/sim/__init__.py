@@ -1,10 +1,8 @@
 """Discrete-event simulation of Model-Replica + PS clusters."""
 
-from . import kernel
 from .config import (
     COMPUTE_QUEUE_POLICIES,
     ENFORCEMENT_MODES,
-    ENGINE_KERNELS,
     SimConfig,
 )
 from .engine import (
@@ -33,9 +31,7 @@ from .runner import (
 __all__ = [
     "COMPUTE_QUEUE_POLICIES",
     "ENFORCEMENT_MODES",
-    "ENGINE_KERNELS",
     "ENGINE_REV",
-    "kernel",
     "SimConfig",
     "CompiledCore",
     "SimVariant",

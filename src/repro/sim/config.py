@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from ..faults.plan import FaultPlan
+
 #: How a schedule's priorities are imposed on the network (§5.1 discusses
 #: all candidate points; the paper deploys ``sender``):
 #:
@@ -30,23 +32,6 @@ ENFORCEMENT_MODES = ("sender", "ready_queue", "dag", "none")
 #: Ready-queue policy for compute resources: ``random`` models TF's
 #: nondeterministic executor; ``fifo`` is deterministic by ready time.
 COMPUTE_QUEUE_POLICIES = ("random", "fifo")
-
-#: Event-loop kernel implementations (see :mod:`repro.sim.kernel`). All
-#: of them are bit-exact — the choice is observable only in wall time:
-#:
-#: * ``auto`` — honour ``REPRO_ENGINE_KERNEL`` if set, else ``numba``
-#:   when importable, else ``python``;
-#: * ``python`` — the tuned pure-Python loop (always available);
-#: * ``numba`` — the ``@njit(cache=True)`` array kernel (requires the
-#:   optional numba dependency; explicit requests fail loudly when it
-#:   is missing instead of silently falling back);
-#: * ``portable`` — the array kernel on any host: identical to ``numba``
-#:   where numba is installed, the same source uncompiled (slow)
-#:   elsewhere. Lets tests/debug runs pin the array code path without
-#:   depending on numba.
-from .kernel import KERNELS as ENGINE_KERNELS  # single source of truth
-
-from ..faults.plan import FaultPlan  # noqa: E402  (stdlib-only module)
 
 #: How a schedule's priorities gate *collective chunk* transfers (the
 #: reduce-scatter/all-gather ops of :mod:`repro.collectives`). Chunk
@@ -98,22 +83,17 @@ class SimConfig:
     #: across the whole network (None = unconstrained). The §7 future-work
     #: knob — 'take into account congestion from the network fabric'.
     fabric_slots: Optional[int] = None
-    #: event-loop kernel (see ENGINE_KERNELS). Excluded from sweep cache
-    #: keys: every kernel is bit-exact, so results are interchangeable.
-    kernel: str = "auto"
     #: record per-op trace events (queue-enter, dispatch, finish, queue
     #: depth, per-chunk wire occupancy) on each ``IterationRecord`` (see
     #: :mod:`repro.obs`). Tracing is observational only — it consumes no
     #: RNG and never changes event order, so results are bit-identical
-    #: with tracing on or off. Excluded from sweep cache keys (like
-    #: ``kernel``): a traced run produces the same numbers as an
-    #: untraced one.
+    #: with tracing on or off. Excluded from sweep cache keys: a traced
+    #: run produces the same numbers as an untraced one.
     trace: bool = False
     #: declarative fault plan (see :mod:`repro.faults`): time-windowed
-    #: link degradation, NIC flaps, straggler bursts and host failures,
-    #: honored bit-identically by every kernel. ``None`` (and an empty
-    #: plan) is byte-identical to the pre-fault engine. Unlike ``kernel``
-    #: and ``trace``, faults DO change results, so a set plan folds into
+    #: link degradation, NIC flaps, straggler bursts and host failures.
+    #: ``None`` (and an empty plan) is byte-identical to the pre-fault
+    #: engine. Unlike ``trace``, faults DO change results, so a set plan folds into
     #: sweep cache keys (see ``SimCell.key_payload``).
     faults: Optional[FaultPlan] = None
 
@@ -143,10 +123,6 @@ class SimConfig:
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise ValueError(
                 f"faults must be a FaultPlan or None, got {self.faults!r}"
-            )
-        if self.kernel not in ENGINE_KERNELS:
-            raise ValueError(
-                f"kernel must be one of {ENGINE_KERNELS}, got {self.kernel!r}"
             )
         if self.iterations <= 0 or self.warmup < 0:
             raise ValueError("iterations must be > 0 and warmup >= 0")

@@ -57,14 +57,12 @@ rewrite is bit-exact: the RNG stream per ``(seed, iteration)`` and every
 floating-point operation order are preserved from the reference
 implementation (see ``tests/sim/test_engine_golden.py``).
 
-**Kernel seam.** The event loop exists in two interchangeable,
-bit-exact implementations selected by ``SimConfig.kernel`` /
-``REPRO_ENGINE_KERNEL``: the tuned pure-Python loop in this module
-(:meth:`SimVariant._execute`, always available) and the numba
-``@njit(cache=True)`` array kernel in :mod:`repro.sim.kernel`
-(:meth:`SimVariant._execute_kernel`; optional dependency, auto-detected).
-``tests/sim/test_kernel_parity.py`` pins them against each other and the
-golden matrix, so the kernel choice is observable only in wall time.
+**One event loop.** :meth:`SimVariant._execute` is the engine's only
+event loop. Random compute picks, priority ties and gRPC reorder noise
+read the iteration generator's raw PCG64 stream through
+:func:`_raw_stream`, whose draws equal ``Generator.random()`` /
+``Generator.integers()`` bit for bit (pinned draw by draw against numpy
+in ``tests/sim/test_kernel_parity.py``).
 """
 
 from __future__ import annotations
@@ -83,7 +81,6 @@ from ..graph import OpKind, ResourceKind
 from ..obs.events import TraceEvents
 from ..ps.cluster import ClusterGraph
 from ..timing import Platform
-from . import kernel as _kernel
 from .config import SimConfig
 from .jobmix import JobMixGraph, compose_core, job_fault_plan
 
@@ -127,10 +124,6 @@ def _compute_fault_end(t: float, work: float, windows) -> float:
     ``t`` under sorted disjoint ``(w0, w1, rate)`` fault windows, where
     ``rate`` is the fraction of nominal speed inside the window and
     ``rate == 0`` stalls (work resumes where it stopped at window end).
-
-    KEEP IN SYNC with :func:`repro.sim.kernel._compute_fault_end`: the
-    two kernels stay bit-exact only because both walk the windows with
-    this exact floating-point operation order.
     """
     cur = t
     rem = work
@@ -158,8 +151,7 @@ def _chunk_fault_end(t: float, work: float, windows) -> float:
     """Like :func:`_compute_fault_end` for one wire chunk, except a
     zero-rate (outage) window *loses* the in-flight chunk: transmission
     restarts from the full chunk at window end (host failure / dead-link
-    semantics — the RPC retransmits, it does not resume mid-chunk).
-    KEEP IN SYNC with :func:`repro.sim.kernel._chunk_fault_end`."""
+    semantics — the RPC retransmits, it does not resume mid-chunk)."""
     cur = t
     rem = work
     for w0, w1, rate in windows:
@@ -192,8 +184,7 @@ def _raw_stream(bit_generator):
 
     Returns ``(random, integers)`` closures, bit-exact with the
     ``Generator.random()`` / ``Generator.integers(total)`` calls of a
-    ``Generator`` on ``bit_generator`` — the same consumption model the
-    array kernel implements (see :mod:`repro.sim.kernel`):
+    ``Generator`` on ``bit_generator``:
 
     * ``random()`` takes one raw word: ``(u64 >> 11) * 2**-53``;
     * ``integers(total)`` (``2 <= total < 2**32``) splits raw words
@@ -616,12 +607,6 @@ class SimVariant:
             else self.config.jitter_sigma
         )
 
-        # Event-loop kernel seam (ISSUE 4): 'python' keeps the loop in
-        # this module; 'numba'/'portable' route through the array kernel
-        # in repro.sim.kernel. All are bit-exact (golden + parity suites).
-        self.kernel = _kernel.resolve(self.config.kernel)
-        self._kernel_loop = _kernel.loop_for(self.kernel)
-
         # Static per-op slowdown multipliers (compute ops of slow devices).
         self.slowdown = np.ones(n)
         for device, factor in self.config.device_slowdown:
@@ -644,7 +629,7 @@ class SimVariant:
         # --- deterministic fault windows (ISSUE 9) ----------------------
         # Merge the config plan with any per-job plans scoped onto the
         # core, then lower to per-resource / per-channel window lists.
-        # All-None lists mean the event loops execute the literal
+        # All-None lists mean the event loop executes the literal
         # fault-free expressions (byte-identical to no faults layer).
         plan = getattr(core, "job_faults", None)
         cfg_plan = self.config.faults
@@ -665,7 +650,6 @@ class SimVariant:
         self._dur0 = self.base_dur.tolist()
         self._wire0 = core.wire_base.tolist()
         self._chunk0 = [self.chunk_wire] * n
-        self._chunk0_arr = np.full(n, self.chunk_wire)
         self._dedicated0 = np.where(
             core.is_transfer, core.wire_base + core.lat, self.base_dur
         )
@@ -795,7 +779,7 @@ class SimVariant:
         priority and gate arrays (``_prio_arr``, ``_hg_ch``/``_hg_rank``,
         ``_dg_ch``/``_dg_rank``), ``n_channels`` and the out-of-order
         audit's rank arrays. Everything else a variant holds comes from
-        the core and the config, and both event loops and
+        the core and the config, and the event loop and
         :meth:`_count_out_of_order` read nothing else of the schedule, so
         two variants of one core and one config with equal digests
         produce identical iterations (different schedules can lower
@@ -820,9 +804,8 @@ class SimVariant:
         ``ceil(wire/chunk)`` is jitter-invariant — the bound is a pure
         function of core tables and ``chunk_wire`` and is computed once
         per variant instead of per iteration (+1 slack per op for
-        floating-point residue passes, +64 headroom). Both event loops
-        still survive an undersized bound: the kernel aborts and replays
-        with a grown buffer, the python loop grows its arrays in place.
+        floating-point residue passes, +64 headroom). An undersized bound
+        is still survived: the event loop grows its arrays in place.
         """
         cap = getattr(self, "_trace_cap_cached", None)
         if cap is None:
@@ -864,7 +847,6 @@ class SimVariant:
         core = self.core
         n = core.n
         sigma = self._jitter_sigma
-        use_kernel = self._kernel_loop is not None
         for lo in range(0, max(count, 0), self._SLAB):
             slab = min(self._SLAB, count - lo)
             rngs = [
@@ -884,54 +866,19 @@ class SimVariant:
                 for i in range(slab):
                     # the dedicated row is copied so a surviving record
                     # does not pin the whole slab matrix alive
-                    if use_kernel:
-                        yield self._execute_kernel(
-                            rngs[i], durs[i], wires[i], chunks[i],
-                            dedicated[i].copy(),
-                        )
-                    else:
-                        yield self._execute(
-                            rngs[i],
-                            durs[i].tolist(),
-                            wires[i].tolist(),
-                            chunks[i].tolist(),
-                            dedicated[i].copy(),
-                        )
+                    yield self._execute(
+                        rngs[i],
+                        durs[i].tolist(),
+                        wires[i].tolist(),
+                        chunks[i].tolist(),
+                        dedicated[i].copy(),
+                    )
             else:
                 for rng in rngs:
-                    if use_kernel:
-                        yield self._execute_kernel(
-                            rng, self.base_dur, core.wire_base,
-                            self._chunk0_arr, self._dedicated0.copy(),
-                        )
-                    else:
-                        yield self._execute(
-                            rng, self._dur0, self._wire0, self._chunk0,
-                            self._dedicated0.copy(),
-                        )
-
-    # ------------------------------------------------------------------
-    def _execute_kernel(self, rng, dur, wire, chunk_of, dedicated) -> IterationRecord:
-        """Run one iteration through the array kernel (numba/portable).
-
-        Bit-exact with :meth:`_execute`: the kernel replays the same
-        event order and consumes the same RNG stream (see
-        :mod:`repro.sim.kernel`)."""
-        start_arr, end_arr, traced = _kernel.execute_event_loop(
-            self, rng, dur, wire, chunk_of, self._kernel_loop
-        )
-        if np.isnan(end_arr).any():  # pragma: no cover - would indicate a bug
-            stuck = int(np.isnan(end_arr).sum())
-            raise RuntimeError(f"simulation deadlock: {stuck} ops never ran")
-        trace = None if traced is None else TraceEvents(*traced)
-        return IterationRecord(
-            makespan=float(np.nanmax(end_arr)),
-            start=start_arr,
-            end=end_arr,
-            dedicated=dedicated,
-            out_of_order_handoffs=self._count_out_of_order(start_arr),
-            trace=trace,
-        )
+                    yield self._execute(
+                        rng, self._dur0, self._wire0, self._chunk0,
+                        self._dedicated0.copy(),
+                    )
 
     # ------------------------------------------------------------------
     def _execute(self, rng, dur, wire, chunk_of, dedicated) -> IterationRecord:
@@ -939,9 +886,8 @@ class SimVariant:
         float lists (read-only); ``dedicated`` is the record's array.
 
         Random compute picks, priority ties and gRPC reorder noise draw
-        from ``rng``'s raw PCG64 stream through :func:`_raw_stream`, the
-        same consumption model as the array kernel; the draws equal
-        ``rng.integers`` / ``rng.random`` bit for bit."""
+        from ``rng``'s raw PCG64 stream through :func:`_raw_stream`; the
+        draws equal ``rng.integers`` / ``rng.random`` bit for bit."""
         core = self.core
         cfg = self.config
         n = core.n
@@ -1265,10 +1211,6 @@ class SimVariant:
                     return
 
         def make_ready(op: int, t: float) -> None:
-            # KEEP IN SYNC with the hand-inlined copy in the successor
-            # walk of the main loop below — the two must enqueue
-            # identically or root ops and successor ops would see
-            # different queue orders (the golden tests pin this).
             nonlocal stamp
             if tr:
                 tr_ready[op] = t
@@ -1318,8 +1260,6 @@ class SimVariant:
                 make_ready(op, 0.0)
 
         # --- main loop -----------------------------------------------------
-        # The successor walk inlines make_ready: it runs once per DAG edge
-        # and dominates the loop, so the call overhead is worth folding.
         succ_of = core.succ_of
         while heap:
             t, _s, code, op = heappop(heap)
@@ -1360,39 +1300,7 @@ class SimVariant:
                 d = indeg[s] - 1
                 indeg[s] = d
                 if d == 0:
-                    # KEEP IN SYNC with make_ready above (hand-inlined:
-                    # this block runs once per op and the call overhead
-                    # is measurable; any edit must land in both copies).
-                    if tr:
-                        tr_ready[s] = t
-                    if is_transfer[s]:
-                        c = t_chan[s]
-                        base = q_base[c]
-                        tl = q_tail[c]
-                        qbuf[base + tl] = s
-                        tl += 1
-                        q_tail[c] = tl
-                        if noise > 0 and tl - q_head[c] >= 2 and rng_random() < noise:
-                            i1 = base + tl - 1
-                            i2 = i1 - 1
-                            qbuf[i1], qbuf[i2] = qbuf[i2], qbuf[i1]
-                        pos = eg_pos[t_egress[s]]
-                        eg_pending[pos] += 1
-                        dispatch_egress(pos, t)
-                    else:
-                        rid = op_res[s]
-                        ch = hg_ch[s]
-                        if ch >= 0:
-                            gated_slots[ch][hg_rank[s]] = (stamp, s)
-                            stamp += 1
-                        elif res_channels[rid]:
-                            plain[rid].append(s)
-                            pstamps[rid].append(stamp)
-                            stamp += 1
-                        else:
-                            plain[rid].append(s)
-                        if active[rid] < cap[rid]:
-                            dispatch_compute(rid, t)
+                    make_ready(s, t)
 
         end_arr = np.array(end)
         if np.isnan(end_arr).any():  # pragma: no cover - would indicate a bug

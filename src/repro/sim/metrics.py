@@ -140,8 +140,7 @@ def summarize_iteration(
         ids = np.asarray(op_ids)
         finishes[worker] = float(record.end[ids].max())
     # Per-job completion (multi-job mixes): last op finish per job label.
-    # Computed from the recorded end times, not in the hot loop, so both
-    # kernels produce it identically by construction.
+    # Computed from the recorded end times, not in the hot loop.
     job_finish: dict[str, float] = {}
     for label, op_ids in (getattr(cluster, "job_ops", None) or {}).items():
         ids = np.asarray(list(op_ids))

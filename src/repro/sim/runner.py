@@ -160,8 +160,8 @@ def simulate_cell_group(
     :func:`simulate_cluster` calls.
 
     Each distinct ``(config, lowering)`` is simulated once. The key is
-    the variant's :class:`SimConfig` (by equality, so a different seed,
-    kernel or ``trace`` flag never shares) plus its
+    the variant's :class:`SimConfig` (by equality, so a different seed
+    or ``trace`` flag never shares) plus its
     :meth:`~repro.sim.engine.SimVariant.lowering_digest`. A later variant
     with an equal key gets a copy of the earlier result, relabelled with
     its own ``schedule.algorithm`` and given fresh ``iterations`` /

@@ -76,10 +76,6 @@ class SimCell:
         from ..sim.engine import ENGINE_REV
 
         cell = asdict(self)
-        # The event-loop kernel is observable only in wall time (every
-        # kernel is bit-exact, pinned by the golden + parity suites), so
-        # numba and python runs share cache entries.
-        cell["config"].pop("kernel", None)
         # Tracing is observational (side-array writes, no RNG use): a
         # traced run produces the same summaries as an untraced one, so
         # both share — and can never poison — one cache entry.

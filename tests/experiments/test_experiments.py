@@ -150,7 +150,7 @@ def test_cli_list_enumerates_surface(capsys):
         assert name in out
     assert "allreduce_comparison.csv" in out
     assert "ps" in out and "allreduce" in out  # backends
-    assert "engine kernels" in out and "python" in out
+    assert "trace exporters" in out
     assert "platforms" in out
 
 

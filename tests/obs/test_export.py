@@ -23,7 +23,7 @@ from repro.obs.export import (
 @pytest.fixture(scope="module")
 def cap():
     """One traced headline cell, shared by every test in the module."""
-    return capture_trace("headline", kernel="portable")
+    return capture_trace("headline")
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,9 @@
 """Tracing vs the sweep cache: one keyspace, zero poisoning.
 
-``SimConfig.trace`` is excluded from cell cache keys (like ``kernel``):
-a traced run computes the exact numbers an untraced one would, so the
-two must share entries — a traced sweep never misses a warm cache, and
-a traced run's entry serves untraced callers with identical results.
+``SimConfig.trace`` is excluded from cell cache keys: a traced run
+computes the exact numbers an untraced one would, so the two must share
+entries — a traced sweep never misses a warm cache, and a traced run's
+entry serves untraced callers with identical results.
 """
 
 from __future__ import annotations

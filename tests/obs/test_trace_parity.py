@@ -1,15 +1,16 @@
-"""Tracing is observational: bit-identity and cross-kernel parity.
+"""Tracing is observational: bit-identity and cross-driver parity.
 
 The trace subsystem's one hard invariant is that turning it on changes
-*nothing* — no RNG draw, no event reorder, no float — and that both
-event-loop kernels record the *same* streams. Pinned three ways:
+*nothing* — no RNG draw, no event reorder, no float — and that the event
+loop records the *same* streams however it is driven. Pinned three ways:
 
 * traced vs untraced records are bit-identical (start/end/dedicated/
-  makespan/out-of-order), per kernel;
+  makespan/out-of-order) on every golden case;
 * the committed golden matrix replays byte-identically with tracing ON
   (tracing can never change ENGINE_REV semantics);
-* python-loop and array-kernel event streams are identical on every
-  golden case and on a co-scheduled job mix.
+* an iteration run alone (``run_iteration``) and the same iteration
+  run inside a slabbed ``run_iterations`` batch record identical event
+  streams, on every golden case and on a co-scheduled job mix.
 """
 
 from __future__ import annotations
@@ -26,11 +27,15 @@ from ..sim.test_engine_golden import (
     build_cluster,
     layerwise,
     make_config,
+    run_case,
 )
-from ..sim.test_kernel_parity import run_golden_case
 
 CASES = [c["case"] for c in _GOLDEN["cases"]]
 IDS = [c["name"] for c in CASES]
+
+#: event loops the traced == untraced check runs under (the python loop
+#: is the only one).
+LOOPS = ["python"]
 
 
 def _variant(case: dict, **overrides) -> SimVariant:
@@ -52,13 +57,13 @@ def _records_identical(a, b) -> bool:
 
 
 # ----------------------------------------------------------------------
-# traced == untraced, per kernel
+# traced == untraced
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kern", ["python", "portable"])
+@pytest.mark.parametrize("loop", LOOPS)
 @pytest.mark.parametrize("case", CASES, ids=IDS)
-def test_tracing_never_changes_results(case, kern):
-    plain = _variant(case, kernel=kern).run_iteration(0)
-    traced = _variant(case, kernel=kern, trace=True).run_iteration(0)
+def test_tracing_never_changes_results(case, loop):
+    plain = _variant(case).run_iteration(0)
+    traced = _variant(case, trace=True).run_iteration(0)
     assert plain.trace is None
     assert traced.trace is not None
     assert _records_identical(plain, traced)
@@ -70,35 +75,53 @@ def test_golden_matrix_replays_traced(case):
     of 'tracing is observational only'."""
     golden = next(c for c in _GOLDEN["cases"] if c["case"]["name"] == case["name"])
     traced_case = dict(case, config=dict(case["config"], trace=True))
-    assert run_golden_case(traced_case, "portable") == golden["iterations"]
+    assert run_case(traced_case)["iterations"] == golden["iterations"]
 
 
 # ----------------------------------------------------------------------
-# python vs portable event streams
+# one iteration alone vs inside a batch: identical event streams
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_kernels_record_identical_streams(case):
-    py = _variant(case, kernel="python", trace=True).run_iteration(0)
-    arr = _variant(case, kernel="portable", trace=True).run_iteration(0)
-    assert py.trace.same_stream(arr.trace)
-    assert py.trace.n_chunk_events == arr.trace.n_chunk_events > 0
+    """Each iteration of a two-iteration ``run_iterations`` batch (the
+    slabbed jitter path the sweep lane drives) records the same stream
+    as that iteration run alone."""
+    sim = _variant(case, trace=True)
+    for i, batched in enumerate(sim.run_iterations(0, 2)):
+        alone = sim.run_iteration(i)
+        assert alone.trace.same_stream(batched.trace)
+        assert alone.trace.n_chunk_events == batched.trace.n_chunk_events > 0
 
 
 def test_jobmix_cell_streams_agree_across_kernels():
     """A co-scheduled 2-job mix (shared-NIC packed placement) traces
-    identically under both kernels, and the joined Trace carries the
-    job tags."""
-    from repro.obs.capture import trace_cell
+    identically through ``trace_cell`` (one iteration alone) and through
+    a batched run of the same cell, and the joined Trace carries the job
+    tags."""
     from repro.api.jobmix_scenarios import CONTENTION_MIX
+    from repro.backends import build_comm_graph
+    from repro.core.schedules import Schedule
+    from repro.models import build_model
+    from repro.obs.capture import trace_cell
+    from repro.obs.trace import Trace
 
     cell = CONTENTION_MIX.cells(SimConfig(iterations=2, warmup=1))[1]
-    py = trace_cell(cell, kernel="python")
-    arr = trace_cell(cell, kernel="portable")
-    assert py.trace.ready.tolist() == arr.trace.ready.tolist()
-    assert py.trace.depth.tolist() == arr.trace.depth.tolist()
-    assert py.trace.chunk_start.tolist() == arr.trace.chunk_start.tolist()
-    assert py.trace.jobs == ("j0", "j1")
-    assert set(np.unique(py.trace.job)) == {0, 1}
+    alone = trace_cell(cell)
+
+    cfg = cell.config.with_(trace=True)
+    ir = build_model(cell.model, batch_factor=cell.batch_factor)
+    plat = get_platform(cell.platform)
+    assert cell.algorithm == "baseline"
+    schedule = Schedule("baseline")
+    sim = SimVariant(CompiledCore(build_comm_graph(ir, cell.spec), plat), schedule, cfg)
+    batched = sim.run_iterations(0, cfg.total_iterations)[alone.iteration]
+    trace = Trace.from_record(sim, batched)
+
+    assert alone.trace.ready.tolist() == trace.ready.tolist()
+    assert alone.trace.depth.tolist() == trace.depth.tolist()
+    assert alone.trace.chunk_start.tolist() == trace.chunk_start.tolist()
+    assert alone.trace.jobs == ("j0", "j1")
+    assert set(np.unique(alone.trace.job)) == {0, 1}
 
 
 # ----------------------------------------------------------------------

@@ -146,31 +146,31 @@ def make_config(raw: dict) -> SimConfig:
     return SimConfig(**raw)
 
 
+def fingerprint(sim: SimVariant, record) -> dict:
+    """One iteration's golden fingerprint: makespan, out-of-order count
+    and SHA-256 digests of the per-op arrays and resource loads."""
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(record.start).tobytes())
+    digest.update(np.ascontiguousarray(record.end).tobytes())
+    digest.update(np.ascontiguousarray(record.dedicated).tobytes())
+    loads = sim.resource_loads(record)
+    return {
+        "makespan": record.makespan,
+        "out_of_order": record.out_of_order_handoffs,
+        "arrays_sha256": digest.hexdigest(),
+        "loads_sha256": hashlib.sha256(
+            json.dumps(loads, sort_keys=True).encode()
+        ).hexdigest(),
+    }
+
+
 def run_case(case: dict) -> dict:
     """Simulate one golden case and fingerprint its records."""
     ir, cluster = build_cluster(case["backend"])
     platform = FLAT if case["platform"] == "flat" else get_platform(case["platform"])
     schedule = None if case["schedule"] == "baseline" else layerwise(ir)
     sim = SimVariant(CompiledCore(cluster, platform), schedule, make_config(case["config"]))
-    iterations = []
-    for i in range(ITERATIONS):
-        record = sim.run_iteration(i)
-        digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(record.start).tobytes())
-        digest.update(np.ascontiguousarray(record.end).tobytes())
-        digest.update(np.ascontiguousarray(record.dedicated).tobytes())
-        loads = sim.resource_loads(record)
-        ldigest = hashlib.sha256(
-            json.dumps(loads, sort_keys=True).encode()
-        ).hexdigest()
-        iterations.append(
-            {
-                "makespan": record.makespan,
-                "out_of_order": record.out_of_order_handoffs,
-                "arrays_sha256": digest.hexdigest(),
-                "loads_sha256": ldigest,
-            }
-        )
+    iterations = [fingerprint(sim, sim.run_iteration(i)) for i in range(ITERATIONS)]
     return {"case": case, "iterations": iterations}
 
 

@@ -157,10 +157,9 @@ class TestCacheKeys:
 
     def test_kernel_and_trace_still_excluded(self):
         faulted = self.CELL.with_(config=self.CELL.config.with_(faults=PLAN))
-        twin = faulted.with_(
-            config=faulted.config.with_(kernel="portable", trace=True)
-        )
+        twin = faulted.with_(config=faulted.config.with_(trace=True))
         assert twin.cache_key_material() == faulted.cache_key_material()
+        assert '"kernel"' not in faulted.cache_key_material()
 
 
 # ----------------------------------------------------------------------

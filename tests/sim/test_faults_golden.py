@@ -2,11 +2,9 @@
 
 ``golden_faults.json`` pins per-iteration makespans and SHA-256 digests
 of the raw start/end/dedicated arrays for a matrix of fault plans — one
-per event type plus overlap/composition edges — and every case replays
-under BOTH event-loop kernels (the tuned python loop and the array
-kernel via ``portable``), which must be bit-identical to each other and
-to the committed record. The hypothesis suites pin the two structural
-invariants of the fault layer:
+per event type plus overlap/composition edges — and every case must
+replay bit-identically to the committed record. The hypothesis suites
+pin the two structural invariants of the fault layer:
 
 * an **empty or zero-magnitude** plan is byte-for-byte identical to no
   plan at all (the gating byte-identity contract);
@@ -45,11 +43,6 @@ from .test_engine_golden import FLAT, build_cluster, layerwise
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_faults.json")
 
 ITERATIONS = 2
-
-#: both kernels replay every case; bit-equality across them is asserted
-#: per case (numba, where installed, shares the portable source and is
-#: pinned by the parity suite).
-KERNELS = ("python", "portable")
 
 #: the tiny PS cluster (2 workers, 1 PS) these plans are written against.
 FAULT_PLANS = {
@@ -119,29 +112,20 @@ def _digest(record) -> str:
 
 
 def run_case(case: dict) -> dict:
-    """Simulate one fault case under every kernel; assert the kernels
-    agree bit-for-bit and return the (shared) fingerprints."""
+    """Simulate one fault case and fingerprint its records."""
     ir, cluster = build_cluster("ps")
     schedule = None if case["schedule"] == "baseline" else layerwise(ir)
-    core = CompiledCore(cluster, FLAT)
-    per_kernel = []
-    for kernel in KERNELS:
-        cfg = SimConfig(
-            faults=FAULT_PLANS[case["plan"]], kernel=kernel, **case["config"]
-        )
-        sim = SimVariant(core, schedule, cfg)
-        per_kernel.append([
-            {
-                "makespan": (record := sim.run_iteration(i)).makespan,
-                "out_of_order": record.out_of_order_handoffs,
-                "arrays_sha256": _digest(record),
-            }
-            for i in range(ITERATIONS)
-        ])
-    assert all(rows == per_kernel[0] for rows in per_kernel[1:]), (
-        f"kernels disagree on fault case {case['name']!r}"
-    )
-    return {"case": case, "iterations": per_kernel[0]}
+    cfg = SimConfig(faults=FAULT_PLANS[case["plan"]], **case["config"])
+    sim = SimVariant(CompiledCore(cluster, FLAT), schedule, cfg)
+    iterations = [
+        {
+            "makespan": (record := sim.run_iteration(i)).makespan,
+            "out_of_order": record.out_of_order_handoffs,
+            "arrays_sha256": _digest(record),
+        }
+        for i in range(ITERATIONS)
+    ]
+    return {"case": case, "iterations": iterations}
 
 
 def _golden():
@@ -159,7 +143,7 @@ _GOLDEN = _golden()
 )
 def test_faulted_engine_matches_golden_record(case_rec):
     """Faulted makespans and per-op arrays are bit-identical to the
-    committed record under every kernel."""
+    committed record."""
     got = run_case(case_rec["case"])
     assert got["iterations"] == case_rec["iterations"]
 
@@ -210,18 +194,16 @@ _noop_events = st.one_of(
 
 @given(
     st.lists(_noop_events, max_size=4),
-    st.sampled_from(["python", "portable"]),
     st.integers(min_value=0, max_value=20),
 )
 @settings(max_examples=15, deadline=None)
-def test_zero_magnitude_plan_is_byte_identical(events, kernel, seed):
+def test_zero_magnitude_plan_is_byte_identical(events, seed):
     """Empty plans and plans whose windows retain 100% of capacity
-    compile to nothing and reproduce the fault-free run byte-for-byte
-    under both kernels."""
+    compile to nothing and reproduce the fault-free run byte-for-byte."""
     ir, cluster = build_cluster("ps")
     core = CompiledCore(cluster, FLAT)
     schedule = layerwise(ir)
-    cfg = SimConfig(iterations=1, seed=seed, kernel=kernel)
+    cfg = SimConfig(iterations=1, seed=seed)
     ref = SimVariant(core, schedule, cfg).run_iteration(0)
     noop = SimVariant(
         core, schedule, cfg.with_(faults=FaultPlan(tuple(events)))

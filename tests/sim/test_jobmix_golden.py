@@ -7,7 +7,7 @@ under ``j0/`` and keeping each job's channel numbering — so wrapping a
 single job in a :class:`~repro.sim.jobmix.JobMixSpec` must change
 *nothing*: every
 iteration's makespan, per-worker finish time and efficiency report is
-bit-identical under both event-loop kernels, and the quick-grid CSV rows
+bit-identical, and the quick-grid CSV rows
 (fig7's PS grid and the allreduce grid) regenerate byte-for-byte.
 """
 
@@ -22,7 +22,9 @@ from repro.backends import make_spec
 from repro.sim import JobMixSpec, JobSpec, SimConfig, simulate_cluster
 from repro.sweep.serialize import iteration_to_dict
 
-KERNELS = ("python", "portable")
+#: event loops the bit-identity is checked under (the python loop is
+#: the only one).
+LOOPS = ("python",)
 
 #: micro slices of the fig7 (PS) and allreduce quick grids.
 PS_CELLS = [
@@ -36,8 +38,7 @@ AR_CELLS = [
 ]
 
 
-def _cfg(kernel: str) -> SimConfig:
-    return SimConfig(iterations=3, warmup=1, kernel=kernel)
+CFG = SimConfig(iterations=3, warmup=1)
 
 
 def _mix_of(backend: str, model: str, shape: dict, algorithm: str) -> JobMixSpec:
@@ -55,25 +56,25 @@ def _strip_prefix(data: dict) -> dict:
     return data
 
 
-def _run_pair(backend, model, shape, algorithm, platform, kernel):
+def _run_pair(backend, model, shape, algorithm, platform):
     spec = make_spec(backend, **shape)
     single = simulate_cluster(
-        model, spec, algorithm=algorithm, platform=platform, config=_cfg(kernel)
+        model, spec, algorithm=algorithm, platform=platform, config=CFG
     )
     mix = simulate_cluster(
         model,
         _mix_of(backend, model, shape, algorithm),
         algorithm=algorithm,
         platform=platform,
-        config=_cfg(kernel),
+        config=CFG,
     )
     return single, mix
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("loop", LOOPS)
 @pytest.mark.parametrize("model,shape,algorithm", PS_CELLS)
-def test_one_job_mix_is_bit_identical_ps(model, shape, algorithm, kernel):
-    single, mix = _run_pair("ps", model, shape, algorithm, "envG", kernel)
+def test_one_job_mix_is_bit_identical_ps(model, shape, algorithm, loop):
+    single, mix = _run_pair("ps", model, shape, algorithm, "envG")
     for s_it, m_it in zip(
         single.warmup + single.iterations, mix.warmup + mix.iterations
     ):
@@ -82,18 +83,18 @@ def test_one_job_mix_is_bit_identical_ps(model, shape, algorithm, kernel):
         assert m_it.job_finish == {"j0": m_it.makespan}
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("loop", LOOPS)
 @pytest.mark.parametrize("model,shape,algorithm", AR_CELLS)
-def test_one_job_mix_is_bit_identical_allreduce(model, shape, algorithm, kernel):
-    single, mix = _run_pair("allreduce", model, shape, algorithm, "envG", kernel)
+def test_one_job_mix_is_bit_identical_allreduce(model, shape, algorithm, loop):
+    single, mix = _run_pair("allreduce", model, shape, algorithm, "envG")
     for s_it, m_it in zip(
         single.warmup + single.iterations, mix.warmup + mix.iterations
     ):
         assert iteration_to_dict(s_it) == _strip_prefix(iteration_to_dict(m_it))
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_quick_grid_csv_rows_regenerate_byte_identical(tmp_path, kernel):
+@pytest.mark.parametrize("loop", LOOPS)
+def test_quick_grid_csv_rows_regenerate_byte_identical(tmp_path, loop):
     """Assemble fig7/allreduce-style CSV rows from both paths and compare
     the written files byte for byte."""
 
@@ -121,13 +122,13 @@ def test_quick_grid_csv_rows_regenerate_byte_identical(tmp_path, kernel):
     def run_single(backend, model, shape, algorithm, platform):
         return simulate_cluster(
             model, make_spec(backend, **shape), algorithm=algorithm,
-            platform=platform, config=_cfg(kernel),
+            platform=platform, config=CFG,
         )
 
     def run_mix(backend, model, shape, algorithm, platform):
         return simulate_cluster(
             model, _mix_of(backend, model, shape, algorithm),
-            algorithm=algorithm, platform=platform, config=_cfg(kernel),
+            algorithm=algorithm, platform=platform, config=CFG,
         )
 
     single_csv = write_csv(

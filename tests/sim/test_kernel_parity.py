@@ -1,130 +1,96 @@
-"""Kernel-seam parity: the array kernel is bit-exact with the python loop.
+"""Event-loop parity: the python loop against numpy and against itself.
 
-Three layers of defence:
+The python loop in :mod:`repro.sim.engine` is the simulator's only event
+loop. Its parity pins:
 
-* the RNG re-implementation (buffered 32-bit Lemire + 53-bit doubles over
-  a raw PCG64 stream), in both the kernel's and the python loop's copy,
-  is pinned against ``numpy.random.Generator`` draw by draw — if a numpy
-  upgrade ever changes the bounded-integer algorithm, these tests fail
-  before any golden digest does;
-* the committed golden matrix (``golden_engine.json``) is replayed under
-  every available array kernel (``portable`` everywhere; ``numba`` where
-  installed — they share one code path, compiled or not);
-* hypothesis drives random model IRs / configs through both kernels and
-  requires identical records.
-
-Also covers kernel *selection*: auto-detection, the
-``REPRO_ENGINE_KERNEL`` env override, loud failure for explicit
-``numba`` requests without numba, and cache-key invariance (kernels are
-interchangeable, so sweep cache entries are shared).
+* the RNG emulation (buffered 32-bit Lemire + 53-bit doubles over a raw
+  PCG64 stream, :func:`repro.sim.engine._raw_stream`) is pinned against
+  ``numpy.random.Generator`` draw by draw — if a numpy upgrade ever
+  changes the bounded-integer algorithm, these tests fail before any
+  golden digest does;
+* the raw-stream refill block size never changes a record;
+* the loop's drivers agree: an iteration run alone, inside a slabbed
+  ``run_iterations`` batch, or inside a batch split over several slabs
+  gives the same record, on the PS golden cluster, on random collective
+  IRs and on a co-scheduled job mix (``tests/sim/test_jobmix.py``);
+* the retired kernel choice stays retired: no config field, no variant
+  attribute, and sweep cache keys equal to the ones written while it
+  existed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collectives import CollectiveSpec
 from repro.backends import build_comm_graph
-from repro.sim import (
-    CompiledCore,
-    SimConfig,
-    SimVariant,
-    engine,
-    kernel,
-)
-from repro.timing import get_platform
+from repro.collectives import CollectiveSpec
+from repro.sim import CompiledCore, SimConfig, SimVariant, engine
 
 from ..strategies import model_irs
 from .test_engine_golden import (
     _GOLDEN,
     FLAT,
-    ITERATIONS,
     build_cluster,
     layerwise,
-    make_config,
+    run_case,
 )
 
-#: every array-kernel flavour runnable on this host. 'portable' selects
-#: the same implementation as 'numba' (jitted where numba is installed,
-#: uncompiled elsewhere), so covering 'portable' everywhere keeps the
-#: numba algorithm pinned even on hosts without numba.
-ARRAY_KERNELS = ["portable"] + (["numba"] if kernel.HAVE_NUMBA else [])
+
+def _records_equal(a, b) -> bool:
+    return (
+        a.makespan == b.makespan
+        and a.out_of_order_handoffs == b.out_of_order_handoffs
+        and np.array_equal(a.start, b.start)
+        and np.array_equal(a.end, b.end)
+        and np.array_equal(a.dedicated, b.dedicated)
+    )
 
 
 # ----------------------------------------------------------------------
 # RNG emulation pinned against numpy.random.Generator
 # ----------------------------------------------------------------------
-class _KernelRNG:
-    """Drive the kernel's RNG functions the way the event loop does."""
-
-    def __init__(self, raw: np.ndarray) -> None:
-        self.raw = raw
-        self.st = np.zeros(8, np.int64)
-        self.rsi = np.zeros(2, np.int64)
-        self.rsu = np.zeros(1, np.uint64)
-
-    def random(self) -> float:
-        return kernel._rng_random(self.raw, self.rsi, self.st)
-
-    def integers(self, total: int) -> int:
-        return int(
-            kernel._rng_integers(self.raw, self.rsi, self.rsu, self.st, total)
-        )
-
-
 @pytest.mark.parametrize("seed", [0, 7, (3, 41)])
 def test_rng_emulation_matches_generator(seed):
-    """Interleaved integers()/random() draws equal numpy's bit for bit."""
+    """``integers`` equals numpy at the edges of numpy's 32-bit Lemire
+    path — tiny, power-of-two, just-over-half and maximal bounds, where
+    rejection ranges from never to about every other draw."""
+    totals = [2, 3, 2**16, 2**16 + 1, 2**31, 2**31 + 1, 2**32 - 1]
     ref = np.random.default_rng(np.random.SeedSequence(seed))
-    bg = np.random.PCG64(np.random.SeedSequence(seed))
-    ours = _KernelRNG(bg.random_raw(40000))
-    mix = np.random.default_rng(123)  # drives the call pattern only
-    for _ in range(5000):
-        if mix.random() < 0.4:
-            assert ours.random() == ref.random()
-        else:
-            total = int(mix.integers(2, 5000))
-            assert ours.integers(total) == int(ref.integers(total))
-    assert ours.st[4] == 0  # never exhausted
+    random, integers = engine._raw_stream(
+        np.random.PCG64(np.random.SeedSequence(seed))
+    )
+    for _ in range(300):
+        for total in totals:
+            assert integers(total) == int(ref.integers(total))
+        assert random() == ref.random()
 
 
-def test_rng_emulation_continues_after_lognormal():
-    """The jitter path draws lognormal factors from the iteration's
-    generator *before* the event loop; the raw stream picked up after
-    that must continue numpy's stream exactly."""
+def test_rng_emulation_continues_after_lognormal(monkeypatch):
+    """As :func:`test_raw_stream_continues_after_lognormal`, but with a
+    one-word refill block: every draw after the jitter factors refills,
+    and each refill still continues numpy's stream."""
+    monkeypatch.setattr(engine, "_RAW_BLOCK", 1)
     ref = np.random.default_rng(np.random.SeedSequence((2, 9)))
     mine = np.random.default_rng(np.random.SeedSequence((2, 9)))
-    f_ref = ref.lognormal(0.0, 0.05, 64)
-    f_mine = mine.lognormal(0.0, 0.05, 64)
-    assert np.array_equal(f_ref, f_mine)
-    ours = _KernelRNG(mine.bit_generator.random_raw(512))
+    assert np.array_equal(
+        ref.lognormal(0.0, 0.05, 64), mine.lognormal(0.0, 0.05, 64)
+    )
+    random, integers = engine._raw_stream(mine.bit_generator)
     for total in (5, 17, 2, 999, 3, 3, 256):
-        assert ours.integers(total) == int(ref.integers(total))
-    for _ in range(5):
-        assert ours.random() == ref.random()
+        assert integers(total) == int(ref.integers(total))
+        assert random() == ref.random()
 
 
-def test_rng_exhaustion_sets_status():
-    ours = _KernelRNG(np.zeros(1, np.uint64))
-    ours.random()
-    ours.random()  # buffer is dry now
-    assert ours.st[4] == 1  # _RAW_EXHAUSTED
-
-
-# ----------------------------------------------------------------------
-# the python loop's raw-stream consumers, pinned the same way
-# ----------------------------------------------------------------------
 @pytest.mark.parametrize("block", [1, 3, 256])
 @pytest.mark.parametrize("seed", [0, 7, (3, 41)])
 def test_raw_stream_matches_generator(seed, block, monkeypatch):
-    """The python loop's ``random``/``integers`` closures equal numpy's
-    draws bit for bit, interleaved, whatever the refill block size."""
+    """The loop's ``random``/``integers`` closures equal numpy's draws
+    bit for bit, interleaved, whatever the refill block size."""
     monkeypatch.setattr(engine, "_RAW_BLOCK", block)
     ref = np.random.default_rng(np.random.SeedSequence(seed))
     random, integers = engine._raw_stream(
@@ -140,8 +106,9 @@ def test_raw_stream_matches_generator(seed, block, monkeypatch):
 
 
 def test_raw_stream_continues_after_lognormal():
-    """The stream picked up after the jitter lognormal draws continues
-    numpy's stream exactly."""
+    """The jitter path draws lognormal factors from the iteration's
+    generator before the event loop; the raw stream picked up after
+    that continues numpy's stream exactly."""
     ref = np.random.default_rng(np.random.SeedSequence((2, 9)))
     mine = np.random.default_rng(np.random.SeedSequence((2, 9)))
     assert np.array_equal(
@@ -180,68 +147,37 @@ def test_raw_stream_refill_mid_rejection(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# golden matrix under the array kernels
+# refill block size: invisible in records
 # ----------------------------------------------------------------------
-def run_golden_case(case: dict, kern: str) -> dict:
-    ir, cluster = build_cluster(case["backend"])
-    platform = FLAT if case["platform"] == "flat" else get_platform(case["platform"])
-    schedule = None if case["schedule"] == "baseline" else layerwise(ir)
-    cfg = make_config(case["config"]).with_(kernel=kern)
-    sim = SimVariant(CompiledCore(cluster, platform), schedule, cfg)
-    iterations = []
-    for i in range(ITERATIONS):
-        record = sim.run_iteration(i)
-        digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(record.start).tobytes())
-        digest.update(np.ascontiguousarray(record.end).tobytes())
-        digest.update(np.ascontiguousarray(record.dedicated).tobytes())
-        loads = sim.resource_loads(record)
-        iterations.append(
-            {
-                "makespan": record.makespan,
-                "out_of_order": record.out_of_order_handoffs,
-                "arrays_sha256": digest.hexdigest(),
-                "loads_sha256": hashlib.sha256(
-                    json.dumps(loads, sort_keys=True).encode()
-                ).hexdigest(),
-            }
-        )
-    return iterations
-
-
-@pytest.mark.parametrize("kern", ARRAY_KERNELS)
-@pytest.mark.parametrize(
-    "case_rec", _GOLDEN["cases"], ids=[c["case"]["name"] for c in _GOLDEN["cases"]]
-)
-def test_array_kernel_matches_golden_record(case_rec, kern):
-    assert run_golden_case(case_rec["case"], kern) == case_rec["iterations"]
-
-
 def test_python_loop_block_size_is_invisible(monkeypatch):
-    """A one-word refill block gives the python loop the same records as
-    the default block, on a golden case that draws both consumers (random
+    """A one-word refill block gives the loop the same records as the
+    default block, on a golden case that draws both consumers (random
     compute picks, gRPC reorder noise) after its jitter draws."""
     rec = next(
         c for c in _GOLDEN["cases"] if c["case"]["name"] == "ps-sender-j0.05"
     )
-    default = run_golden_case(rec["case"], "python")
+    default = run_case(rec["case"])["iterations"]
     monkeypatch.setattr(engine, "_RAW_BLOCK", 1)
-    assert run_golden_case(rec["case"], "python") == default == rec["iterations"]
+    assert run_case(rec["case"])["iterations"] == default == rec["iterations"]
+
+
+def test_raw_buffer_exhaustion_retry_is_bit_exact(monkeypatch):
+    """With a one-word block the raw buffer runs dry on every draw of a
+    sender-enforced, gRPC-reordering PS run; the refills continue the
+    stream, so every record of a batch matches the default block's."""
+    ir, cluster = build_cluster("ps")
+    core = CompiledCore(cluster, FLAT)
+    cfg = SimConfig(enforcement="sender", iterations=1, seed=5)
+    default = SimVariant(core, layerwise(ir), cfg).run_iterations(0, 3)
+    monkeypatch.setattr(engine, "_RAW_BLOCK", 1)
+    starved = SimVariant(core, layerwise(ir), cfg).run_iterations(0, 3)
+    for a, b in zip(default, starved):
+        assert _records_equal(a, b)
 
 
 # ----------------------------------------------------------------------
-# hypothesis: python vs array kernel on random IRs / configs
+# the loop's drivers agree
 # ----------------------------------------------------------------------
-def _records_equal(a, b) -> bool:
-    return (
-        a.makespan == b.makespan
-        and a.out_of_order_handoffs == b.out_of_order_handoffs
-        and np.array_equal(a.start, b.start)
-        and np.array_equal(a.end, b.end)
-        and np.array_equal(a.dedicated, b.dedicated)
-    )
-
-
 @given(
     model_irs(max_convs=3),
     st.sampled_from(["sender", "ready_queue", "dag", "none"]),
@@ -250,104 +186,67 @@ def _records_equal(a, b) -> bool:
 )
 @settings(max_examples=12, deadline=None)
 def test_kernels_agree_on_random_collective_irs(ir, mode, sigma, seed):
-    """python and array kernels produce identical records on random
-    models run through the collective backend (chunk queues, priority
-    picks and ring channels all exercised)."""
+    """On random models run through the collective backend (chunk
+    queues, priority picks and ring channels all exercised), a batch on
+    one variant equals single iterations on a sibling sharing its core."""
     spec = CollectiveSpec(n_workers=3, partition_bytes=65536)
-    cluster = build_comm_graph(ir, spec)
-    core = CompiledCore(cluster, FLAT)
+    core = CompiledCore(build_comm_graph(ir, spec), FLAT)
     schedule = None if mode == "none" else layerwise(ir)
     cfg = SimConfig(enforcement=mode, jitter_sigma=sigma, iterations=1, seed=seed)
-    py = SimVariant(core, schedule, cfg.with_(kernel="python"))
-    arr = SimVariant(core, schedule, cfg.with_(kernel="portable"))
-    for i in (0, 1):
-        assert _records_equal(py.run_iteration(i), arr.run_iteration(i))
+    batch = SimVariant(core, schedule, cfg).run_iterations(0, 2)
+    alone = SimVariant(core, schedule, cfg)
+    for i, record in enumerate(batch):
+        assert _records_equal(record, alone.run_iteration(i))
 
 
 @given(
     st.integers(min_value=0, max_value=50),
-    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=5),
     st.sampled_from(["sender", "ready_queue", "dag", "none"]),
 )
 @settings(max_examples=10, deadline=None)
 def test_kernel_batch_equals_python_batch(first, count, mode):
-    """run_iterations through the array kernel == the python loop,
-    including the slabbed jitter path."""
+    """A batch split over two-iteration slabs equals the same batch in
+    one slab, including the slabbed jitter path."""
     ir, cluster = build_cluster("ps")
     core = CompiledCore(cluster, FLAT)
     schedule = None if mode == "none" else layerwise(ir)
     cfg = SimConfig(enforcement=mode, jitter_sigma=0.05, iterations=1, seed=11)
-    py = SimVariant(core, schedule, cfg.with_(kernel="python"))
-    arr = SimVariant(core, schedule, cfg.with_(kernel="portable"))
+    whole = SimVariant(core, schedule, cfg)
+    sliced = SimVariant(core, schedule, cfg)
+    sliced._SLAB = 2
     for a, b in zip(
-        py.run_iterations(first, count), arr.run_iterations(first, count)
+        whole.run_iterations(first, count), sliced.run_iterations(first, count)
     ):
         assert _records_equal(a, b)
 
 
-def test_raw_buffer_exhaustion_retry_is_bit_exact(monkeypatch):
-    """A deliberately tiny raw budget forces the exhaust-and-replay path;
-    the retried iteration must still match the python loop exactly."""
-    ir, cluster = build_cluster("ps")
-    core = CompiledCore(cluster, FLAT)
-    schedule = layerwise(ir)
-    cfg = SimConfig(enforcement="sender", iterations=1, seed=5)
-    py = SimVariant(core, schedule, cfg.with_(kernel="python")).run_iteration(0)
-    arr_variant = SimVariant(core, schedule, cfg.with_(kernel="portable"))
-    monkeypatch.setattr(kernel.core_tables(core), "raw_init", 8)
-    assert _records_equal(py, arr_variant.run_iteration(0))
-
-
 # ----------------------------------------------------------------------
-# kernel selection + config surface
+# the retired kernel choice stays retired
 # ----------------------------------------------------------------------
-def test_auto_resolution(monkeypatch):
-    monkeypatch.delenv(kernel.ENV_VAR, raising=False)
-    assert kernel.resolve("auto") == ("numba" if kernel.HAVE_NUMBA else "python")
-    assert kernel.resolve("python") == "python"
-    assert kernel.resolve("portable") == "portable"
-
-
-def test_env_override(monkeypatch):
-    monkeypatch.setenv(kernel.ENV_VAR, "portable")
-    assert kernel.resolve("auto") == "portable"
-    # explicit config beats the env var
-    assert kernel.resolve("python") == "python"
-    monkeypatch.setenv(kernel.ENV_VAR, "bogus")
-    with pytest.raises(ValueError, match="REPRO_ENGINE_KERNEL"):
-        kernel.resolve("auto")
-
-
-@pytest.mark.skipif(kernel.HAVE_NUMBA, reason="numba is installed here")
-def test_explicit_numba_fails_loudly_when_missing(monkeypatch):
-    """No silent fallback: CI's numba leg must die, not regress 2x."""
-    with pytest.raises(RuntimeError, match="numba"):
-        kernel.resolve("numba")
-    monkeypatch.setenv(kernel.ENV_VAR, "numba")
-    with pytest.raises(RuntimeError, match="numba"):
-        kernel.resolve("auto")
-
-
 def test_config_rejects_unknown_kernel():
-    with pytest.raises(ValueError, match="kernel"):
+    """``SimConfig`` has no kernel field left to set."""
+    with pytest.raises(TypeError, match="kernel"):
         SimConfig(kernel="cython")
 
 
 def test_kernel_choice_shares_cache_entries():
-    """Bit-exact kernels are interchangeable: the sweep cache key must
-    not depend on the kernel choice."""
+    """Sweep cache entries written while a kernel could be chosen (the
+    choice was dropped from the key) are still hit: a cell's key payload
+    equals the one recorded before the choice was removed."""
     from repro.ps import ClusterSpec
     from repro.sweep import SimCell
+    from repro.sweep.spec import canonical_json
 
-    spec = ClusterSpec(2, 1, "training")
-    keys = {
-        SimCell(
-            model="AlexNet v2", spec=spec,
-            config=SimConfig(iterations=1, kernel=k),
-        ).cache_key_material()
-        for k in ("auto", "python", "portable")
-    }
-    assert len(keys) == 1
+    cell = SimCell(
+        model="AlexNet v2",
+        spec=ClusterSpec(2, 1, "training"),
+        config=SimConfig(iterations=1),
+    )
+    payload = canonical_json(cell.key_payload()).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "15cfd4142a3c90f877d6856978c83028906bdeaa315bc4e9acbaafa6e90b8424"
+    )
 
 
 def test_compiled_simulation_is_gone():
@@ -358,11 +257,9 @@ def test_compiled_simulation_is_gone():
     assert not hasattr(sim_module, "CompiledSimulation")
 
 
-def test_variant_reports_resolved_kernel(monkeypatch):
-    monkeypatch.delenv(kernel.ENV_VAR, raising=False)
+def test_variant_reports_resolved_kernel():
+    """A variant reports no kernel: the python loop is the only one."""
     ir, cluster = build_cluster("ps")
-    core = CompiledCore(cluster, FLAT)
-    v = SimVariant(core, None, SimConfig(iterations=1, kernel="portable"))
-    assert v.kernel == "portable"
-    v2 = SimVariant(core, None, SimConfig(iterations=1, kernel="python"))
-    assert v2.kernel == "python" and v2._kernel_loop is None
+    v = SimVariant(CompiledCore(cluster, FLAT), None, SimConfig(iterations=1))
+    assert not hasattr(v, "kernel")
+    assert not hasattr(v, "_kernel_loop")

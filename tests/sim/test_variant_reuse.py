@@ -175,7 +175,7 @@ def test_ps_group_with_equal_lowering_reuses():
 
 
 @pytest.mark.parametrize("change", [
-    {"seed": 1}, {"trace": True}, {"kernel": "portable"},
+    {"seed": 1}, {"trace": True},
 ], ids=lambda c: next(iter(c)))
 def test_no_reuse_across_configs(change):
     model, spec = RING
