@@ -68,7 +68,7 @@ def build_workloads(trace: bool = False):
         SimVariant,
         build_jobmix_graph,
     )
-    from repro.timing import ENV_G, get_platform
+    from repro.timing import ENV_G, PLATFORMS
 
     ir = build_model("Inception v3")
     cluster = build_cluster_graph(ir, ClusterSpec(4, 1, "training"))
@@ -87,7 +87,7 @@ def build_workloads(trace: bool = False):
         n_hosts=6,
     )
     mix_core = CompiledCore(build_jobmix_graph(None, mix_spec),
-                            get_platform("envC"))
+                            PLATFORMS["envC"])
     mix = SimVariant(mix_core, None, SimConfig(trace=trace))
 
     return {

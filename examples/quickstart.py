@@ -81,7 +81,7 @@ def run_a_scenario() -> None:
         print(f"provenance: engine rev {prov.engine_rev}, "
               f"cache {dict(prov.cache)}, {prov.elapsed_s:.1f}s")
         # Results are values; persisting them is an explicit step:
-        #   rs.to_csv("results")
+        #   rs.save("results")
         row = rs.rows[0]
         assert row["model"] == "ResNet-50 v1" and row["workers"] == 4
 

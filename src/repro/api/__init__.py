@@ -9,8 +9,8 @@ Three nouns:
   plus a named analysis callback. The built-in registry covers every
   table/figure of the paper (``repro.api.scenario_names()``).
 * :class:`ResultSet` — typed results: rows + schema + provenance
-  (engine revision, cache hits), with ``to_csv``/``to_table``/
-  ``frame``. Results are values; persistence is explicit.
+  (engine revision, cache hits), with ``save``/``to_table``/``frame``.
+  Results are values; persistence is explicit.
 
 Quick start::
 
@@ -19,7 +19,7 @@ Quick start::
     with Session(scale="quick") as session:
         rs = session.run("fig7")
         print(rs.to_table())
-        rs.to_csv("results")
+        rs.save("results")
 
 Extending: define callbacks with :func:`register_analysis`, register
 :class:`Scenario` objects with :func:`register_scenario`, and they are

@@ -10,9 +10,7 @@ Every scenario runs at one of two scales:
 
 :class:`Context` owns the shared :class:`~repro.sweep.SweepRunner`
 (worker pool, on-disk result cache) for one run of one or
-more scenarios. :class:`~repro.api.Session` is the public facade over it;
-the legacy ``repro.experiments.common`` module re-exports everything here
-for backward compatibility.
+more scenarios. :class:`~repro.api.Session` is the public facade over it.
 """
 
 from __future__ import annotations
@@ -186,13 +184,12 @@ def make_context(
     jobs: Optional[int] = None,
     **kwargs,
 ) -> Context:
-    """Build a context; ``full=None`` consults ``REPRO_SCALE``/``REPRO_FULL``,
+    """Build a context; ``full=None`` consults ``REPRO_SCALE`` (``full``),
     ``jobs=None`` consults ``REPRO_JOBS`` (default 1),
     ``REPRO_NO_CACHE=1`` disables the sweep cache, and
     ``REPRO_CACHE_MAX_MB`` caps its size (LRU eviction after each run)."""
     if full is None:
-        env = os.environ.get("REPRO_SCALE", "").lower()
-        full = env == "full" or os.environ.get("REPRO_FULL", "") == "1"
+        full = os.environ.get("REPRO_SCALE", "").lower() == "full"
     if jobs is None:
         jobs = int(os.environ.get("REPRO_JOBS", "1"))
     if "use_cache" not in kwargs and os.environ.get("REPRO_NO_CACHE", "") == "1":

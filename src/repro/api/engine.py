@@ -97,8 +97,8 @@ def execute_scenario(
     ctx: Context, scenario: Union[str, Scenario], /, **overrides
 ) -> ResultSet:
     """Run one scenario against ``ctx`` and return its ResultSet (no CSV
-    is written — call :meth:`~repro.api.resultset.ResultSet.to_csv` /
-    ``save`` for that)."""
+    is written — call :meth:`~repro.api.resultset.ResultSet.save` for
+    that)."""
     if isinstance(scenario, str):
         scenario = registry.scenario(scenario)
     t0 = time.perf_counter()

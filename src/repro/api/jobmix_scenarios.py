@@ -294,13 +294,8 @@ register_scenario(Scenario(
     output="jobmix_contention",
     analyze="jobmix",
     backends=("jobmix",),
-    platforms=("envC",),
-    models=("AlexNet v2",),
-    algorithms=("baseline",),
     aux_outputs=("jobmix_contention_summary",),
-    extras_csv=(("summary_csv", "jobmix_contention_summary"),),
     params=(("mix", CONTENTION_MIX),),
-    tags=("jobmix", "extension"),
 ))
 
 #: Four jobs, twelve logical devices, twelve host slots on two racks
@@ -328,13 +323,8 @@ register_scenario(Scenario(
     output="jobmix_crosstalk",
     analyze="jobmix",
     backends=("jobmix",),
-    platforms=("envC",),
-    models=("VGG-16", "Inception v3"),
-    algorithms=("baseline", "tic", "tac"),
     aux_outputs=("jobmix_crosstalk_summary",),
-    extras_csv=(("summary_csv", "jobmix_crosstalk_summary"),),
     params=(("mix", CROSSTALK_MIX),),
-    tags=("jobmix", "extension"),
 ))
 
 register_scenario(Scenario(
@@ -343,11 +333,6 @@ register_scenario(Scenario(
     output="jobmix_starvation",
     analyze="jobmix_starvation",
     backends=("jobmix",),
-    platforms=("envC",),
-    models=("VGG-16", "Inception v1", "AlexNet v2"),
-    algorithms=("baseline", "tic", "tac"),
     aux_outputs=("jobmix_starvation_summary",),
-    extras_csv=(("summary_csv", "jobmix_starvation_summary"),),
     params=(("mix", STARVATION_MIX),),
-    tags=("jobmix", "extension", "observability"),
 ))

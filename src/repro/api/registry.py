@@ -14,55 +14,32 @@ Two registries live here:
   (Fig. 12's consistency statistics, the all-reduce analytic-bound
   check, Table 1's model census, ...).
 
-Unknown names raise :class:`UnknownScenarioError` /
-:class:`UnknownAnalysisError` with near-match suggestions — the CLI
-surfaces these verbatim.
+Both are :class:`~repro.registry.Registry` tables: unknown names raise
+:class:`UnknownScenarioError` / :class:`UnknownAnalysisError` with
+near-match suggestions — the CLI surfaces these verbatim.
 """
 
 from __future__ import annotations
 
-import difflib
 from typing import TYPE_CHECKING, Callable, Iterator
+
+from ..registry import Registry, UnknownNameError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .scenario import Scenario
 
-_SCENARIOS: dict[str, "Scenario"] = {}
-_ANALYSES: dict[str, Callable] = {}
-_defaults_loaded = False
 
-
-class UnknownScenarioError(KeyError):
+class UnknownScenarioError(UnknownNameError):
     """Lookup of a scenario name that is not registered."""
 
-    def __init__(self, name: str, known: tuple[str, ...]):
-        hints = difflib.get_close_matches(name, known, n=3, cutoff=0.4)
-        message = (
-            f"unknown scenario {name!r}; available: {', '.join(known)}"
-        )
-        if hints:
-            message += f" — did you mean {' or '.join(map(repr, hints))}?"
-        super().__init__(message)
 
-    def __str__(self) -> str:  # KeyError would repr-quote the message
-        return self.args[0]
-
-
-class UnknownAnalysisError(KeyError):
+class UnknownAnalysisError(UnknownNameError):
     """A scenario referenced an analysis callback that is not registered."""
 
-    def __init__(self, name: str, known: tuple[str, ...]):
-        hints = difflib.get_close_matches(name, known, n=3, cutoff=0.4)
-        message = (
-            f"unknown analysis callback {name!r}; registered: "
-            f"{', '.join(sorted(known))}"
-        )
-        if hints:
-            message += f" — did you mean {' or '.join(map(repr, hints))}?"
-        super().__init__(message)
 
-    def __str__(self) -> str:
-        return self.args[0]
+_SCENARIOS: Registry = Registry("scenario", UnknownScenarioError)
+_ANALYSES: Registry = Registry("analysis callback", UnknownAnalysisError)
+_defaults_loaded = False
 
 
 def _ensure_defaults() -> None:
@@ -101,10 +78,7 @@ def register_analysis(name: str) -> Callable[[Callable], Callable]:
 def analysis(name: str) -> Callable:
     """Look an analysis callback up by name."""
     _ensure_defaults()
-    try:
-        return _ANALYSES[name]
-    except KeyError:
-        raise UnknownAnalysisError(name, tuple(_ANALYSES)) from None
+    return _ANALYSES[name]
 
 
 def has_analysis(name: str) -> bool:
@@ -137,10 +111,7 @@ def scenario(name: str) -> "Scenario":
     """Look a scenario up by name; unknown names raise
     :class:`UnknownScenarioError` with near-match suggestions."""
     _ensure_defaults()
-    try:
-        return _SCENARIOS[name]
-    except KeyError:
-        raise UnknownScenarioError(name, tuple(_SCENARIOS)) from None
+    return _SCENARIOS[name]
 
 
 def scenario_names() -> tuple[str, ...]:

@@ -30,7 +30,8 @@ import os
 from dataclasses import dataclass
 
 from ..core.wizard import ALGORITHMS
-from ..replay.admission import get_admission
+from ..registry import did_you_mean
+from ..replay.admission import ADMISSIONS
 from ..replay.aggregate import ReplayAggregate
 from ..replay.engine import JOB_COLUMNS, ReplayCluster, ReplayError, replay
 from ..replay.sink import CsvChunkSink
@@ -65,11 +66,11 @@ class ReplayScenario:
             if mode != "mix" and mode not in ALGORITHMS:
                 raise ReplayError(
                     f"unknown replay mode {mode!r}; 'mix' or one of "
-                    f"{ALGORITHMS}"
+                    f"{ALGORITHMS}" + did_you_mean(mode, ("mix", *ALGORITHMS))
                 )
         if len(set(self.modes)) != len(self.modes):
             raise ReplayError(f"duplicate replay modes in {self.modes!r}")
-        get_admission(self.admission)  # fail fast with did-you-mean hints
+        ADMISSIONS[self.admission]  # fail fast with did-you-mean hints
         if self.chunk_rows <= 0:
             raise ReplayError(
                 f"chunk_rows must be positive, got {self.chunk_rows}"
@@ -175,11 +176,6 @@ register_scenario(Scenario(
     output="cluster_day",
     analyze="replay",
     backends=("jobmix",),
-    platforms=("envC",),
-    models=("AlexNet v2", "Inception v1"),
-    algorithms=("baseline", "tic", "tac"),
     aux_outputs=("cluster_day_jobs", "cluster_day_stats"),
-    extras_csv=(("stats_csv", "cluster_day_stats"),),
     params=(("replay", CLUSTER_DAY),),
-    tags=("replay", "jobmix", "extension"),
 ))

@@ -4,9 +4,8 @@ A :class:`ResultSet` bundles a scenario run's primary table, any
 auxiliary tables (e.g. the all-reduce wire check), the rendered text
 report, free-form extras, and :class:`Provenance` — which engine
 revision, scale and cache behaviour produced the numbers. Writing CSVs
-is an explicit, separate step (:meth:`ResultSet.to_csv` /
-:meth:`ResultSet.save`), so embedders can consume rows directly and the
-CLI remains a thin persistence shell.
+is an explicit, separate step (:meth:`ResultSet.save`), so embedders
+can consume rows directly and the CLI remains a thin persistence shell.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ def _columns(rows: Sequence[Mapping[str, object]]) -> tuple[str, ...]:
 class ResultSet:
     """The value returned by :meth:`repro.api.Session.run`."""
 
-    #: primary output stem — ``to_csv`` writes ``<name>.csv``.
+    #: primary output stem — ``save`` writes ``<name>.csv``.
     name: str
     scenario: "Scenario"
     rows: Rows
@@ -102,7 +101,7 @@ class ResultSet:
     @property
     def schema(self) -> tuple[str, ...]:
         """Column names of the primary table, in first-seen order (the
-        order ``to_csv`` writes them)."""
+        order ``save`` writes them)."""
         return _columns(self.rows)
 
     def table_names(self) -> tuple[str, ...]:
@@ -119,9 +118,9 @@ class ResultSet:
                 f"available: {list(self.table_names())}"
             ) from None
 
-    def to_csv(self, results_dir: str = "results") -> dict[str, str]:
-        """Write every table under ``results_dir`` (primary first), byte-
-        identical to the legacy driver output. Returns stem -> path."""
+    def save(self, results_dir: str = "results") -> dict[str, str]:
+        """Write every table under ``results_dir`` as ``<stem>.csv``
+        (primary first). Returns stem -> path."""
         paths = {
             self.name: write_csv(
                 os.path.join(results_dir, f"{self.name}.csv"), self.rows
@@ -131,16 +130,6 @@ class ResultSet:
             paths[name] = write_csv(
                 os.path.join(results_dir, f"{name}.csv"), rows
             )
-        return paths
-
-    def save(self, results_dir: str = "results") -> dict[str, str]:
-        """``to_csv`` plus the scenario's declared extras aliases: tables
-        named in ``Scenario.extras_csv`` get their written path recorded
-        under the legacy extras key (e.g. ``wire_check_csv``), which the
-        deprecated driver shims and their callers rely on."""
-        paths = self.to_csv(results_dir)
-        for key, table in self.scenario.extras_csv:
-            self.extras[key] = paths[table]
         return paths
 
     def to_table(self, table: Optional[str] = None, **kwargs) -> str:

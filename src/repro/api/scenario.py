@@ -1,15 +1,15 @@
 """Declarative scenario descriptions, validated at construction.
 
-A :class:`Scenario` is *data*: which communication backends, platforms,
-models and scheduling algorithms a study touches, an optional
-:class:`Grid` (the declarative slice of the evaluation grid the generic
-engine expands and sweeps), default parameters callers may override, and
-the *name* of the analysis callback that turns sweep results into the
-scenario's tables. Construction validates every name against the live
-registries — the :mod:`repro.backends` registry, the
-:mod:`repro.timing` platform table, the model zoo and the wizard's
-algorithm list — so a typo fails at import/definition time with the
-accepted values spelled out, not deep inside a sweep.
+A :class:`Scenario` is *data*: which communication backends a study
+touches, an optional :class:`Grid` (the declarative slice of the
+evaluation grid the generic engine expands and sweeps), default
+parameters callers may override, and the *name* of the analysis callback
+that turns sweep results into the scenario's tables. Construction
+validates every name against the live registries — the
+:mod:`repro.backends` registry, the :mod:`repro.timing` platform table,
+the model zoo and the wizard's algorithm list — so a typo fails at
+import/definition time with the accepted values spelled out and the
+nearest names suggested, not deep inside a sweep.
 
 Axis values understand three sentinel forms so one definition serves
 every scale:
@@ -24,12 +24,13 @@ every scale:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from ..core.wizard import ALGORITHMS
 from ..models import ENVC_MODEL_NAMES, MODEL_NAMES
-from ..models.zoo import EXTRA_MODEL_BUILDERS
+from ..models.zoo import MODELS
+from ..registry import did_you_mean
 from ..sweep.spec import GridSpec, SimCell
 from ..timing import PLATFORMS
 from . import registry
@@ -39,9 +40,6 @@ from .context import Scale
 class ScenarioError(ValueError):
     """A scenario definition (or parameter override) failed validation."""
 
-
-#: Model names scenario definitions may reference.
-KNOWN_MODELS: tuple[str, ...] = MODEL_NAMES + tuple(EXTRA_MODEL_BUILDERS)
 
 _MODEL_SENTINELS = ("scale", "envc", "zoo")
 
@@ -171,10 +169,10 @@ def _validate_models(models, *, where: str) -> None:
             return
         models = (models,)
     for name in _as_tuple(models):
-        if name not in KNOWN_MODELS:
+        if name not in MODELS:
             raise ScenarioError(
                 f"{where}: unknown model {name!r}; known models: "
-                f"{list(KNOWN_MODELS)}"
+                f"{list(MODELS)}" + did_you_mean(name, MODELS)
             )
 
 
@@ -183,7 +181,7 @@ def _validate_platforms(platforms, *, where: str) -> None:
         if name not in PLATFORMS:
             raise ScenarioError(
                 f"{where}: unknown platform {name!r}; available: "
-                f"{sorted(PLATFORMS)}"
+                f"{sorted(PLATFORMS)}" + did_you_mean(name, PLATFORMS)
             )
 
 
@@ -191,6 +189,7 @@ def _validate_algorithm(name: str, *, where: str) -> None:
     if name not in ALGORITHMS:
         raise ScenarioError(
             f"{where}: unknown algorithm {name!r}; one of {ALGORITHMS}"
+            + did_you_mean(name, ALGORITHMS)
         )
 
 
@@ -202,7 +201,7 @@ def _validate_backends(backends: tuple[str, ...]) -> None:
         if name not in known:
             raise ScenarioError(
                 f"unknown communication backend {name!r}; registered: "
-                f"{sorted(known)}"
+                f"{sorted(known)}" + did_you_mean(name, known)
             )
 
 
@@ -214,35 +213,22 @@ class Scenario:
 
     name: str
     title: str
-    #: primary CSV stem — ``ResultSet.to_csv`` writes ``<output>.csv``.
+    #: primary CSV stem — ``ResultSet.save`` writes ``<output>.csv``.
     output: str
     #: name of the registered analysis callback executing/tabulating it.
     analyze: str
-    #: communication backends exercised (registry-validated).
+    #: communication backends exercised (registry-validated; reported
+    #: in ``Provenance.backends``).
     backends: tuple[str, ...] = ("ps",)
-    platforms: tuple[str, ...] = ("envG",)
-    #: models touched: sentinel ("scale"/"envc"/"zoo"), tuple, or () when
-    #: the scenario simulates no cluster (e.g. Fig. 8's SGD substrate).
-    models: object = "scale"
-    #: algorithms exercised beyond what the grid declares (listing/meta).
-    algorithms: tuple[str, ...] = ()
     grid: Optional[Grid] = None
     #: default parameters; ``session.run(name, **overrides)`` rebinds.
     params: tuple[tuple[str, object], ...] = ()
     #: auxiliary output stems the analysis emits as extra tables.
     aux_outputs: tuple[str, ...] = ()
-    #: legacy extras keys aliasing written table paths (``save`` fills
-    #: them): ((extras_key, table_stem), ...).
-    extras_csv: tuple[tuple[str, str], ...] = ()
-    tags: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         params = dict(self.params)
         _validate_backends(self.backends)
-        _validate_platforms(self.platforms, where=f"scenario {self.name!r}")
-        _validate_models(self.models, where=f"scenario {self.name!r}")
-        for algorithm in self.algorithms:
-            _validate_algorithm(algorithm, where=f"scenario {self.name!r}")
         if not registry.has_analysis(self.analyze):
             raise ScenarioError(
                 f"scenario {self.name!r} references unregistered analysis "
@@ -251,12 +237,6 @@ class Scenario:
             )
         if self.grid is not None:
             self.grid.validate(params)
-        for key, table in self.extras_csv:
-            if table != self.output and table not in self.aux_outputs:
-                raise ScenarioError(
-                    f"scenario {self.name!r}: extras_csv alias {key!r} "
-                    f"points at undeclared table {table!r}"
-                )
 
     # -- parameters -----------------------------------------------------
     def bind(self, **overrides) -> dict:

@@ -42,7 +42,7 @@ from ..ps import ClusterSpec, build_cluster_graph, build_reference_partition, sh
 from ..sim import CompiledCore, SimConfig, SimVariant, simulate_cluster, simulate_pipelined
 from ..sweep import FnTask, SimCell
 from ..sweep.spec import ps_for_workers
-from ..timing import ENV_G, PerturbedOracle, estimate_time_oracle, get_platform
+from ..timing import ENV_G, PLATFORMS, PerturbedOracle, estimate_time_oracle
 from ..training import (
     baseline_ordering,
     enforced_ordering,
@@ -1044,7 +1044,7 @@ def _allreduce(run: ScenarioRun) -> Report:
             )
 
     # --- analytic ring wire check ------------------------------------
-    wire = get_platform("wire")
+    wire = PLATFORMS["wire"]
     wire_cfg = run.sim_config(iterations=2, warmup=0)
     wire_cells = [
         SimCell(
@@ -1155,8 +1155,6 @@ register_scenario(Scenario(
     output="table1_models",
     analyze="table1",
     backends=(),
-    platforms=(),
-    models="zoo",
 ))
 
 register_scenario(Scenario(
@@ -1165,8 +1163,6 @@ register_scenario(Scenario(
     output="motivation_unique_orders",
     analyze="motivation",
     backends=("ps",),
-    platforms=("envG",),
-    models=MOTIVATION_MODELS + ("ResNet-152 v2",),
 ))
 
 register_scenario(Scenario(
@@ -1184,8 +1180,6 @@ register_scenario(Scenario(
     output="fig8_training_loss",
     analyze="fig8",
     backends=(),
-    platforms=(),
-    models=(),
 ))
 
 register_scenario(Scenario(
@@ -1244,9 +1238,6 @@ register_scenario(Scenario(
     title="Fig. 12: scheduling efficiency vs step time, and consistency (envC)",
     output="fig12_consistency",
     analyze="fig12",
-    platforms=("envC",),
-    models="$model",
-    algorithms=("baseline", "tac"),
     params=(("model", "Inception v2"), ("n_workers", 4)),
 ))
 
@@ -1255,8 +1246,6 @@ register_scenario(Scenario(
     title="Fig. 13: TIC vs TAC on the commodity CPU cluster (envC)",
     output="fig13_tic_vs_tac",
     analyze="fig13",
-    platforms=("envC",),
-    models="envc",
     grid=Grid(
         models="envc",
         workloads=("inference", "training"),
@@ -1282,8 +1271,6 @@ register_scenario(Scenario(
     title="Ablations: §5.1's design choices made measurable",
     output="ablations",
     analyze="ablations",
-    models=(ABLATION_MODEL,),
-    algorithms=("baseline", "tic", "tic_plus", "tac"),
 ))
 
 register_scenario(Scenario(
@@ -1291,8 +1278,6 @@ register_scenario(Scenario(
     title="Straggler-source decomposition (extends §6.3)",
     output="straggler_decomposition",
     analyze="stragglers",
-    models="$model",
-    algorithms=("baseline", "tic"),
     params=(("model", "ResNet-50 v1"), ("n_workers", 4)),
 ))
 
@@ -1301,8 +1286,6 @@ register_scenario(Scenario(
     title="Fault resilience: scheduling algorithms under injected faults",
     output="fault_resilience",
     analyze="fault_resilience",
-    models="$model",
-    algorithms=("baseline", "tic", "tac"),
     aux_outputs=("fault_resilience_attribution",),
     params=(("model", "AlexNet v2"), ("n_workers", 2)),
 ))
@@ -1312,8 +1295,6 @@ register_scenario(Scenario(
     title="Pipelining ablation: does the benefit survive cross-iteration overlap?",
     output="pipelining_ablation",
     analyze="pipelining",
-    models="$model",
-    algorithms=("baseline", "tic"),
     params=(("model", "ResNet-50 v1"), ("n_workers", 4), ("window", 4)),
 ))
 
@@ -1323,12 +1304,5 @@ register_scenario(Scenario(
     output="allreduce_comparison",
     analyze="allreduce",
     backends=("allreduce", "ps"),
-    platforms=("envG", "wire"),
-    models="scale",
-    algorithms=ALLREDUCE_ALGORITHMS,
     aux_outputs=("allreduce_wire_check", "allreduce_vs_ps"),
-    extras_csv=(
-        ("wire_check_csv", "allreduce_wire_check"),
-        ("vs_ps_csv", "allreduce_vs_ps"),
-    ),
 ))

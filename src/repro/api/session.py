@@ -8,7 +8,7 @@ pipeline::
     with Session(scale="quick", jobs=2) as session:
         rs = session.run("fig7")            # a registered scenario
         print(rs.to_table())                # rows are values...
-        rs.to_csv("results")                # ...writing CSV is explicit
+        rs.save("results")                  # ...writing CSV is explicit
         print(rs.provenance.as_dict())      # engine rev, cache
 
 It wraps an execution :class:`~repro.api.context.Context` — the shared
@@ -43,7 +43,7 @@ class Session:
     ----------
     scale:
         ``"quick"`` / ``"full"``, a custom :class:`Scale`, or ``None``
-        to consult ``REPRO_SCALE``/``REPRO_FULL`` (like the CLI).
+        to consult ``REPRO_SCALE`` (like the CLI).
     jobs:
         Worker processes for the sweep runner; ``None`` consults
         ``REPRO_JOBS`` (default 1).

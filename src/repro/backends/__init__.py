@@ -37,6 +37,8 @@ import inspect
 from dataclasses import dataclass
 from typing import Callable
 
+from ..registry import Registry
+
 #: Most entries a wizard memo holds before evicting its oldest (a
 #: schedule is a few KB; sweeps touch far fewer distinct references).
 _MEMO_CAP = 256
@@ -68,7 +70,7 @@ class CommBackend:
         return f"{self.name} ({self.spec_type.__name__})"
 
 
-_BACKENDS: dict[str, CommBackend] = {}
+_BACKENDS: Registry = Registry("communication backend")
 _BY_SPEC_TYPE: dict[type, CommBackend] = {}
 _defaults_loaded = False
 
@@ -150,10 +152,10 @@ def _ensure_defaults() -> None:
     )
 
 
-def backends() -> dict[str, CommBackend]:
-    """Registered backends by name."""
+def backends() -> Registry:
+    """Registered backends by name (built-ins loaded first)."""
     _ensure_defaults()
-    return dict(_BACKENDS)
+    return _BACKENDS
 
 
 def spec_fields(spec_type: type) -> tuple[str, ...]:
@@ -171,19 +173,12 @@ def make_spec(backend: str, **kwargs):
 
     Callers build cluster shapes through this helper so scenario and
     experiment code names backends ('ps', 'allreduce', ...), not spec
-    classes. Unknown backend names raise ``KeyError`` listing the
-    registered backends; invalid constructor arguments raise ``TypeError``
-    naming the spec type's accepted fields (instead of letting the raw
-    constructor error escape without that context).
+    classes. Unknown backend names raise the registry's ``KeyError``
+    listing the registered backends; invalid constructor arguments raise
+    ``TypeError`` naming the spec type's accepted fields (instead of
+    letting the raw constructor error escape without that context).
     """
-    registry = backends()
-    try:
-        ctor = registry[backend].spec_type
-    except KeyError:
-        raise KeyError(
-            f"unknown communication backend {backend!r}; "
-            f"available: {sorted(registry)}"
-        ) from None
+    ctor = backends()[backend].spec_type
     try:
         return ctor(**kwargs)
     except TypeError as exc:

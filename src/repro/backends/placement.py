@@ -24,16 +24,18 @@ The physical cluster is ``n_hosts`` uniform hosts named ``host:N`` with
   pack the job inside it (rack-local traffic; jobs land in different
   racks while capacity allows).
 
-Policies are deterministic pure functions of their inputs, registered in
-a small registry mirroring the backend/scenario registries, with difflib
-near-match suggestions on unknown names.
+Policies are deterministic pure functions of their inputs, held in the
+:data:`PLACEMENTS` registry (:class:`~repro.registry.Registry`):
+unknown names raise :class:`UnknownPlacementError` with near-match
+suggestions.
 """
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+from ..registry import Registry, UnknownNameError
 
 #: device slots per shared host unless the mix spec overrides it.
 DEFAULT_SLOTS_PER_HOST = 2
@@ -46,19 +48,8 @@ class PlacementError(ValueError):
     """A placement request that cannot be satisfied (not enough slots)."""
 
 
-class UnknownPlacementError(KeyError):
+class UnknownPlacementError(UnknownNameError):
     """Lookup of a placement policy name that is not registered."""
-
-    def __init__(self, name: str, known: tuple[str, ...]):
-        hints = difflib.get_close_matches(name, known, n=3, cutoff=0.4)
-        message = (
-            f"unknown placement policy {name!r}; available: {', '.join(known)}"
-        )
-        if hints:
-            message += f" — did you mean {' or '.join(map(repr, hints))}?"
-        super().__init__(message)
-        self.name = name
-        self.hints = tuple(hints)
 
 
 @dataclass(frozen=True)
@@ -74,26 +65,13 @@ class PlacementPolicy:
     fn: Callable[[Sequence[Sequence[str]], int, int, int], dict[str, str]]
 
 
-_PLACEMENTS: dict[str, PlacementPolicy] = {}
+#: Registered placement policies by name.
+PLACEMENTS: Registry = Registry("placement policy", UnknownPlacementError)
 
 
 def register_placement(policy: PlacementPolicy) -> None:
     """Register a policy; later registrations replace earlier ones."""
-    _PLACEMENTS[policy.name] = policy
-
-
-def placements() -> dict[str, PlacementPolicy]:
-    """Registered placement policies by name."""
-    return dict(_PLACEMENTS)
-
-
-def get_placement(name: str) -> PlacementPolicy:
-    """Look up a policy by name; unknown names raise
-    :class:`UnknownPlacementError` with near-match suggestions."""
-    try:
-        return _PLACEMENTS[name]
-    except KeyError:
-        raise UnknownPlacementError(name, tuple(_PLACEMENTS)) from None
+    PLACEMENTS[policy.name] = policy
 
 
 def place_jobs(
@@ -123,7 +101,7 @@ def place_jobs(
             f"{total} logical devices do not fit on {n_hosts} hosts x "
             f"{slots_per_host} slots"
         )
-    mapping = get_placement(policy).fn(
+    mapping = PLACEMENTS[policy].fn(
         devices_by_job, n_hosts, slots_per_host, rack_size
     )
     return mapping

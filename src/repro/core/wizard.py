@@ -15,7 +15,8 @@ from typing import Optional
 from ..models import build_model
 from ..models.ir import ModelIR
 from ..ps.reference import ReferencePartition, build_reference_partition
-from ..timing import Platform, TimeOracleLike, estimate_time_oracle, get_platform
+from ..registry import did_you_mean
+from ..timing import PLATFORMS, Platform, TimeOracleLike, estimate_time_oracle
 from .baselines import (
     layerwise_schedule,
     random_schedule,
@@ -49,7 +50,10 @@ def compute_schedule(
     all other algorithms are timing-independent.
     """
     if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; one of {ALGORITHMS}")
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; one of {ALGORITHMS}"
+            + did_you_mean(algorithm, ALGORITHMS)
+        )
     if algorithm == "baseline":
         return no_schedule()
     if algorithm == "tic":
@@ -90,7 +94,7 @@ def schedule_model(
     reference = build_reference_partition(ir, workload=workload, n_ps=n_ps)
     oracle = None
     if algorithm == "tac":
-        plat = get_platform(platform) if isinstance(platform, str) else platform
+        plat = PLATFORMS[platform] if isinstance(platform, str) else platform
         oracle = estimate_time_oracle(
             reference.graph, plat, runs=trace_runs, seed=seed
         )

@@ -3,38 +3,11 @@
 Scenarios are declarative data in the :mod:`repro.api` registry,
 executed by one generic engine; this package is the thin CLI shell over
 that facade (``python -m repro.experiments`` / the ``tictac-repro``
-console script) plus compatibility re-exports of the shared execution
-context::
+console script). Programmatic use goes through :mod:`repro.api`::
 
     from repro.api import Session
 
     with Session(scale="quick") as session:
         rs = session.run("fig7")
-        rs.to_csv("results")
-
-The legacy driver-function pattern (``repro.experiments.fig7.run(ctx)``
-and friends, one hand-written module per table/figure) was deprecated
-and has been removed; the re-exports below (``Context``, ``Scale``,
-``make_context``, ...) keep older import sites working — their
-canonical home is :mod:`repro.api.context`.
+        rs.save("results")
 """
-
-from .common import (
-    FIG7_MODELS,
-    FULL,
-    QUICK,
-    Context,
-    Scale,
-    make_context,
-    ps_for_workers,
-)
-
-__all__ = [
-    "FIG7_MODELS",
-    "FULL",
-    "QUICK",
-    "Context",
-    "Scale",
-    "make_context",
-    "ps_for_workers",
-]

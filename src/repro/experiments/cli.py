@@ -20,7 +20,7 @@ default, tidy per-op CSV with ``--exporter csv``.
 
 ``replay`` streams a job trace (synthetic or Alibaba-style CSV) through
 the dynamic-admission cluster scheduler (:mod:`repro.replay`) into a
-chunked, crash-resumable result sink.
+chunked, crash-resumable CSV sink.
 """
 
 from __future__ import annotations
@@ -48,10 +48,12 @@ _EXPORTER_NOTES = {
 
 
 def print_listing() -> None:
-    """``tictac-repro list``: scenarios, backends, placements, exporters."""
+    """``tictac-repro list``: scenarios, then every named table."""
     from ..backends import backends, spec_fields
-    from ..backends.placement import placements
+    from ..backends.placement import PLACEMENTS
     from ..obs.export import EXPORTERS
+    from ..replay.admission import ADMISSIONS
+    from ..replay.trace import GENERATORS
     from ..timing import PLATFORMS
 
     print("scenarios (presentation order):")
@@ -60,38 +62,29 @@ def print_listing() -> None:
         aux = f" +{len(sc.aux_outputs)} aux" if sc.aux_outputs else ""
         print(f"  {sc.name:<12} {sc.title}")
         print(f"  {'':<12} [{kind} -> {sc.output}.csv{aux}]")
-    print("\ncommunication backends:")
-    for name, backend in sorted(backends().items()):
+
+    def description(_name, entry) -> str:
+        return entry.description
+
+    def spec_signature(_name, backend) -> str:
         fields = ", ".join(spec_fields(backend.spec_type))
-        print(f"  {name:<12} {backend.spec_type.__name__}({fields})")
-    print("\nplacement policies (job mixes):")
-    for name, policy in sorted(placements().items()):
-        print(f"  {name:<12} {policy.description}")
-    print("\ntrace exporters (tictac-repro trace <scenario> --exporter NAME):")
-    for name in sorted(EXPORTERS):
-        print(f"  {name:<12} {_EXPORTER_NOTES.get(name, '')}")
-    from ..replay.admission import admission_policies
-    from ..replay.sink import CsvChunkSink, sink_backends
-    from ..replay.trace import trace_generators
+        return f"{backend.spec_type.__name__}({fields})"
 
-    print("\ntrace generators (tictac-repro replay --arrival NAME):")
-    for name, generator in sorted(trace_generators().items()):
-        print(f"  {name:<12} {generator.description}")
-    print("\nadmission policies (tictac-repro replay --admission NAME):")
-    for name, policy in sorted(admission_policies().items()):
-        print(f"  {name:<12} {policy.description}")
-    print("\nreplay sinks (tictac-repro replay --sink NAME):")
-    for name, cls in sorted(sink_backends().items()):
-        if cls is CsvChunkSink:
-            note = "chunked CSV append with manifest crash-resume"
-        else:
-            try:
-                import pyarrow  # noqa: F401
-
-                note = "one parquet row group per chunk (no resume)"
-            except ImportError:
-                note = "unavailable (pip install pyarrow)"
-        print(f"  {name:<12} {note}")
+    # (heading, registry, (name, entry) -> one-line description)
+    tables = (
+        ("communication backends", backends(), spec_signature),
+        ("placement policies (job mixes)", PLACEMENTS, description),
+        ("trace exporters (tictac-repro trace <scenario> --exporter NAME)",
+         EXPORTERS, lambda name, _writer: _EXPORTER_NOTES.get(name, "")),
+        ("trace generators (tictac-repro replay --arrival NAME)", GENERATORS,
+         description),
+        ("admission policies (tictac-repro replay --admission NAME)",
+         ADMISSIONS, description),
+    )
+    for heading, table, describe in tables:
+        print(f"\n{heading}:")
+        for name, entry in sorted(table.items()):
+            print(f"  {name:<12} {describe(name, entry)}")
     print("\nplatforms: " + ", ".join(sorted(PLATFORMS)))
 
 
@@ -123,10 +116,10 @@ def trace_main(argv: Sequence[str]) -> int:
     args = parser.parse_args(list(argv))
 
     from ..obs.capture import capture_trace
-    from ..obs.export import UnknownExporterError, get_exporter, validate_chrome_trace
+    from ..obs.export import EXPORTERS, UnknownExporterError, validate_chrome_trace
 
     try:
-        exporter = get_exporter(args.exporter)
+        exporter = EXPORTERS[args.exporter]
     except UnknownExporterError as exc:
         parser.error(str(exc))
     try:
@@ -171,7 +164,7 @@ def trace_main(argv: Sequence[str]) -> int:
 
 def replay_main(argv: Sequence[str]) -> int:
     """``tictac-repro replay``: stream a trace through the epoch
-    scheduler (:mod:`repro.replay`) into a chunked result sink.
+    scheduler (:mod:`repro.replay`) into a chunked CSV sink.
 
     The per-job rows land in ``--out`` as they finish (never held in
     memory); the incremental per-mode summary lands in ``--summary-out``
@@ -208,19 +201,16 @@ def replay_main(argv: Sequence[str]) -> int:
                         help="placement policy for running jobs (packed/"
                         "spread/rack_aware; see list)")
     parser.add_argument("--platform", default="envC")
-    parser.add_argument("--sink", default="csv",
-                        help="result sink backend (csv/parquet)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="per-job row stream (default: "
-                        "<results-dir>/replay_jobs.<ext>)")
+                        "<results-dir>/replay_jobs.csv)")
     parser.add_argument("--summary-out", default=None, metavar="PATH",
                         help="per-mode summary CSV (default: "
                         "<results-dir>/replay.csv)")
     parser.add_argument("--chunk-rows", type=int, default=256, metavar="N",
                         help="rows per committed sink chunk (default 256)")
     parser.add_argument("--resume", action="store_true",
-                        help="resume a killed run from --out's manifest "
-                        "(csv sink only)")
+                        help="resume a killed run from --out's manifest")
     parser.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
                         help="worker processes for rate cells "
                         "(default: $REPRO_JOBS or 1)")
@@ -240,7 +230,7 @@ def replay_main(argv: Sequence[str]) -> int:
         replay,
     )
     from ..replay.loader import load_alibaba_csv
-    from ..replay.sink import SinkError, UnknownSinkError, make_sink
+    from ..replay.sink import CsvChunkSink, SinkError
     from ..replay.trace import SyntheticTraceSpec, TraceError, generate_trace
 
     try:
@@ -266,25 +256,19 @@ def replay_main(argv: Sequence[str]) -> int:
     except (TraceError, ReplayError, KeyError) as exc:
         parser.error(str(exc))
 
-    ext = "parquet" if args.sink == "parquet" else "csv"
-    out = args.out or os.path.join(args.results_dir, f"replay_jobs.{ext}")
+    out = args.out or os.path.join(args.results_dir, "replay_jobs.csv")
     summary_out = args.summary_out or os.path.join(
         args.results_dir, "replay.csv"
     )
-    # test hook: SIGKILL this process right after the Nth chunk commit,
-    # leaving exactly the on-disk state a real crash would.
-    crash_after = os.environ.get("REPRO_REPLAY_CRASH_AFTER_CHUNKS")
     try:
-        sink = make_sink(
-            args.sink,
+        sink = CsvChunkSink(
             out,
             JOB_COLUMNS,
             chunk_rows=args.chunk_rows,
             resume=args.resume,
             aggregate=ReplayAggregate(cluster.total_slots),
-            crash_after_chunks=int(crash_after) if crash_after else None,
         )
-    except (UnknownSinkError, SinkError) as exc:
+    except SinkError as exc:
         parser.error(str(exc))
 
     ctx = make_context(

@@ -1,7 +1,7 @@
 """Lower a :class:`~repro.faults.plan.FaultPlan` onto a compiled core.
 
 :func:`compile_fault_plan` resolves every event's device/link names
-against the core (``FaultPlanError`` with a ``difflib`` did-you-mean on
+against the core (``FaultPlanError`` with a did-you-mean hint on
 unknown names) and produces, per compute resource and per wire channel,
 a **sorted, disjoint** list of ``(w0, w1, rate)`` windows:
 
@@ -23,14 +23,8 @@ and the trace layer's fault annotations.
 
 from __future__ import annotations
 
-import difflib
-
+from ..registry import did_you_mean
 from .plan import FaultPlan, FaultPlanError
-
-
-def _suggest(name: str, known) -> str:
-    hints = difflib.get_close_matches(name, sorted(known), n=1)
-    return f" — did you mean {hints[0]!r}?" if hints else ""
 
 
 def _merge_windows(raw: list) -> list:
@@ -78,7 +72,7 @@ def compile_fault_plan(plan: FaultPlan, core):
         if device not in all_devices:
             raise FaultPlanError(
                 f"{event} names unknown device {device!r}; known devices: "
-                f"{sorted(all_devices)}" + _suggest(device, all_devices)
+                f"{sorted(all_devices)}" + did_you_mean(device, all_devices)
             )
 
     raw_comp: dict = {}
@@ -106,7 +100,7 @@ def compile_fault_plan(plan: FaultPlan, core):
                 raise FaultPlanError(
                     f"LinkDegradation: no wire channel between {e.src!r} "
                     f"and {e.dst!r}; known links: {links}"
-                    + _suggest(f"{e.src}->{e.dst}", links)
+                    + did_you_mean(f"{e.src}->{e.dst}", links)
                 )
             add_wire(chans, e.start, e.start + e.duration, e.factor)
         elif kind == "nic_flap":
@@ -122,7 +116,7 @@ def compile_fault_plan(plan: FaultPlan, core):
                 raise FaultPlanError(
                     f"StragglerBurst names unknown compute device "
                     f"{e.device!r}; known devices: {sorted(comp_devices)}"
-                    + _suggest(e.device, comp_devices)
+                    + did_you_mean(e.device, comp_devices)
                 )
             add_comp(e.device, e.start, e.start + e.duration, 1.0 / e.factor)
         elif kind == "host_failure":

@@ -21,7 +21,7 @@ sweep-worker processes) and ``dataclasses.asdict``-able (so they fold
 into sweep cache keys — see ``SimCell.key_payload``). Event fields are
 validated at construction; *names* are validated later, when the plan is
 compiled against a concrete cluster (:mod:`repro.faults.compile`), with
-``difflib`` did-you-mean hints in the :class:`FaultPlanError`.
+did-you-mean hints in the :class:`FaultPlanError`.
 
 Determinism: a plan contributes no randomness. Fault windows are fixed
 intervals on each iteration's own simulated clock (every iteration runs
@@ -38,8 +38,8 @@ from dataclasses import dataclass, field, replace
 
 class FaultPlanError(ValueError):
     """Malformed fault event, or a device/link name that does not
-    resolve against the compiled cluster (carries a ``difflib``
-    did-you-mean hint when one is close enough)."""
+    resolve against the compiled cluster (carries a did-you-mean hint
+    when one is close enough)."""
 
 
 def _check_window(event: str, start: float, duration: float) -> None:

@@ -1,6 +1,7 @@
 """Model registry and Table 1 accounting.
 
-``MODEL_BUILDERS`` maps the paper's model names to IR builders;
+``MODEL_BUILDERS`` maps the paper's model names to IR builders (``MODELS``
+adds the extras and is the registry :func:`build_model` looks names up in);
 ``PAPER_TABLE_1`` holds the published characteristics used as reproduction
 targets (tests assert exact parameter-tensor counts and near-exact sizes,
 and EXPERIMENTS.md reports measured-vs-paper op counts).
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ..registry import Registry, UnknownNameError
 from .alexnet import alexnet_v2
 from .inception import inception_v1, inception_v2, inception_v3
 from .ir import ModelIR
@@ -75,6 +77,11 @@ EXTRA_MODEL_BUILDERS: dict[str, Callable[[int], ModelIR]] = {
     "ResNet-152 v2": resnet_v2_152,
 }
 
+#: Every buildable model (Table 1 first, then the extras) by name.
+MODELS: Registry = Registry(
+    "model", UnknownNameError, {**MODEL_BUILDERS, **EXTRA_MODEL_BUILDERS}
+)
+
 #: The subset evaluated in envC (Fig. 13).
 ENVC_MODEL_NAMES: tuple[str, ...] = ("Inception v2", "VGG-16", "AlexNet v2")
 
@@ -92,12 +99,7 @@ def build_model(name: str, batch_size: Optional[int] = None,
     ``batch_factor`` applies the x0.5 / x1 / x2 scaling of the Fig. 10
     sweep (result is rounded to at least 1).
     """
-    builder = MODEL_BUILDERS.get(name) or EXTRA_MODEL_BUILDERS.get(name)
-    if builder is None:
-        raise KeyError(
-            f"unknown model {name!r}; available: "
-            f"{MODEL_NAMES + tuple(EXTRA_MODEL_BUILDERS)}"
-        )
+    builder = MODELS[name]
     if batch_size is None:
         batch_size = (
             standard_batch_size(name) if name in PAPER_TABLE_1 else 32

@@ -57,7 +57,7 @@ def trace_cell(
     from ..core.schedules import Schedule
     from ..models import build_model
     from ..sim.engine import CompiledCore, SimVariant
-    from ..timing import get_platform
+    from ..timing import PLATFORMS
     from .trace import Trace
 
     cfg = cell.config.with_(trace=True)
@@ -65,7 +65,7 @@ def trace_cell(
         iteration = cfg.warmup
 
     ir = build_model(cell.model, batch_factor=cell.batch_factor)
-    plat = get_platform(cell.platform)
+    plat = PLATFORMS[cell.platform]
     cluster = build_comm_graph(ir, cell.spec)
     core = CompiledCore(cluster, plat)
     if cell.algorithm == "baseline":

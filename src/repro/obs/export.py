@@ -15,18 +15,19 @@ Two export shapes serve two audiences:
   (identity, timing, queueing, scheduling columns) for notebook/pandas
   analysis without any viewer.
 
-:data:`EXPORTERS` maps exporter names to writer callables; unknown names
-raise :class:`UnknownExporterError` with a ``difflib`` did-you-mean.
+:data:`EXPORTERS` maps exporter names to writer callables; it is a
+:class:`~repro.registry.Registry`, so unknown names raise
+:class:`UnknownExporterError` with a did-you-mean.
 :func:`validate_chrome_trace` checks the emitted JSON against the schema
 subset the viewers require (CI runs it on every trace leg).
 """
 
 from __future__ import annotations
 
-import difflib
 import json
 from typing import Optional
 
+from ..registry import Registry, UnknownNameError
 from .trace import Trace
 
 #: Stable Perfetto color names, cycled per job so co-scheduled jobs are
@@ -43,22 +44,8 @@ _JOB_COLORS = (
 _US = 1e6  # trace-event timestamps are microseconds
 
 
-class UnknownExporterError(KeyError):
-    """Raised for exporter names not in :data:`EXPORTERS`; carries a
-    did-you-mean suggestion when one is close enough."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        hints = difflib.get_close_matches(name, sorted(EXPORTERS), n=1)
-        msg = (
-            f"unknown exporter {name!r}; available: {sorted(EXPORTERS)}"
-        )
-        if hints:
-            msg += f" — did you mean {hints[0]!r}?"
-        super().__init__(msg)
-
-    def __str__(self) -> str:  # KeyError would repr() the message
-        return self.args[0]
+class UnknownExporterError(UnknownNameError):
+    """Raised for exporter names not in :data:`EXPORTERS`."""
 
 
 def chrome_trace(trace: Trace, path: Optional[str] = None):
@@ -258,15 +245,8 @@ def _export_chrome(trace: Trace, path: str):
 
 #: exporter name -> ``writer(trace, path)``. ``chrome`` writes
 #: Perfetto-loadable JSON; ``csv`` writes tidy per-op rows.
-EXPORTERS = {
-    "chrome": _export_chrome,
-    "csv": write_csv,
-}
-
-
-def get_exporter(name: str):
-    """Resolve an exporter by name, with did-you-mean on typos."""
-    try:
-        return EXPORTERS[name]
-    except KeyError:
-        raise UnknownExporterError(name) from None
+EXPORTERS: Registry = Registry(
+    "exporter",
+    UnknownExporterError,
+    {"chrome": _export_chrome, "csv": write_csv},
+)

@@ -16,8 +16,7 @@ Layers (each its own module):
   :class:`SyntheticTraceSpec` generator and the trace-generator
   (arrival-process) registry;
 * :mod:`repro.replay.loader` — the Alibaba-style CSV loader;
-* :mod:`repro.replay.admission` — the admission-policy registry
-  (mirrors :mod:`repro.backends.placement`);
+* :mod:`repro.replay.admission` — the admission-policy registry;
 * :mod:`repro.replay.engine` — the discrete-time epoch scheduler that
   chains :class:`~repro.sim.jobmix.JobMixSpec` compositions;
 * :mod:`repro.replay.sink` / :mod:`repro.replay.aggregate` — streaming
@@ -28,39 +27,31 @@ The API surface is :mod:`repro.api.replay_scenarios` (the registered
 """
 
 from .admission import (
+    ADMISSIONS,
     AdmissionPolicy,
     UnknownAdmissionError,
-    admission_policies,
-    get_admission,
     register_admission,
 )
 from .aggregate import P2Quantile, ReplayAggregate
 from .engine import ReplayCluster, ReplayError, ReplayResult, replay
 from .loader import load_alibaba_csv
-from .sink import (
-    CsvChunkSink,
-    ListSink,
-    RowSink,
-    SinkError,
-    UnknownSinkError,
-    make_sink,
-    sink_backends,
-)
+from .sink import CsvChunkSink, ListSink, RowSink, SinkError
 from .trace import (
+    GENERATORS,
     JobTrace,
     SyntheticTraceSpec,
     TraceError,
     TraceGenerator,
     UnknownGeneratorError,
     generate_trace,
-    get_generator,
     register_generator,
-    trace_generators,
 )
 
 __all__ = [
+    "ADMISSIONS",
     "AdmissionPolicy",
     "CsvChunkSink",
+    "GENERATORS",
     "JobTrace",
     "ListSink",
     "P2Quantile",
@@ -75,16 +66,9 @@ __all__ = [
     "TraceGenerator",
     "UnknownAdmissionError",
     "UnknownGeneratorError",
-    "UnknownSinkError",
-    "admission_policies",
     "generate_trace",
-    "get_admission",
-    "get_generator",
     "load_alibaba_csv",
-    "make_sink",
     "register_admission",
     "register_generator",
     "replay",
-    "sink_backends",
-    "trace_generators",
 ]

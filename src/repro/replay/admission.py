@@ -4,9 +4,9 @@ The replay engine (:mod:`repro.replay.engine`) keeps a FIFO queue of
 arrived-but-not-admitted jobs. At every epoch boundary it asks the
 configured *admission policy* which queue entries to admit against the
 currently free slot count. Policies are deterministic pure functions
-registered exactly like placement policies
-(:mod:`repro.backends.placement`): a small registry with difflib
-did-you-mean suggestions on unknown names.
+held, like placement policies (:mod:`repro.backends.placement`), in a
+:class:`~repro.registry.Registry`: :data:`ADMISSIONS`, whose unknown
+names raise :class:`UnknownAdmissionError` with did-you-mean hints.
 
 * ``fifo`` — strict arrival order with head-of-line blocking: admit the
   queue prefix that fits; a too-big head job blocks everyone behind it.
@@ -17,27 +17,14 @@ did-you-mean suggestions on unknown names.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ..registry import Registry, UnknownNameError
 
-class UnknownAdmissionError(KeyError):
+
+class UnknownAdmissionError(UnknownNameError):
     """Lookup of an admission policy name that is not registered."""
-
-    def __init__(self, name: str, known: tuple[str, ...]):
-        hints = difflib.get_close_matches(name, known, n=3, cutoff=0.4)
-        message = (
-            f"unknown admission policy {name!r}; available: {', '.join(known)}"
-        )
-        if hints:
-            message += f" — did you mean {' or '.join(map(repr, hints))}?"
-        super().__init__(message)
-        self.name = name
-        self.hints = tuple(hints)
-
-    def __str__(self) -> str:  # KeyError would repr-quote the message
-        return self.args[0]
 
 
 @dataclass(frozen=True)
@@ -54,26 +41,13 @@ class AdmissionPolicy:
     fn: Callable[[Sequence[int], int], list[int]]
 
 
-_ADMISSIONS: dict[str, AdmissionPolicy] = {}
+#: Registered admission policies by name.
+ADMISSIONS: Registry = Registry("admission policy", UnknownAdmissionError)
 
 
 def register_admission(policy: AdmissionPolicy) -> None:
     """Register a policy; later registrations replace earlier ones."""
-    _ADMISSIONS[policy.name] = policy
-
-
-def admission_policies() -> dict[str, AdmissionPolicy]:
-    """Registered admission policies by name."""
-    return dict(_ADMISSIONS)
-
-
-def get_admission(name: str) -> AdmissionPolicy:
-    """Look up a policy by name; unknown names raise
-    :class:`UnknownAdmissionError` with near-match suggestions."""
-    try:
-        return _ADMISSIONS[name]
-    except KeyError:
-        raise UnknownAdmissionError(name, tuple(_ADMISSIONS)) from None
+    ADMISSIONS[policy.name] = policy
 
 
 def _fifo(slots_needed: Sequence[int], free_slots: int) -> list[int]:

@@ -37,12 +37,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from ..backends.placement import get_placement
+from ..backends.placement import PLACEMENTS
+from ..registry import did_you_mean
 from ..sim.config import SimConfig
 from ..sim.jobmix import JobMixSpec, JobSpec, job_label
 from ..sweep.spec import SimCell
 from ..timing import PLATFORMS
-from .admission import get_admission
+from .admission import ADMISSIONS
 from .sink import ListSink, RowSink
 from .trace import JobTrace
 
@@ -77,11 +78,11 @@ class ReplayCluster:
             raise ReplayError(
                 "n_hosts, slots_per_host and rack_size must be positive"
             )
-        get_placement(self.placement)  # fail fast with did-you-mean hints
+        PLACEMENTS[self.placement]  # fail fast with did-you-mean hints
         if self.platform not in PLATFORMS:
             raise ReplayError(
                 f"unknown platform {self.platform!r}; available: "
-                f"{sorted(PLATFORMS)}"
+                f"{sorted(PLATFORMS)}" + did_you_mean(self.platform, PLATFORMS)
             )
 
     @property
@@ -246,7 +247,7 @@ def replay(
     tagged with ``label`` (default: the algorithm mode) in the
     ``algorithm`` column.
     """
-    policy = get_admission(admission)  # fail fast with did-you-mean hints
+    policy = ADMISSIONS[admission]  # fail fast with did-you-mean hints
     label = label if label is not None else algorithm
     sink = sink if sink is not None else ListSink()
     telemetry = getattr(runner, "telemetry", None)

@@ -27,9 +27,9 @@ header actually found, matching the registry errors elsewhere.
 from __future__ import annotations
 
 import csv
-import difflib
 from typing import Optional, Sequence
 
+from ..registry import did_you_mean
 from .trace import JobTrace, TraceError
 
 _REQUIRED = ("job_name", "start_time", "end_time")
@@ -42,13 +42,7 @@ def _check_header(found: Sequence[str], path: str) -> None:
     missing = [c for c in _REQUIRED if c not in found]
     if not missing:
         return
-    parts = []
-    for name in missing:
-        hints = difflib.get_close_matches(name, found, n=2, cutoff=0.4)
-        part = repr(name)
-        if hints:
-            part += f" (did you mean {' or '.join(map(repr, hints))}?)"
-        parts.append(part)
+    parts = [f"{name!r}{did_you_mean(name, found)}" for name in missing]
     raise TraceError(
         f"{path}: missing required column(s) {', '.join(parts)}; "
         f"found: {', '.join(found) or '(empty header)'}"

@@ -13,49 +13,22 @@ A replay emits one row per finished job, in event order. A
   aggregate, and skips the already-committed prefix of the
   (deterministic) row stream — the final file and aggregate are
   byte-identical to an uninterrupted run.
-* :class:`ParquetChunkSink` — one parquet row group per chunk, gated on
-  ``pyarrow`` (this repo adds no hard dependencies; the registry lists
-  it with an availability note and construction fails loudly without
-  it). No resume: parquet footers cannot be truncated safely.
 * :class:`ListSink` — in-memory rows for tests and small studies.
-
-Backends live in a registry with did-you-mean lookup
-(:func:`make_sink`), matching placements/exporters/admissions.
 """
 
 from __future__ import annotations
 
 import csv
-import difflib
 import io
 import json
 import os
-import signal
 from typing import Mapping, Optional, Sequence
 
 from .aggregate import ReplayAggregate
 
 
 class SinkError(ValueError):
-    """A sink request that cannot be satisfied (bad resume, missing dep)."""
-
-
-class UnknownSinkError(KeyError):
-    """Lookup of a sink backend name that is not registered."""
-
-    def __init__(self, name: str, known: tuple[str, ...]):
-        hints = difflib.get_close_matches(name, known, n=3, cutoff=0.4)
-        message = (
-            f"unknown sink backend {name!r}; available: {', '.join(known)}"
-        )
-        if hints:
-            message += f" — did you mean {' or '.join(map(repr, hints))}?"
-        super().__init__(message)
-        self.name = name
-        self.hints = tuple(hints)
-
-    def __str__(self) -> str:  # KeyError would repr-quote the message
-        return self.args[0]
+    """A sink request that cannot be satisfied (bad resume, bad size)."""
 
 
 class RowSink:
@@ -101,12 +74,7 @@ def _write_manifest(path: str, manifest: dict) -> None:
 
 
 class CsvChunkSink(RowSink):
-    """Chunked CSV append with manifest-based crash-resume.
-
-    ``crash_after_chunks`` is a test hook: SIGKILL this process right
-    after the Nth chunk commit, leaving exactly the on-disk state a real
-    mid-replay crash would (committed manifest + possibly-partial tail).
-    """
+    """Chunked CSV append with manifest-based crash-resume."""
 
     def __init__(
         self,
@@ -116,7 +84,6 @@ class CsvChunkSink(RowSink):
         chunk_rows: int = 512,
         resume: bool = False,
         aggregate: Optional[ReplayAggregate] = None,
-        crash_after_chunks: Optional[int] = None,
     ) -> None:
         if chunk_rows <= 0:
             raise SinkError(f"chunk_rows must be positive, got {chunk_rows}")
@@ -124,7 +91,6 @@ class CsvChunkSink(RowSink):
         self.columns = tuple(columns)
         self.chunk_rows = chunk_rows
         self.aggregate = aggregate
-        self.crash_after_chunks = crash_after_chunks
         self.manifest_path = path + ".manifest.json"
         self._buffer = io.StringIO()
         self._writer = csv.DictWriter(self._buffer, fieldnames=self.columns)
@@ -213,11 +179,6 @@ class CsvChunkSink(RowSink):
             self._buffered = 0
         self.chunks_committed += 1
         self._commit_manifest(complete=False)
-        if (
-            self.crash_after_chunks is not None
-            and self.chunks_committed >= self.crash_after_chunks
-        ):  # pragma: no cover - the crash-resume test's subprocess path
-            os.kill(os.getpid(), signal.SIGKILL)
 
     def _commit_manifest(self, complete: bool) -> None:
         _write_manifest(self.manifest_path, {
@@ -254,92 +215,3 @@ class CsvChunkSink(RowSink):
             "chunks": self.chunks_committed,
             "bytes": self._bytes,
         }
-
-
-class ParquetChunkSink(RowSink):
-    """One parquet row group per chunk; requires the optional pyarrow."""
-
-    def __init__(
-        self,
-        path: str,
-        columns: Sequence[str],
-        *,
-        chunk_rows: int = 512,
-        resume: bool = False,
-        aggregate: Optional[ReplayAggregate] = None,
-        crash_after_chunks: Optional[int] = None,
-    ) -> None:
-        try:
-            import pyarrow  # noqa: F401
-            import pyarrow.parquet  # noqa: F401
-        except ImportError:
-            raise SinkError(
-                "the parquet sink requires the optional pyarrow dependency "
-                "(pip install pyarrow) — use the csv sink instead"
-            ) from None
-        if resume:
-            raise SinkError(
-                "resume is only supported by the csv sink (parquet footers "
-                "cannot be truncated safely)"
-            )
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        self._pa, self._pq = pa, pq
-        self.path = path
-        self.columns = tuple(columns)
-        self.chunk_rows = chunk_rows
-        self.aggregate = aggregate
-        self.crash_after_chunks = crash_after_chunks
-        self._rows: list[dict] = []
-        self._writer = None
-        self.rows_committed = 0
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-
-    def append(self, row: Mapping) -> None:
-        self.rows_seen += 1
-        if self.aggregate is not None:
-            self.aggregate.observe(row)
-        self._rows.append({c: row.get(c, "") for c in self.columns})
-        if len(self._rows) >= self.chunk_rows:
-            self._commit()
-
-    def _commit(self) -> None:
-        table = self._pa.Table.from_pylist(
-            [{c: str(r[c]) for c in self.columns} for r in self._rows]
-        )
-        if self._writer is None:
-            self._writer = self._pq.ParquetWriter(self.path, table.schema)
-        self._writer.write_table(table)
-        self.rows_committed += len(self._rows)
-        self._rows = []
-        self.chunks_committed += 1
-
-    def close(self, complete: bool = True) -> dict:
-        if self._rows:
-            self._commit()
-        if self._writer is not None:
-            self._writer.close()
-        return {
-            "path": self.path,
-            "rows": self.rows_committed,
-            "chunks": self.chunks_committed,
-        }
-
-
-_SINKS = {"csv": CsvChunkSink, "parquet": ParquetChunkSink}
-
-
-def sink_backends() -> dict[str, type]:
-    """Registered sink backends by name."""
-    return dict(_SINKS)
-
-
-def make_sink(backend: str, path: str, columns: Sequence[str], **kwargs) -> RowSink:
-    """Build a sink by backend name; unknown names raise
-    :class:`UnknownSinkError` with near-match suggestions."""
-    try:
-        cls = _SINKS[backend]
-    except KeyError:
-        raise UnknownSinkError(backend, tuple(_SINKS)) from None
-    return cls(path, columns, **kwargs)

@@ -7,7 +7,7 @@ work it brings (an explicit iteration budget, or a wall-clock duration
 the replay engine converts through the job's dedicated iteration time).
 
 :class:`SyntheticTraceSpec` generates traces from a seed: an arrival
-process drawn from the **trace-generator registry** (``poisson`` /
+process drawn from the :data:`GENERATORS` registry (``poisson`` /
 ``uniform`` / ``bursty``; extensible via :func:`register_generator`,
 unknown names fail with did-you-mean hints exactly like placements and
 exporters), a model-zoo mix, and size distributions over worker counts
@@ -24,47 +24,23 @@ rely on.
 
 from __future__ import annotations
 
-import difflib
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..core.wizard import ALGORITHMS
+from ..models.zoo import MODELS
+from ..registry import Registry, UnknownNameError, did_you_mean
 
 
 class TraceError(ValueError):
     """A trace row or trace spec failed validation."""
 
 
-class UnknownGeneratorError(KeyError):
+class UnknownGeneratorError(UnknownNameError):
     """Lookup of a trace-generator name that is not registered."""
-
-    def __init__(self, name: str, known: tuple[str, ...]):
-        hints = difflib.get_close_matches(name, known, n=3, cutoff=0.4)
-        message = (
-            f"unknown trace generator {name!r}; available: {', '.join(known)}"
-        )
-        if hints:
-            message += f" — did you mean {' or '.join(map(repr, hints))}?"
-        super().__init__(message)
-        self.name = name
-        self.hints = tuple(hints)
-
-    def __str__(self) -> str:  # KeyError would repr-quote the message
-        return self.args[0]
-
-
-def _known_models() -> tuple[str, ...]:
-    from ..api.scenario import KNOWN_MODELS
-
-    return KNOWN_MODELS
-
-
-def _suggest(name: str, known: Sequence[str]) -> str:
-    hints = difflib.get_close_matches(name, known, n=3, cutoff=0.4)
-    return f" — did you mean {' or '.join(map(repr, hints))}?" if hints else ""
 
 
 @dataclass(frozen=True)
@@ -88,16 +64,15 @@ class JobTrace:
     def __post_init__(self) -> None:
         if not self.job_id:
             raise TraceError("job_id must be a non-empty string")
-        known = _known_models()
-        if self.model not in known:
+        if self.model not in MODELS:
             raise TraceError(
                 f"job {self.job_id!r}: unknown model {self.model!r}"
-                + _suggest(self.model, known)
+                + did_you_mean(self.model, MODELS)
             )
         if self.algorithm not in ALGORITHMS:
             raise TraceError(
                 f"job {self.job_id!r}: unknown algorithm {self.algorithm!r}; "
-                f"one of {ALGORITHMS}" + _suggest(self.algorithm, ALGORITHMS)
+                f"one of {ALGORITHMS}" + did_you_mean(self.algorithm, ALGORITHMS)
             )
         if self.n_workers <= 0 or self.n_ps <= 0:
             raise TraceError(
@@ -144,26 +119,13 @@ class TraceGenerator:
     fn: Callable[[Callable[[], float], int, float], list[float]]
 
 
-_GENERATORS: dict[str, TraceGenerator] = {}
+#: Registered trace generators by name.
+GENERATORS: Registry = Registry("trace generator", UnknownGeneratorError)
 
 
 def register_generator(generator: TraceGenerator) -> None:
     """Register a generator; later registrations replace earlier ones."""
-    _GENERATORS[generator.name] = generator
-
-
-def trace_generators() -> dict[str, TraceGenerator]:
-    """Registered trace generators by name."""
-    return dict(_GENERATORS)
-
-
-def get_generator(name: str) -> TraceGenerator:
-    """Look up a generator by name; unknown names raise
-    :class:`UnknownGeneratorError` with near-match suggestions."""
-    try:
-        return _GENERATORS[name]
-    except KeyError:
-        raise UnknownGeneratorError(name, tuple(_GENERATORS)) from None
+    GENERATORS[generator.name] = generator
 
 
 def _poisson(u: Callable[[], float], n_jobs: int, horizon_s: float) -> list[float]:
@@ -262,20 +224,19 @@ class SyntheticTraceSpec:
             raise TraceError(
                 f"horizon_s must be finite and positive, got {self.horizon_s!r}"
             )
-        get_generator(self.arrival)  # fail fast with did-you-mean hints
-        known = _known_models()
+        GENERATORS[self.arrival]  # fail fast with did-you-mean hints
 
         def check_model(name):
-            if name not in known:
+            if name not in MODELS:
                 raise TraceError(
-                    f"models: unknown model {name!r}" + _suggest(name, known)
+                    f"models: unknown model {name!r}" + did_you_mean(name, MODELS)
                 )
 
         def check_algorithm(name):
             if name not in ALGORITHMS:
                 raise TraceError(
                     f"algorithms: unknown algorithm {name!r}; one of "
-                    f"{ALGORITHMS}" + _suggest(name, ALGORITHMS)
+                    f"{ALGORITHMS}" + did_you_mean(name, ALGORITHMS)
                 )
 
         def check_workers(n):
@@ -319,7 +280,7 @@ def generate_trace(spec: SyntheticTraceSpec, seed: int = 0) -> tuple[JobTrace, .
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7E9A)))
     u = lambda: float(rng.random())  # noqa: E731 - the only stream tap
     arrivals = sorted(
-        get_generator(spec.arrival).fn(u, spec.n_jobs, spec.horizon_s)
+        GENERATORS[spec.arrival].fn(u, spec.n_jobs, spec.horizon_s)
     )
     lo, hi = spec.iterations
     jobs = []

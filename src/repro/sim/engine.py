@@ -67,7 +67,6 @@ in ``tests/sim/test_kernel_parity.py``).
 
 from __future__ import annotations
 
-import difflib
 import hashlib
 import heapq
 from bisect import bisect_left
@@ -80,6 +79,7 @@ from ..core.schedules import Schedule, chunk_ranks
 from ..graph import OpKind, ResourceKind
 from ..obs.events import TraceEvents
 from ..ps.cluster import ClusterGraph
+from ..registry import did_you_mean
 from ..timing import Platform
 from .config import SimConfig
 from .jobmix import JobMixGraph, compose_core, job_fault_plan
@@ -615,14 +615,10 @@ class SimVariant:
                 known = sorted(
                     d for d in core.device_compute_ops if d is not None
                 )
-                hints = difflib.get_close_matches(device, known, n=1)
-                msg = (
+                raise ValueError(
                     f"device_slowdown names unknown device {device!r}; "
-                    f"known devices: {known}"
+                    f"known devices: {known}" + did_you_mean(device, known)
                 )
-                if hints:
-                    msg += f" — did you mean {hints[0]!r}?"
-                raise ValueError(msg)
             self.slowdown[ids] = factor
         self.base_dur = core.base_dur * self.slowdown
 

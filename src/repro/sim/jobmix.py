@@ -147,10 +147,10 @@ class JobMixSpec:
     def __post_init__(self) -> None:
         if not self.jobs:
             raise ValueError("a job mix needs at least one job")
-        # fail fast (with difflib hints) on unknown placement names
-        from ..backends.placement import get_placement
+        # fail fast (with did-you-mean hints) on unknown placement names
+        from ..backends.placement import PLACEMENTS
 
-        get_placement(self.placement)
+        PLACEMENTS[self.placement]
 
     # -- single-job-spec compatible surface -----------------------------
     @property

@@ -27,7 +27,7 @@ from ..core.schedules import Schedule
 from ..models import build_model
 from ..models.ir import ModelIR
 from ..ps.cluster import ClusterSpec, build_cluster_graph
-from ..timing import Platform, get_platform
+from ..timing import PLATFORMS, Platform
 from .config import SimConfig
 from .engine import CompiledCore, SimVariant
 from .runner import prepare_schedule
@@ -73,7 +73,7 @@ def simulate_pipelined(
     """Simulate ``config.iterations`` runs of a K-iteration pipelined window."""
     if window < 2:
         raise ValueError("pipelined simulation needs window >= 2")
-    plat = get_platform(platform) if isinstance(platform, str) else platform
+    plat = PLATFORMS[platform] if isinstance(platform, str) else platform
     cfg = config or SimConfig()
     ir = model if isinstance(model, ModelIR) else build_model(model)
     cluster = build_cluster_graph(ir, spec, n_iterations=window)

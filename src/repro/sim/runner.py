@@ -17,7 +17,7 @@ from ..core.schedules import Schedule
 from ..models import build_model
 from ..models.ir import ModelIR
 from ..ps.cluster import ClusterGraph, ClusterSpec
-from ..timing import Platform, get_platform
+from ..timing import PLATFORMS, Platform
 from .config import SimConfig
 from .engine import CompiledCore, SimVariant
 from .metrics import SimulationResult, summarize_iteration
@@ -88,7 +88,7 @@ def simulate_cluster(
     :func:`simulate_cell_group` relies on this to simulate each distinct
     ``(config, lowering)`` of a group once.
     """
-    plat = get_platform(platform) if isinstance(platform, str) else platform
+    plat = PLATFORMS[platform] if isinstance(platform, str) else platform
     cfg = config or SimConfig()
     ir = model if isinstance(model, ModelIR) else build_model(model, batch_factor=batch_factor)
     if core is not None and cluster is None:
@@ -169,7 +169,7 @@ def simulate_cell_group(
     each such reuse adds one to ``variant_memo_hits``. Keys are computed
     only once a group reaches its second variant, so single-variant
     groups pay nothing."""
-    plat = get_platform(platform) if isinstance(platform, str) else platform
+    plat = PLATFORMS[platform] if isinstance(platform, str) else platform
     ir = model if isinstance(model, ModelIR) else build_model(model, batch_factor=batch_factor)
     cluster = build_comm_graph(ir, spec)
     core = CompiledCore(cluster, plat)

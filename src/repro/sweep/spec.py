@@ -37,8 +37,7 @@ def canonical_json(payload: object) -> str:
 
 
 def ps_for_workers(n_workers: int) -> int:
-    """Fig. 7's PS-provisioning policy: PS:workers = 1:4, at least one PS.
-    The single definition — ``experiments.common`` re-exports it."""
+    """Fig. 7's PS-provisioning policy: PS:workers = 1:4, at least one PS."""
     return max(1, n_workers // 4)
 
 

@@ -8,7 +8,7 @@ from .oracle import (
     TimeOracleLike,
     oracle_from_runs,
 )
-from .platform import ENV_C, ENV_G, PLATFORMS, Platform, get_platform
+from .platform import ENV_C, ENV_G, PLATFORMS, Platform
 from .tracer import (
     TraceRecord,
     TracingModule,
@@ -28,7 +28,6 @@ __all__ = [
     "ENV_G",
     "PLATFORMS",
     "Platform",
-    "get_platform",
     "TraceRecord",
     "TracingModule",
     "estimate_time_oracle",

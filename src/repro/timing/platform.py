@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..graph import Graph, Op, OpKind
+from ..registry import Registry, UnknownNameError
 from .oracle import TimeOracle
 
 
@@ -177,14 +178,7 @@ WIRE = Platform(
     ps_nic_slots=1,
 )
 
-PLATFORMS: dict[str, Platform] = {"envG": ENV_G, "envC": ENV_C, "wire": WIRE}
-
-
-def get_platform(name: str) -> Platform:
-    """Look up a platform preset by name (``envG`` / ``envC``)."""
-    try:
-        return PLATFORMS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown platform {name!r}; available: {sorted(PLATFORMS)}"
-        ) from None
+#: Platform presets by name.
+PLATFORMS: Registry = Registry(
+    "platform", UnknownNameError, {"envG": ENV_G, "envC": ENV_C, "wire": WIRE}
+)

@@ -48,19 +48,19 @@ def test_scenario_rejects_unknown_backend():
 def test_scenario_rejects_unknown_platform():
     with pytest.raises(ScenarioError, match="unknown platform"):
         Scenario(name="x", title="x", output="x", analyze="table1",
-                 platforms=("envZ",))
+                 grid=Grid(platforms=("envZ",)))
 
 
 def test_scenario_rejects_unknown_model():
     with pytest.raises(ScenarioError, match="unknown model"):
         Scenario(name="x", title="x", output="x", analyze="table1",
-                 models=("SkyNet v1",))
+                 grid=Grid(models=("SkyNet v1",)))
 
 
 def test_scenario_rejects_unknown_algorithm():
     with pytest.raises(ScenarioError, match="unknown algorithm"):
         Scenario(name="x", title="x", output="x", analyze="table1",
-                 algorithms=("chaos",))
+                 grid=Grid(algorithms=("chaos",)))
 
 
 def test_scenario_rejects_unregistered_analysis():
@@ -73,14 +73,6 @@ def test_grid_rejects_undeclared_param_reference():
         Scenario(
             name="x", title="x", output="x", analyze="table1",
             grid=Grid(algorithms=("$algorithm",)),  # no params declared
-        )
-
-
-def test_scenario_rejects_unaliased_extras_table():
-    with pytest.raises(ScenarioError, match="undeclared table"):
-        Scenario(
-            name="x", title="x", output="x", analyze="table1",
-            extras_csv=(("foo_csv", "not-declared"),),
         )
 
 
@@ -127,8 +119,7 @@ def test_register_scenario_makes_it_runnable(ctx):
 
     sc = Scenario(
         name="_test_tiny", title="t", output="_test_tiny",
-        analyze="_test_tiny", backends=(), platforms=(), models=(),
-        params=(("p", 1),),
+        analyze="_test_tiny", backends=(), params=(("p", 1),),
     )
     out = execute_scenario(ctx, sc, p=7)
     assert out.rows == [{"p": 7}]
@@ -181,7 +172,7 @@ def test_resultset_schema_and_table(ctx):
 
 def test_resultset_csv_round_trip(ctx, tmp_path):
     out = execute_scenario(ctx, "table1")
-    paths = out.to_csv(str(tmp_path))
+    paths = out.save(str(tmp_path))
     with open(paths[out.name], newline="") as fh:
         reread = list(csv.DictReader(fh))
     # DictWriter stringifies values; the round trip must preserve every
@@ -200,8 +191,9 @@ def test_resultset_aux_tables_and_save_aliases(ctx, tmp_path):
     with pytest.raises(KeyError, match="no table"):
         out.to_table("nope")
     paths = out.save(str(tmp_path))
-    assert os.path.exists(out.extras["wire_check_csv"])
-    assert out.extras["vs_ps_csv"] == paths["allreduce_vs_ps"]
+    assert list(paths) == list(out.table_names())
+    assert os.path.exists(paths["allreduce_wire_check"])
+    assert paths["allreduce_vs_ps"] == str(tmp_path / "allreduce_vs_ps.csv")
 
 
 def test_resultset_frame_is_columnar(ctx):
@@ -270,7 +262,7 @@ def test_fresh_process_can_reference_builtin_analyses():
     script = (
         "from repro.api import Scenario\n"
         "Scenario(name='x', title='x', output='x', analyze='table1',\n"
-        "         backends=(), platforms=(), models=())\n"
+        "         backends=())\n"
         "print('ok')\n"
     )
     proc = subprocess.run(

@@ -37,7 +37,7 @@ def test_session_reproduces_committed_csv(quick_session, name, output):
     golden = GOLDEN_DIR / f"{output}.csv"
     assert golden.exists(), f"committed golden CSV missing: {golden}"
     rs = quick_session.run(name)
-    paths = rs.to_csv(quick_session.results_dir)
+    paths = rs.save(quick_session.results_dir)
     regenerated = Path(paths[output]).read_bytes()
     assert regenerated == golden.read_bytes(), (
         f"{output}.csv is no longer byte-identical through the scenario "

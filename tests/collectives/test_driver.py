@@ -10,8 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import execute_scenario
-from repro.experiments.common import Context, Scale
+from repro.api import Context, Scale, execute_scenario
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -42,8 +41,7 @@ def driver_output(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("allreduce")
     ctx = tiny_context(tmp)
     out = execute_scenario(ctx, "allreduce")
-    out.extras["csv_path"] = out.save(ctx.results_dir)[out.name]
-    return out, tmp
+    return out, out.save(ctx.results_dir)
 
 
 def test_driver_covers_the_grid(driver_output):
@@ -56,19 +54,19 @@ def test_driver_covers_the_grid(driver_output):
 
 
 def test_driver_writes_all_csvs(driver_output):
-    out, tmp = driver_output
-    csv_path = out.extras["csv_path"]
+    out, paths = driver_output
+    csv_path = paths[out.name]
     assert os.path.exists(csv_path)
     assert csv_path.endswith("allreduce_comparison.csv")
-    assert os.path.exists(out.extras["wire_check_csv"])
-    assert os.path.exists(out.extras["vs_ps_csv"])
+    assert os.path.exists(paths["allreduce_wire_check"])
+    assert os.path.exists(paths["allreduce_vs_ps"])
 
 
 def test_ring_wire_check_within_5pct(driver_output):
-    out, _ = driver_output
+    _, paths = driver_output
     import csv
 
-    with open(out.extras["wire_check_csv"]) as fh:
+    with open(paths["allreduce_wire_check"]) as fh:
         for row in csv.DictReader(fh):
             assert 1.0 - 1e-6 <= float(row["ratio"]) <= 1.05
 
@@ -82,8 +80,7 @@ def test_tac_never_slower_than_baseline(driver_output):
 
 _SUBPROCESS_SCRIPT = """
 import sys
-from repro.api import execute_scenario
-from repro.experiments.common import Context, Scale
+from repro.api import Context, Scale, execute_scenario
 
 scale = Scale(
     name="quick", models=("AlexNet v2",), worker_counts=(2,), ps_counts=(1,),

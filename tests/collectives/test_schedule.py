@@ -14,7 +14,7 @@ from repro.core.schedules import Schedule, chunk_ranks
 from repro.ps.cluster import ClusterSpec
 from repro.sim import SimConfig, simulate_cluster
 from repro.sim.engine import CompiledCore, SimVariant
-from repro.timing import get_platform
+from repro.timing import PLATFORMS
 
 from ..conftest import tiny_model
 
@@ -41,7 +41,7 @@ def test_wizard_covers_all_parameters(algorithm):
     ir = tiny_model()
     spec = CollectiveSpec(n_workers=2)
     schedule = prepare_collective_schedule(
-        ir, spec, algorithm, get_platform("envG")
+        ir, spec, algorithm, PLATFORMS["envG"]
     )
     assert set(schedule.priorities) == {p.name for p in ir.params}
 
@@ -49,7 +49,7 @@ def test_wizard_covers_all_parameters(algorithm):
 def test_engine_assigns_priorities_to_every_chunk_transfer():
     ir = tiny_model()
     spec = CollectiveSpec(n_workers=3, partition_bytes=2048)
-    plat = get_platform("envG")
+    plat = PLATFORMS["envG"]
     cluster = build_collective_graph(ir, spec)
     schedule = prepare_collective_schedule(ir, spec, "tic", plat)
     sim = SimVariant(CompiledCore(cluster, plat), schedule, SimConfig())
@@ -67,7 +67,7 @@ def test_engine_assigns_priorities_to_every_chunk_transfer():
 def test_chunk_queue_fifo_disables_priorities():
     ir = tiny_model()
     spec = CollectiveSpec(n_workers=3)
-    plat = get_platform("envG")
+    plat = PLATFORMS["envG"]
     cluster = build_collective_graph(ir, spec)
     schedule = prepare_collective_schedule(ir, spec, "tic", plat)
     sim = SimVariant(CompiledCore(cluster, plat), schedule, SimConfig(chunk_queue="fifo"))
@@ -95,7 +95,7 @@ def test_wizard_memo_shares_passes_across_worker_counts():
     and PS specs share across worker counts (the ROADMAP memo item)."""
     backends.clear_schedule_memo()
     ir = tiny_model()
-    plat = get_platform("envG")
+    plat = PLATFORMS["envG"]
     s2 = backends.prepare_comm_schedule(
         ir, CollectiveSpec(n_workers=2), "tac", plat
     )
@@ -136,7 +136,7 @@ def test_wizard_memo_distinguishes_structurally_different_models():
     a, b = variant(True), variant(False)
     assert a.structural_fingerprint() != b.structural_fingerprint()
     backends.clear_schedule_memo()
-    plat = get_platform("envG")
+    plat = PLATFORMS["envG"]
     spec = CollectiveSpec(n_workers=2)
     sched_a = backends.prepare_comm_schedule(a, spec, "tic", plat)
     sched_b = backends.prepare_comm_schedule(b, spec, "tic", plat)

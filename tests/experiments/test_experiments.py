@@ -4,10 +4,17 @@ import os
 
 import pytest
 
-from repro.api import execute_scenario, scenario, scenario_names
-from repro.experiments import Context, Scale, make_context
-from repro.experiments import common as common_mod
+from repro.api import (
+    Context,
+    Scale,
+    execute_scenario,
+    make_context,
+    scenario,
+    scenario_names,
+)
+from repro.backends import make_spec
 from repro.experiments.cli import main
+from repro.sweep.spec import ps_for_workers
 
 MICRO = Scale(
     name="micro",
@@ -28,18 +35,14 @@ def ctx(tmp_path):
 
 def test_make_context_env(monkeypatch, tmp_path):
     monkeypatch.delenv("REPRO_SCALE", raising=False)
-    monkeypatch.delenv("REPRO_FULL", raising=False)
     assert make_context().scale.name == "quick"
     monkeypatch.setenv("REPRO_SCALE", "full")
-    assert make_context().scale.name == "full"
-    monkeypatch.delenv("REPRO_SCALE")
-    monkeypatch.setenv("REPRO_FULL", "1")
     assert make_context().scale.name == "full"
     assert make_context(full=False).scale.name == "quick"
 
 
 def test_ps_for_workers_ratio():
-    assert [common_mod.ps_for_workers(w) for w in (1, 2, 4, 8, 16)] == [1, 1, 1, 2, 4]
+    assert [ps_for_workers(w) for w in (1, 2, 4, 8, 16)] == [1, 1, 1, 2, 4]
 
 
 @pytest.mark.parametrize("name", sorted(scenario_names()))
@@ -73,14 +76,14 @@ def test_fig12_extras_have_fit(ctx):
 
 def test_make_spec_unknown_backend_lists_available():
     with pytest.raises(KeyError, match="unknown communication backend"):
-        common_mod.make_spec("carrier-pigeon", n_workers=2)
+        make_spec("carrier-pigeon", n_workers=2)
     with pytest.raises(KeyError, match="allreduce"):
-        common_mod.make_spec("carrier-pigeon", n_workers=2)
+        make_spec("carrier-pigeon", n_workers=2)
 
 
 def test_make_spec_bad_kwargs_names_accepted_fields():
     with pytest.raises(TypeError) as exc:
-        common_mod.make_spec("ps", n_workers=2, warp_drive=9)
+        make_spec("ps", n_workers=2, warp_drive=9)
     message = str(exc.value)
     assert "invalid arguments for backend 'ps'" in message
     assert "ClusterSpec" in message
@@ -90,12 +93,12 @@ def test_make_spec_bad_kwargs_names_accepted_fields():
 
 def test_make_spec_bad_kwargs_collective_backend():
     with pytest.raises(TypeError, match="partition_bytes"):
-        common_mod.make_spec("allreduce", n_workers=2, topology="ring", chunx=1)
+        make_spec("allreduce", n_workers=2, topology="ring", chunx=1)
 
 
 def test_make_spec_valid_specs_still_build():
-    assert common_mod.make_spec("ps", n_workers=4, n_ps=1).n_workers == 4
-    spec = common_mod.make_spec("allreduce", n_workers=4, topology="ring")
+    assert make_spec("ps", n_workers=4, n_ps=1).n_workers == 4
+    spec = make_spec("allreduce", n_workers=4, topology="ring")
     assert spec.topology == "ring"
 
 

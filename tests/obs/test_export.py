@@ -13,7 +13,6 @@ from repro.obs.export import (
     EXPORTERS,
     UnknownExporterError,
     chrome_trace,
-    get_exporter,
     trace_rows,
     validate_chrome_trace,
     write_csv,
@@ -122,12 +121,12 @@ def test_csv_columns_and_content(cap, tmp_path):
 
 
 def test_get_exporter_did_you_mean():
-    assert get_exporter("csv") is EXPORTERS["csv"]
+    assert EXPORTERS["csv"] is write_csv
     with pytest.raises(UnknownExporterError) as exc:
-        get_exporter("chrmoe")
+        EXPORTERS["chrmoe"]
     assert "did you mean 'chrome'" in str(exc.value)
     with pytest.raises(UnknownExporterError) as exc:
-        get_exporter("flamegraph")
+        EXPORTERS["flamegraph"]
     assert "available" in str(exc.value)
 
 

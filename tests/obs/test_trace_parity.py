@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.sim import CompiledCore, SimConfig, SimVariant
-from repro.timing import get_platform
+from repro.timing import PLATFORMS
 
 from ..sim.test_engine_golden import (
     _GOLDEN,
@@ -40,7 +40,7 @@ LOOPS = ["python"]
 
 def _variant(case: dict, **overrides) -> SimVariant:
     ir, cluster = build_cluster(case["backend"])
-    platform = FLAT if case["platform"] == "flat" else get_platform(case["platform"])
+    platform = FLAT if case["platform"] == "flat" else PLATFORMS[case["platform"]]
     schedule = None if case["schedule"] == "baseline" else layerwise(ir)
     cfg = make_config(case["config"]).with_(**overrides)
     return SimVariant(CompiledCore(cluster, platform), schedule, cfg)
@@ -110,7 +110,7 @@ def test_jobmix_cell_streams_agree_across_kernels():
 
     cfg = cell.config.with_(trace=True)
     ir = build_model(cell.model, batch_factor=cell.batch_factor)
-    plat = get_platform(cell.platform)
+    plat = PLATFORMS[cell.platform]
     assert cell.algorithm == "baseline"
     schedule = Schedule("baseline")
     sim = SimVariant(CompiledCore(build_comm_graph(ir, cell.spec), plat), schedule, cfg)

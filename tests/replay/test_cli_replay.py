@@ -1,8 +1,8 @@
 """``tictac-repro replay``: end-to-end CLI runs + SIGKILL crash-resume.
 
-The crash-resume test is the subsystem's acceptance scenario (ISSUE 10
-satellite): a replay killed mid-stream by SIGKILL (the
-``REPRO_REPLAY_CRASH_AFTER_CHUNKS`` sink hook, the same crash shape the
+The crash-resume test is the subsystem's acceptance scenario: a replay
+killed mid-stream by SIGKILL (a driver script wraps the sink's chunk
+commit to kill its own process, the same crash shape the
 sweep-resilience suite injects into pool workers) and resumed with
 ``--resume`` must leave the per-job CSV **and** the aggregated summary
 byte-identical to an uninterrupted run.
@@ -21,15 +21,35 @@ import pytest
 SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
 
-def run_cli(args, cwd, env_extra=None, check=True):
+#: ``python -c`` driver: run ``tictac-repro replay ARGS`` but SIGKILL
+#: the process right after the sink's 2nd chunk commit, leaving exactly
+#: the on-disk state a real mid-replay crash would (committed manifest,
+#: possibly-partial tail).
+CRASH_AFTER_2_COMMITS = """
+import os, signal, sys
+from repro.experiments import cli
+from repro.replay.sink import CsvChunkSink
+
+commit = CsvChunkSink._commit
+
+def commit_then_die(self):
+    commit(self)
+    if self.chunks_committed >= 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+CsvChunkSink._commit = commit_then_die
+sys.exit(cli.main(["replay", *sys.argv[1:]]))
+"""
+
+
+def run_cli(args, cwd, check=True, driver=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("REPRO_SCALE", None)
     env.pop("REPRO_JOBS", None)
-    if env_extra:
-        env.update(env_extra)
+    entry = ["-c", driver] if driver else ["-m", "repro.experiments", "replay"]
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.experiments", "replay", *args],
+        [sys.executable, *entry, *args],
         cwd=cwd, env=env, capture_output=True, text=True,
     )
     if check:
@@ -63,10 +83,15 @@ class TestReplayCli:
         assert proc.returncode == 2
         assert "did you mean 'fifo'" in proc.stderr
 
-    def test_unknown_sink_suggests(self, tmp_path):
-        proc = run_cli([*SMALL, "--sink", "cvs"], tmp_path, check=False)
+    def test_unknown_platform_suggests(self, tmp_path):
+        proc = run_cli(
+            [*SMALL, "--platform", "envc"], tmp_path, check=False
+        )
         assert proc.returncode == 2
-        assert "did you mean 'csv'" in proc.stderr
+        assert "unknown platform 'envc'" in proc.stderr
+        # 'envG' ties with 'envC' and ranks first: check membership only
+        _, _, hints = proc.stderr.partition("did you mean")
+        assert "'envC'" in hints
 
     def test_resume_without_prior_run_fails(self, tmp_path):
         proc = run_cli([*SMALL, "--resume"], tmp_path, check=False)
@@ -86,9 +111,7 @@ class TestCrashResume:
         run_cli([*SMALL, "--results-dir", "ref"], tmp_path)
 
         crashed = run_cli(
-            args, tmp_path,
-            env_extra={"REPRO_REPLAY_CRASH_AFTER_CHUNKS": "2"},
-            check=False,
+            args, tmp_path, check=False, driver=CRASH_AFTER_2_COMMITS
         )
         assert crashed.returncode == -signal.SIGKILL
         out = tmp_path / "out"

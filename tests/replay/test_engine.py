@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.replay.admission import AdmissionPolicy, register_admission
+from repro.replay.admission import ADMISSIONS, AdmissionPolicy, register_admission
 from repro.replay.aggregate import ReplayAggregate
 from repro.replay.engine import (
     JOB_COLUMNS,
@@ -159,9 +159,7 @@ class TestReplaySemantics:
             with pytest.raises(ReplayError, match="stalled"):
                 run([jt(0)], runner, admission="_test_never")
         finally:
-            from repro.replay import admission as admission_mod
-
-            del admission_mod._ADMISSIONS["_test_never"]
+            del ADMISSIONS["_test_never"]
 
     def test_overcommitting_policy_raises(self, runner):
         register_admission(AdmissionPolicy(
@@ -173,9 +171,7 @@ class TestReplaySemantics:
                 run([jt(i) for i in range(4)], runner,
                     admission="_test_greedy")
         finally:
-            from repro.replay import admission as admission_mod
-
-            del admission_mod._ADMISSIONS["_test_greedy"]
+            del ADMISSIONS["_test_greedy"]
 
     def test_telemetry_counters(self, runner):
         before = runner.telemetry.as_dict()

@@ -8,14 +8,7 @@ import os
 import pytest
 
 from repro.replay.aggregate import ReplayAggregate
-from repro.replay.sink import (
-    CsvChunkSink,
-    ListSink,
-    SinkError,
-    UnknownSinkError,
-    make_sink,
-    sink_backends,
-)
+from repro.replay.sink import CsvChunkSink, ListSink, SinkError
 
 COLUMNS = ("algorithm", "job_id", "status", "jct_s", "queue_delay_s",
            "wait_s", "run_s", "finish_s", "slowdown", "slots")
@@ -141,38 +134,3 @@ class TestListSink:
         assert len(sink.rows) == 2
         assert sink.aggregate.summary_rows()[0]["jobs"] == 2
         assert sink.close()["rows"] == 2
-
-
-class TestMakeSink:
-    def test_backends(self):
-        assert set(sink_backends()) == {"csv", "parquet"}
-
-    def test_unknown_backend_suggests(self):
-        with pytest.raises(UnknownSinkError, match="did you mean 'csv'"):
-            make_sink("cvs", "x.csv", COLUMNS)
-
-    def test_csv_roundtrip(self, tmp_path):
-        sink = make_sink("csv", str(tmp_path / "jobs.csv"), COLUMNS)
-        sink.append(row(0))
-        assert sink.close()["rows"] == 1
-
-    def test_parquet_gated_without_pyarrow(self, tmp_path):
-        try:
-            import pyarrow  # noqa: F401
-
-            pytest.skip("pyarrow installed: the gate does not trip")
-        except ImportError:
-            pass
-        with pytest.raises(SinkError, match="pyarrow"):
-            make_sink("parquet", str(tmp_path / "jobs.parquet"), COLUMNS)
-
-    def test_parquet_never_resumes(self, tmp_path):
-        try:
-            import pyarrow  # noqa: F401
-        except ImportError:
-            pytest.skip("needs pyarrow to reach the resume gate")
-        with pytest.raises(SinkError, match="resume"):
-            make_sink(
-                "parquet", str(tmp_path / "jobs.parquet"), COLUMNS,
-                resume=True,
-            )

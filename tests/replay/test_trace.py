@@ -7,15 +7,14 @@ import dataclasses
 import pytest
 
 from repro.replay.trace import (
+    GENERATORS,
     JobTrace,
     SyntheticTraceSpec,
     TraceError,
     TraceGenerator,
     UnknownGeneratorError,
     generate_trace,
-    get_generator,
     register_generator,
-    trace_generators,
 )
 
 
@@ -68,11 +67,11 @@ class TestJobTraceValidation:
 
 class TestGeneratorRegistry:
     def test_builtins_registered(self):
-        assert {"poisson", "uniform", "bursty"} <= set(trace_generators())
+        assert {"poisson", "uniform", "bursty"} <= set(GENERATORS)
 
     def test_unknown_name_suggests(self):
         with pytest.raises(UnknownGeneratorError, match="did you mean 'poisson'"):
-            get_generator("poison")
+            GENERATORS["poison"]
 
     def test_register_and_lookup(self):
         gen = TraceGenerator(
@@ -82,14 +81,11 @@ class TestGeneratorRegistry:
         )
         register_generator(gen)
         try:
-            assert get_generator("_test_frontload") is gen
+            assert GENERATORS["_test_frontload"] is gen
             spec = SyntheticTraceSpec(n_jobs=3, arrival="_test_frontload")
             assert all(t.arrival_s == 0.0 for t in generate_trace(spec))
         finally:
-            trace_generators()  # registry copy unaffected by cleanup below
-            from repro.replay import trace as trace_mod
-
-            del trace_mod._GENERATORS["_test_frontload"]
+            del GENERATORS["_test_frontload"]
 
 
 class TestSyntheticSpecValidation:

@@ -37,7 +37,7 @@ from repro.sim import (
     simulate_cell_group,
     simulate_cluster,
 )
-from repro.timing import Platform, get_platform
+from repro.timing import PLATFORMS, Platform
 
 from ..conftest import tiny_model
 
@@ -167,7 +167,7 @@ def fingerprint(sim: SimVariant, record) -> dict:
 def run_case(case: dict) -> dict:
     """Simulate one golden case and fingerprint its records."""
     ir, cluster = build_cluster(case["backend"])
-    platform = FLAT if case["platform"] == "flat" else get_platform(case["platform"])
+    platform = FLAT if case["platform"] == "flat" else PLATFORMS[case["platform"]]
     schedule = None if case["schedule"] == "baseline" else layerwise(ir)
     sim = SimVariant(CompiledCore(cluster, platform), schedule, make_config(case["config"]))
     iterations = [fingerprint(sim, sim.run_iteration(i)) for i in range(ITERATIONS)]

@@ -30,7 +30,7 @@ from repro.sim import (
 from repro.sim.jobmix import jobmix_schedule_key
 from repro.sweep import SimCell
 from repro.sweep.serialize import result_from_dict, result_to_dict
-from repro.timing import get_platform
+from repro.timing import PLATFORMS
 
 CFG = SimConfig(iterations=2, warmup=1)
 
@@ -107,7 +107,7 @@ def test_transfers_and_worker_ops_are_namespaced():
 
 
 def test_schedule_composition_prefixes_priorities():
-    platform = get_platform("envC")
+    platform = PLATFORMS["envC"]
     sched = prepare_jobmix_schedule(None, TWO_ALEX, "tic", platform)
     assert sched.priorities  # both jobs contribute
     assert all(k.startswith(("j0/", "j1/")) for k in sched.priorities)
@@ -121,7 +121,7 @@ def test_schedule_composition_prefixes_priorities():
 
 
 def test_mix_algorithm_dispatches_per_job():
-    platform = get_platform("envC")
+    platform = PLATFORMS["envC"]
     spec = JobMixSpec(
         jobs=(
             JobSpec("AlexNet v2", n_workers=2, n_ps=1, algorithm="tic"),

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends.placement import placements
+from repro.backends.placement import PLACEMENTS
 from repro.faults import FaultPlan, HostFailure, LinkDegradation, StragglerBurst
 from repro.sim import (
     CompiledCore,
@@ -28,9 +28,9 @@ from repro.sim import (
     SimVariant,
     build_jobmix_graph,
 )
-from repro.timing import get_platform
+from repro.timing import PLATFORMS
 
-PLATFORM = get_platform("envC")
+PLATFORM = PLATFORMS["envC"]
 
 #: every array attribute of a compiled core.
 ARRAY_ATTRS = (
@@ -108,7 +108,7 @@ def mixes(draw, min_jobs: int = 1, max_jobs: int = 12) -> JobMixSpec:
     devices = sum(len(j.devices()) for j in jobs)
     return JobMixSpec(
         jobs=tuple(jobs),
-        placement=draw(st.sampled_from(sorted(placements()))),
+        placement=draw(st.sampled_from(sorted(PLACEMENTS))),
         n_hosts=draw(st.sampled_from((0, devices))),
     )
 
@@ -137,7 +137,7 @@ TWELVE = tuple(
 )
 
 
-@pytest.mark.parametrize("placement", sorted(placements()))
+@pytest.mark.parametrize("placement", sorted(PLACEMENTS))
 def test_twelve_job_mix_orders_labels_as_strings(placement):
     """Twelve jobs reach label ``j10``, which the union's sorted link
     names place between ``j1`` and ``j2``."""

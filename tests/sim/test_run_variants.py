@@ -18,9 +18,9 @@ from .test_engine_golden import (
     _GOLDEN,
     FLAT,
     ITERATIONS,
+    PLATFORMS,
     build_cluster,
     fingerprint,
-    get_platform,
     layerwise,
     make_config,
 )
@@ -35,7 +35,7 @@ def test_golden_matrix_through_batched_lane(case_rec):
     committed reference fingerprints exactly."""
     case = case_rec["case"]
     ir, cluster = build_cluster(case["backend"])
-    platform = FLAT if case["platform"] == "flat" else get_platform(case["platform"])
+    platform = FLAT if case["platform"] == "flat" else PLATFORMS[case["platform"]]
     core = CompiledCore(cluster, platform)
     schedule = None if case["schedule"] == "baseline" else layerwise(ir)
     sibling = SimVariant(core, schedule, SimConfig(jitter_sigma=0.05, seed=99))

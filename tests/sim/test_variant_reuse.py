@@ -27,7 +27,7 @@ from repro.sim import (
 )
 from repro.sim.runner import variant_memo_stats
 from repro.sweep.serialize import result_to_dict
-from repro.timing import get_platform
+from repro.timing import PLATFORMS
 
 CFG = SimConfig(iterations=2, warmup=1)
 #: a quick-grid ring all-reduce group: TIC and TAC fuse into equal chunk ranks.
@@ -53,7 +53,7 @@ def _group(model, spec, variants, platform="envG"):
 
 def _variants(model, spec, platform, pairs):
     """Fresh, never-run variants of one core, one per ``(algorithm, config)``."""
-    plat = get_platform(platform)
+    plat = PLATFORMS[platform]
     ir = build_model(model)
     core = CompiledCore(build_comm_graph(ir, spec), plat)
     return [

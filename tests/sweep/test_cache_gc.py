@@ -6,8 +6,8 @@ import os
 
 import pytest
 
+from repro.api import make_context
 from repro.experiments import cli
-from repro.experiments.common import make_context
 from repro.sweep.cache import ResultCache, cache_key
 from repro.sweep.runner import SweepRunner
 

@@ -6,15 +6,13 @@ import csv
 
 import pytest
 
-from repro.api import execute_scenario
-from repro.experiments import Context, Scale
+from repro.api import Context, Scale, execute_scenario
 from repro.ps import ClusterSpec
 from repro.sim import speedup_vs_baseline
 
 
 def run_fig7(ctx: Context):
-    """The scenario path every caller now goes through (the deprecated
-    ``experiments.fig7.run`` shim routes here too)."""
+    """The scenario path every caller goes through."""
     out = execute_scenario(ctx, "fig7")
     paths = out.save(ctx.results_dir)
     return out, paths[out.name]

@@ -7,23 +7,23 @@ from repro.graph import Graph, OpKind
 from repro.timing import (
     ENV_C,
     ENV_G,
+    PLATFORMS,
     Platform,
     TraceRecord,
     TracingModule,
     estimate_time_oracle,
-    get_platform,
     sample_ground_truth,
     trace_platform_runs,
 )
 
 
 def test_presets_exist_and_differ():
-    assert get_platform("envG") is ENV_G
-    assert get_platform("envC") is ENV_C
+    assert PLATFORMS["envG"] is ENV_G
+    assert PLATFORMS["envC"] is ENV_C
     assert ENV_G.worker_flops > ENV_C.worker_flops
     assert ENV_G.bandwidth_bps > ENV_C.bandwidth_bps
     with pytest.raises(KeyError, match="unknown platform"):
-        get_platform("envX")
+        PLATFORMS["envX"]
 
 
 def test_envc_is_more_communication_bound():
