@@ -18,17 +18,17 @@ from ..sim.engine import IterationRecord, SimVariant
 
 def _op_rows(sim: SimVariant, record: IterationRecord, min_duration: float):
     """Yield (resource_name, op_name, start, end) for drawable ops."""
-    names = sim.resource_names()
-    g = sim.cluster.graph
-    for op in g:
+    core = sim.core
+    names = core.resource_names()
+    for op in core.cluster.graph:
         start = float(record.start[op.op_id])
         end = float(record.end[op.op_id])
         if not np.isfinite(start) or end - start < min_duration:
             continue
-        if sim.is_transfer[op.op_id]:
-            resource = names[sim.t_egress[op.op_id]]
+        if core.is_transfer[op.op_id]:
+            resource = names[core.t_egress[op.op_id]]
         else:
-            resource = names[sim.op_res[op.op_id]]
+            resource = names[core.op_res[op.op_id]]
         yield resource, op.name, start, end
 
 

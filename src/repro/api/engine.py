@@ -13,8 +13,7 @@ Every scenario — paper figure, table, or extension study — runs through
    provenance (engine revision, scale, seed, cache hit/miss deltas,
    wall time).
 
-The legacy per-driver ``run(ctx)`` functions are deprecation shims over
-this function; the CLI is a loop over it.
+The CLI is a loop over it.
 """
 
 from __future__ import annotations

@@ -219,21 +219,18 @@ def memo_stats() -> dict:
     return dict(_memo_stats)
 
 
-def build_comm_graph(ir, spec, **kwargs):
+def build_comm_graph(ir, spec):
     """Assemble the cluster DAG for ``spec``, whichever backend owns it.
 
-    Plain calls (no builder kwargs) are memoized per (model structural
-    fingerprint, spec): two sweep groups over the same DAG — e.g. one
-    cluster shape swept across platforms — share one assembled graph.
-    Eviction is least-recently-used, so the per-job graphs every job mix
-    reuses outlive the stream of one-off mixes.
-    The returned graph must be treated as read-only; pass builder kwargs
-    (or call the backend's ``build_graph`` directly) to get a private,
-    mutable instance.
+    Memoized per (model structural fingerprint, spec): two sweep groups
+    over the same DAG — e.g. one cluster shape swept across platforms —
+    share one assembled graph. Eviction is least-recently-used, so the
+    per-job graphs every job mix reuses outlive the stream of one-off
+    mixes. The returned graph must be treated as read-only; call the
+    backend's ``build_graph`` directly to get a private, mutable
+    instance.
     """
     backend = backend_for_spec(spec)
-    if kwargs:
-        return backend.build_graph(ir, spec, **kwargs)
     key = (ir.structural_fingerprint(), spec)
     graph = _graph_memo.pop(key, None)
     if graph is None:

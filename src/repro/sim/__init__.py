@@ -1,10 +1,6 @@
 """Discrete-event simulation of Model-Replica + PS clusters."""
 
-from .config import (
-    COMPUTE_QUEUE_POLICIES,
-    ENFORCEMENT_MODES,
-    SimConfig,
-)
+from .config import ENFORCEMENT_MODES, SimConfig
 from .engine import (
     ENGINE_REV,
     CompiledCore,
@@ -29,7 +25,6 @@ from .runner import (
 )
 
 __all__ = [
-    "COMPUTE_QUEUE_POLICIES",
     "ENFORCEMENT_MODES",
     "ENGINE_REV",
     "SimConfig",

@@ -9,6 +9,7 @@ own jitter. The alternatives exist for the ablation benches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -27,23 +28,14 @@ from ..faults.plan import FaultPlan
 #:   may not start until transfer k-1 has *completed* (as if chained by
 #:   DAG edges), forfeiting request/response pipelining.
 #: * ``none`` — ignore priorities entirely (vanilla TF baseline).
-ENFORCEMENT_MODES = ("sender", "ready_queue", "dag", "none")
-
-#: Ready-queue policy for compute resources: ``random`` models TF's
-#: nondeterministic executor; ``fifo`` is deterministic by ready time.
-COMPUTE_QUEUE_POLICIES = ("random", "fifo")
-
-#: How a schedule's priorities gate *collective chunk* transfers (the
-#: reduce-scatter/all-gather ops of :mod:`repro.collectives`). Chunk
-#: streams are worker-to-worker pipelines with no PS-side hand-off op, so
-#: the §5.1 sender counters and the DAG strawman do not apply; instead a
-#: scheduled channel picks from its ready queue:
 #:
-#: * ``priority`` — lowest chunk rank first (ByteScheduler's priority
-#:   queue; applied under every enforcement mode except ``none``);
-#: * ``fifo`` — ignore chunk ranks, serve in hand-off order (ablation:
-#:   enforcement machinery without priorities).
-CHUNK_QUEUE_POLICIES = ("priority", "fifo")
+#: *Collective chunk* transfers (the reduce-scatter/all-gather ops of
+#: :mod:`repro.collectives`) are worker-to-worker pipelines with no
+#: PS-side hand-off op, so the §5.1 sender counters and the DAG strawman
+#: do not apply to them: under every mode but ``none`` a scheduled chunk
+#: channel serves the lowest chunk rank first (ByteScheduler's priority
+#: queue).
+ENFORCEMENT_MODES = ("sender", "ready_queue", "dag", "none")
 
 
 @dataclass(frozen=True)
@@ -52,10 +44,6 @@ class SimConfig:
 
     seed: int = 0
     enforcement: str = "sender"
-    compute_queue: str = "random"
-    #: collective chunk gating policy (see CHUNK_QUEUE_POLICIES; ignored
-    #: by the PS backend, whose transfers follow ``enforcement``).
-    chunk_queue: str = "priority"
     #: probability that a hand-off lands one slot early in the gRPC queue
     #: (the paper measured 0.4-0.5% residual out-of-order transfers).
     grpc_reorder_prob: float = 0.005
@@ -71,18 +59,11 @@ class SimConfig:
     #: paper discards 2 warm-up iterations and records 10).
     iterations: int = 10
     warmup: int = 0
-    #: keep per-op start/end arrays on each IterationResult (memory-heavy
-    #: for 1000-run experiments; summaries are always kept).
-    keep_op_times: bool = False
     #: per-device compute slowdown factors, e.g. (("worker:2", 1.5),) makes
     #: worker:2's compute ops 1.5x slower. Models the *system-level*
     #: straggler source of §6.3 (preempted/oversubscribed cloud workers),
     #: as opposed to the scheduling-induced source TicTac removes.
     device_slowdown: tuple = ()
-    #: optional shared-fabric capacity: at most this many chunks in flight
-    #: across the whole network (None = unconstrained). The §7 future-work
-    #: knob — 'take into account congestion from the network fabric'.
-    fabric_slots: Optional[int] = None
     #: record per-op trace events (queue-enter, dispatch, finish, queue
     #: depth, per-chunk wire occupancy) on each ``IterationRecord`` (see
     #: :mod:`repro.obs`). Tracing is observational only — it consumes no
@@ -102,24 +83,21 @@ class SimConfig:
             raise ValueError(
                 f"enforcement must be one of {ENFORCEMENT_MODES}, got {self.enforcement!r}"
             )
-        if self.compute_queue not in COMPUTE_QUEUE_POLICIES:
-            raise ValueError(
-                f"compute_queue must be one of {COMPUTE_QUEUE_POLICIES}"
-            )
-        if self.chunk_queue not in CHUNK_QUEUE_POLICIES:
-            raise ValueError(
-                f"chunk_queue must be one of {CHUNK_QUEUE_POLICIES}"
-            )
         if not 0.0 <= self.grpc_reorder_prob <= 1.0:
             raise ValueError("grpc_reorder_prob must be in [0, 1]")
+        if self.jitter_sigma is not None and not (
+            math.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0
+        ):
+            raise ValueError(
+                f"jitter_sigma must be None or a finite value >= 0, "
+                f"got {self.jitter_sigma!r}"
+            )
         if self.chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
         for entry in self.device_slowdown:
             device, factor = entry
             if factor <= 0:
                 raise ValueError(f"slowdown factor for {device!r} must be > 0")
-        if self.fabric_slots is not None and self.fabric_slots <= 0:
-            raise ValueError("fabric_slots must be positive or None")
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise ValueError(
                 f"faults must be a FaultPlan or None, got {self.faults!r}"

@@ -663,70 +663,6 @@ class SimVariant:
                     (ids, rank_arr, np.arange(len(op_ids), dtype=np.int64))
                 )
 
-    # -- delegated core surface ----------------------------------------
-    @property
-    def cluster(self) -> ClusterGraph:
-        return self.core.cluster
-
-    @property
-    def platform(self) -> Platform:
-        return self.core.platform
-
-    @property
-    def n(self) -> int:
-        return self.core.n
-
-    @property
-    def n_res(self) -> int:
-        return self.core.n_res
-
-    @property
-    def is_transfer(self) -> np.ndarray:
-        return self.core.is_transfer
-
-    @property
-    def is_chunk(self) -> np.ndarray:
-        return self.core.is_chunk
-
-    @property
-    def op_res(self) -> np.ndarray:
-        return self.core.op_res
-
-    @property
-    def t_egress(self) -> np.ndarray:
-        return self.core.t_egress
-
-    @property
-    def t_ingress(self) -> np.ndarray:
-        return self.core.t_ingress
-
-    @property
-    def wire_base(self) -> np.ndarray:
-        return self.core.wire_base
-
-    @property
-    def lat(self) -> np.ndarray:
-        return self.core.lat
-
-    @property
-    def capacity(self) -> np.ndarray:
-        return self.core.capacity
-
-    @property
-    def base_indeg(self) -> np.ndarray:
-        return self.core.base_indeg
-
-    @property
-    def succ_indptr(self) -> np.ndarray:
-        return self.core.succ_indptr
-
-    @property
-    def succ_indices(self) -> np.ndarray:
-        return self.core.succ_indices
-
-    def resource_names(self) -> list[str]:
-        return self.core.resource_names()
-
     @property
     def fault_windows(self) -> list:
         """Name-resolved ``(kind, entity, w0, w1, rate)`` fault windows
@@ -742,7 +678,7 @@ class SimVariant:
         # Collective chunk transfers: lower the per-parameter schedule
         # onto chunk ranks once, globally (prio comparisons only ever
         # happen within one channel queue, so global dense ranks serve).
-        if core.chunk_op_ids and self.config.chunk_queue == "priority":
+        if core.chunk_op_ids:
             ranks = chunk_ranks(
                 self.schedule,
                 core.cluster.chunk_params,
@@ -919,8 +855,6 @@ class SimVariant:
         started = bytearray(n)
         ch_handoff = [0] * self.n_channels  # sender counters (§5.1)
         ch_complete = [0] * self.n_channels  # dag-mode completion counters
-        fabric_cap = cfg.fabric_slots  # shared-fabric congestion (§7)
-        fabric_active = 0
         stamp = 0  # ready-arrival sequence (compute-queue order)
 
         heap: list[tuple[float, int, int, int]] = []
@@ -945,7 +879,6 @@ class SimVariant:
         prio_arr = self._prio_arr
         has_dag = bool(self.dag_gate)
         has_prio = bool(self.prio)
-        random_compute = cfg.compute_queue == "random"
         mode = cfg.enforcement
         mode_rq = mode == "ready_queue"
         mode_none = mode == "none"
@@ -1010,10 +943,7 @@ class SimVariant:
                 total = n_plain + n_gated
                 if total == 0:
                     return
-                if random_compute and total > 1:
-                    m = rng_integers(total)
-                else:
-                    m = 0
+                m = rng_integers(total) if total > 1 else 0
                 if n_gated == 0:
                     op = plain_ops.pop(m)
                     del stamps[m]
@@ -1045,10 +975,7 @@ class SimVariant:
                 total = len(plain_ops)
                 if total == 0:
                     return
-                if random_compute and total > 1:
-                    m = rng_integers(total)
-                else:
-                    m = 0
+                m = rng_integers(total) if total > 1 else 0
                 op = plain_ops.pop(m)
             active[rid] += 1
             if tr:
@@ -1068,10 +995,7 @@ class SimVariant:
             total = len(plain_ops)
             if total == 0 or active[rid] >= cap[rid]:
                 return
-            if random_compute and total > 1:
-                op = plain_ops.pop(rng_integers(total))
-            else:
-                op = plain_ops.pop(0)
+            op = plain_ops.pop(rng_integers(total) if total > 1 else 0)
             active[rid] += 1
             if tr:
                 tr_depth[op] = total
@@ -1089,15 +1013,13 @@ class SimVariant:
 
         # --- transfer dispatch (chunked, round-robin over channels) ------
         def dispatch_egress(pos: int, t: float) -> None:
-            nonlocal seq, fabric_active, tce_i
+            nonlocal seq, tce_i
             if not eg_pending[pos]:
                 return
             chans = eg_chans[pos]
             eid = egress_ids[pos]
             n_chans = len(chans)
-            while active[eid] < cap[eid] and (
-                fabric_cap is None or fabric_active < fabric_cap
-            ):
+            while active[eid] < cap[eid]:
                 ptr = rr_ptr[pos]
                 progressed = False
                 for step in range(n_chans):
@@ -1122,8 +1044,7 @@ class SimVariant:
                     elif has_prio and (mode_rq or is_chunk[q0]):
                         # Priority pick: the idealized ready-queue
                         # semantics, and the gating for collective chunk
-                        # streams under every enforcement mode but 'none'
-                        # (see SimConfig.chunk_queue).
+                        # streams under every enforcement mode but 'none'.
                         prios = [prio_arr[qbuf[j]] for j in range(base + h, base + tl)]
                         known = [p for p in prios if p >= 0]
                         if known:
@@ -1196,7 +1117,6 @@ class SimVariant:
                         tce_i += 1
                     active[eid] += 1
                     active[iid] += 1
-                    fabric_active += 1
                     ch_busy[c] = True
                     heappush(heap, (cend, seq, 2, op))
                     seq += 1
@@ -1264,13 +1184,12 @@ class SimVariant:
                 iid = t_ingress[op]
                 active[eid] -= 1
                 active[iid] -= 1
-                fabric_active -= 1
                 ch_busy[t_chan[op]] = False
                 pos = eg_pos[eid]
                 dispatch_egress(pos, t)
-                # the freed ingress (or fabric slot) may unblock transfers
-                # queued at other NICs
-                if active[iid] < cap[iid] or fabric_cap is not None:
+                # the freed ingress may unblock transfers queued at other
+                # NICs
+                if active[iid] < cap[iid]:
                     for other in range(n_eg):
                         if other != pos and eg_pending[other]:
                             dispatch_egress(other, t)
@@ -1354,9 +1273,4 @@ class SimVariant:
             record.end[core.comp_ids] - record.start[core.comp_ids],
         )
         loads /= core.capacity
-        out = dict(zip(core.resource_names(), loads.tolist()))
-        if self.config.fabric_slots is not None:
-            out["fabric"] = float(
-                wire_actual[core.is_transfer].sum() / self.config.fabric_slots
-            )
-        return out
+        return dict(zip(core.resource_names(), loads.tolist()))

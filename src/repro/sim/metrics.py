@@ -16,7 +16,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -33,9 +32,6 @@ class IterationResult:
     #: Eq. 1-3 over the whole iteration.
     efficiency: EfficiencyReport
     out_of_order_handoffs: int = 0
-    #: raw per-op times; kept only when SimConfig.keep_op_times is set.
-    start: Optional[np.ndarray] = None
-    end: Optional[np.ndarray] = None
     #: job label -> last op finish time (multi-job mixes only; a job's
     #: completion time is ``job_finish[j] - arrival[j]``).
     job_finish: dict[str, float] = field(default_factory=dict)
@@ -127,14 +123,9 @@ class SimulationResult:
         }
 
 
-def summarize_iteration(
-    sim: SimVariant,
-    record: IterationRecord,
-    *,
-    keep_op_times: bool = False,
-) -> IterationResult:
+def summarize_iteration(sim: SimVariant, record: IterationRecord) -> IterationResult:
     """Reduce one raw :class:`IterationRecord` to its reported metrics."""
-    cluster = sim.cluster
+    cluster = sim.core.cluster
     finishes: dict[str, float] = {}
     for worker, op_ids in cluster.worker_ops.items():
         ids = np.asarray(op_ids)
@@ -156,7 +147,5 @@ def summarize_iteration(
         worker_finish=finishes,
         efficiency=report,
         out_of_order_handoffs=record.out_of_order_handoffs,
-        start=record.start if keep_op_times else None,
-        end=record.end if keep_op_times else None,
         job_finish=job_finish,
     )

@@ -16,7 +16,7 @@ from ..backends import build_comm_graph, prepare_comm_schedule
 from ..core.schedules import Schedule
 from ..models import build_model
 from ..models.ir import ModelIR
-from ..ps.cluster import ClusterGraph, ClusterSpec
+from ..ps.cluster import ClusterSpec
 from ..timing import PLATFORMS, Platform
 from .config import SimConfig
 from .engine import CompiledCore, SimVariant
@@ -63,16 +63,13 @@ def simulate_cluster(
     platform: Union[str, Platform] = "envG",
     config: Optional[SimConfig] = None,
     batch_factor: float = 1.0,
-    cluster: Optional[ClusterGraph] = None,
-    core: Optional[CompiledCore] = None,
 ) -> SimulationResult:
     """Simulate ``config.iterations`` iterations of one configuration.
 
     Either pass a precomputed ``schedule`` or an ``algorithm`` name for the
     wizard ('baseline', 'tic', 'tac', 'tic_plus', 'random', 'layerwise',
-    'reverse_layerwise'). ``cluster`` short-circuits graph assembly and
-    ``core`` short-circuits array compilation when sweeping algorithms
-    over one configuration (see :func:`simulate_cell_group`). ``spec``
+    'reverse_layerwise'); to sweep algorithms over one configuration
+    on one compiled core, use :func:`simulate_cell_group`. ``spec``
     selects the communication backend by type: a PS
     :class:`~repro.ps.cluster.ClusterSpec`, a collective
     :class:`~repro.collectives.CollectiveSpec`, or a multi-job
@@ -91,19 +88,9 @@ def simulate_cluster(
     plat = PLATFORMS[platform] if isinstance(platform, str) else platform
     cfg = config or SimConfig()
     ir = model if isinstance(model, ModelIR) else build_model(model, batch_factor=batch_factor)
-    if core is not None and cluster is None:
-        cluster = core.cluster
-    if cluster is None:
-        cluster = build_comm_graph(ir, spec)
-    elif cluster.spec != spec:
-        raise ValueError("provided cluster graph was built for a different spec")
     if schedule is None:
         schedule = _wizard_schedule(ir, spec, algorithm, plat, cfg)
-
-    if core is None:
-        core = CompiledCore(cluster, plat)
-    elif core.cluster is not cluster or core.platform != plat:
-        raise ValueError("provided core was compiled for a different cluster/platform")
+    core = CompiledCore(build_comm_graph(ir, spec), plat)
     return _run_variant(ir, spec, plat, SimVariant(core, schedule, cfg))
 
 
@@ -133,7 +120,7 @@ def _run_variant(
     # iter_iterations streams records (slabbed batch setup inside): each
     # is summarized and dropped, so 1000-iteration protocols stay O(n).
     for i, record in enumerate(sim.iter_iterations(0, cfg.total_iterations)):
-        summary = summarize_iteration(sim, record, keep_op_times=cfg.keep_op_times)
+        summary = summarize_iteration(sim, record)
         (result.warmup if i < cfg.warmup else result.iterations).append(summary)
     return result
 

@@ -50,10 +50,10 @@ from .spec import FnTask, SimCell
 
 def _run_group(cells: Sequence[SimCell]) -> tuple:
     """Worker entry point for cells: simulate one unit — cells of one
-    compile-once group (module-level so process pools can pickle it). Cacheable cells come back as
-    serialized dicts; ``keep_op_times`` cells keep their live result (the
-    per-op arrays do not fit the JSON cache). Returns ``(elapsed_s,
-    payloads)`` so the runner's telemetry sees worker-side wall time."""
+    compile-once group (module-level so process pools can pickle it).
+    Every result comes back as its serialized dict. Returns
+    ``(elapsed_s, payloads)`` so the runner's telemetry sees worker-side
+    wall time."""
     t0 = time.perf_counter()
     first = cells[0]
     variants = [(c.algorithm, c.config) for c in cells]
@@ -64,10 +64,7 @@ def _run_group(cells: Sequence[SimCell]) -> tuple:
         platform=first.platform,
         batch_factor=first.batch_factor,
     )
-    payloads = [
-        result_to_dict(r) if cell.cacheable else r
-        for cell, r in zip(cells, results)
-    ]
+    payloads = [result_to_dict(r) for r in results]
     return time.perf_counter() - t0, payloads
 
 
@@ -187,7 +184,7 @@ class SweepRunner:
             pending: list[SimCell] = []
             for cell in order:
                 payload = None
-                if self._cache is not None and cell.cacheable:
+                if self._cache is not None:
                     keys[cell] = cache_key(cell.cache_key_material())
                     if not self.rerun:
                         payload = self._cache.get(keys[cell])
@@ -325,12 +322,9 @@ class SweepRunner:
         return lost
 
     def _store(self, cell, payload, resolved, keys) -> None:
-        if isinstance(payload, dict):
-            resolved[cell] = result_from_dict(payload)
-            if self._cache is not None:
-                self._cache.put(keys[cell], payload)
-        else:  # keep_op_times: live result, never cached
-            resolved[cell] = payload
+        resolved[cell] = result_from_dict(payload)
+        if self._cache is not None:
+            self._cache.put(keys[cell], payload)
 
     def run_speedups(self, cells: Sequence[SimCell]) -> list[Speedup]:
         """For each scheduled cell, also run its baseline twin and report

@@ -4,8 +4,8 @@ The cache stores :class:`~repro.sim.metrics.SimulationResult` as JSON.
 Python's JSON encoder emits the shortest float representation that parses
 back to the identical IEEE-754 double, so a cached result reproduces the
 exact numbers of a fresh simulation — the equality the sweep tests assert
-bitwise. Per-op time arrays (``keep_op_times``) are not serialized; cells
-that request them bypass the cache.
+bitwise. Summaries are all a result holds: per-op time arrays live on the
+engine's ``IterationRecord`` (and :class:`repro.obs.Trace`), never here.
 """
 
 from __future__ import annotations

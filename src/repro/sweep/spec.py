@@ -60,11 +60,6 @@ class SimCell:
         """Cells with equal group keys share one compiled cluster graph."""
         return (self.model, self.batch_factor, self.spec, self.platform)
 
-    @property
-    def cacheable(self) -> bool:
-        """Per-op time arrays are too heavy for the JSON cache."""
-        return not self.config.keep_op_times
-
     def key_payload(self) -> dict:
         # The spec's class name is part of the key: multiple backend spec
         # types share this cache keyspace, and two specs of different

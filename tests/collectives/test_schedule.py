@@ -64,16 +64,6 @@ def test_engine_assigns_priorities_to_every_chunk_transfer():
     assert set(sim.prio.values()) <= set(range(len(cluster.chunks)))
 
 
-def test_chunk_queue_fifo_disables_priorities():
-    ir = tiny_model()
-    spec = CollectiveSpec(n_workers=3)
-    plat = PLATFORMS["envG"]
-    cluster = build_collective_graph(ir, spec)
-    schedule = prepare_collective_schedule(ir, spec, "tic", plat)
-    sim = SimVariant(CompiledCore(cluster, plat), schedule, SimConfig(chunk_queue="fifo"))
-    assert not sim.prio
-
-
 @pytest.mark.parametrize("topology", ["ring", "hierarchical"])
 def test_tac_not_slower_than_baseline(topology):
     """The acceptance guarantee, at test scale: scheduled chunk order

@@ -55,9 +55,3 @@ def test_traced_run_hits_untraced_cache_and_vice_versa(tmp_path):
         assert [s.makespan for s in traced.iterations] == [
             s.makespan for s in cold.iterations
         ]
-
-
-def test_traced_cells_stay_cacheable():
-    assert _cell(trace=True).cacheable
-    # keep_op_times still opts out (per-op arrays don't fit the cache)
-    assert not _cell(trace=True, keep_op_times=True).cacheable

@@ -135,7 +135,7 @@ def test_stream_shapes_and_semantics():
     variant = _variant(case, trace=True)
     record = variant.run_iteration(0)
     ev = record.trace
-    n = variant.n
+    n = variant.core.n
     assert ev.ready.shape == ev.depth.shape == (n,)
     # every op was released and dispatched exactly once
     assert not np.isnan(ev.ready).any()
@@ -143,7 +143,7 @@ def test_stream_shapes_and_semantics():
     # queue-enter never after dispatch
     assert (ev.ready <= record.start + 1e-12).all()
     # chunk events tile each transfer's wire occupancy
-    assert ev.n_chunk_events >= int(variant.is_transfer.sum())
+    assert ev.n_chunk_events >= int(variant.core.is_transfer.sum())
     assert (ev.chunk_dur > 0).all()
 
 

@@ -43,9 +43,9 @@ def test_total_wire_time_independent_of_chunk_size(cluster):
 
 def test_transfer_spans_cover_their_wire_time(cluster):
     sim, record = run(cluster)
-    for op_id in np.flatnonzero(sim.is_transfer):
+    for op_id in np.flatnonzero(sim.core.is_transfer):
         span = record.end[op_id] - record.start[op_id]
-        assert span >= sim.wire_base[op_id] - 1e-12
+        assert span >= sim.core.wire_base[op_id] - 1e-12
 
 
 def test_round_robin_interleaves_workers(cluster):

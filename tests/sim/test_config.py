@@ -8,7 +8,6 @@ from repro.sim import SimConfig
 def test_defaults_match_paper_protocol():
     cfg = SimConfig()
     assert cfg.enforcement == "sender"
-    assert cfg.compute_queue == "random"
     assert 0 < cfg.grpc_reorder_prob < 0.02
 
 
@@ -17,14 +16,15 @@ def test_invalid_enforcement():
         SimConfig(enforcement="hope")
 
 
-def test_invalid_compute_queue():
-    with pytest.raises(ValueError, match="compute_queue"):
-        SimConfig(compute_queue="lifo")
-
-
 def test_invalid_reorder_prob():
     with pytest.raises(ValueError, match="reorder"):
         SimConfig(grpc_reorder_prob=1.5)
+
+
+@pytest.mark.parametrize("sigma", [-0.05, float("nan"), float("inf")])
+def test_invalid_jitter_sigma(sigma):
+    with pytest.raises(ValueError, match="jitter_sigma"):
+        SimConfig(jitter_sigma=sigma)
 
 
 def test_invalid_iterations():

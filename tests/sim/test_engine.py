@@ -141,7 +141,7 @@ def test_untagged_resource_rejected():
 
 def test_resource_names_cover_nics_and_computes(cluster):
     sim = compile_sim(cluster)
-    names = sim.resource_names()
+    names = sim.core.resource_names()
     assert "compute:worker:0" in names
     assert "nic_out:ps:0" in names
     assert "nic_in:worker:1" in names

@@ -7,8 +7,8 @@ queue semantics. ``golden_engine.json`` pins the reference engine's output
 — per-iteration makespans, out-of-order counts, and SHA-256 digests of the
 raw start/end/dedicated arrays and resource loads — across every backend
 (PS, ring, hierarchical) x enforcement mode (sender, ready_queue, dag,
-none) x jitter on/off, plus edge configs (multi-slot NICs, fifo queues,
-fabric caps, slowdowns, tiny wire chunks).
+none) x jitter on/off, plus edge configs (multi-slot NICs, an unscheduled
+baseline, slowdowns, tiny wire chunks).
 
 Regenerate the golden file ONLY for an intentional semantic change::
 
@@ -114,18 +114,6 @@ def case_matrix() -> list[dict]:
         {"name": "ps-baseline", "backend": "ps", "platform": "flat",
          "schedule": "baseline",
          "config": {"enforcement": "sender", "iterations": 1, "seed": 0}},
-        {"name": "ps-fifo-compute", "backend": "ps", "platform": "flat",
-         "schedule": "layerwise",
-         "config": {"enforcement": "sender", "compute_queue": "fifo",
-                    "iterations": 1, "seed": 1}},
-        {"name": "ring-chunk-fifo", "backend": "ring", "platform": "flat",
-         "schedule": "layerwise",
-         "config": {"enforcement": "sender", "chunk_queue": "fifo",
-                    "iterations": 1, "seed": 2}},
-        {"name": "ps-fabric2", "backend": "ps", "platform": "flat",
-         "schedule": "layerwise",
-         "config": {"enforcement": "sender", "fabric_slots": 2,
-                    "iterations": 1, "seed": 5}},
         {"name": "ps-slowdown", "backend": "ps", "platform": "flat",
          "schedule": "layerwise",
          "config": {"enforcement": "sender",
@@ -249,30 +237,6 @@ def test_variants_share_core_without_interference():
     assert _records_equal(got[0], ref_a.run_iteration(0))
     assert _records_equal(got[1], ref_b.run_iteration(0))
     assert _records_equal(got[2], ref_a.run_iteration(1))
-
-
-def test_simulate_cluster_with_shared_core_matches_oneshot():
-    spec = ClusterSpec(2, 1, "training")
-    ir = tiny_model()
-    cluster = build_cluster_graph(ir, spec)
-    core = CompiledCore(cluster, FLAT)
-    cfg = SimConfig(iterations=2, seed=1)
-    with_core = simulate_cluster(
-        ir, spec, algorithm="tic", platform=FLAT, config=cfg,
-        cluster=cluster, core=core,
-    )
-    oneshot = simulate_cluster(ir, spec, algorithm="tic", platform=FLAT, config=cfg)
-    assert np.array_equal(with_core.iteration_times, oneshot.iteration_times)
-
-
-def test_simulate_cluster_rejects_foreign_core():
-    ir = tiny_model()
-    spec = ClusterSpec(2, 1, "training")
-    cluster = build_cluster_graph(ir, spec)
-    other = build_cluster_graph(ir, spec)
-    core = CompiledCore(other, FLAT)
-    with pytest.raises(ValueError, match="different cluster"):
-        simulate_cluster(ir, spec, platform=FLAT, cluster=cluster, core=core)
 
 
 def test_cell_group_matches_separate_simulations():

@@ -231,9 +231,10 @@ def test_config_rejects_unknown_kernel():
 
 
 def test_kernel_choice_shares_cache_entries():
-    """Sweep cache entries written while a kernel could be chosen (the
-    choice was dropped from the key) are still hit: a cell's key payload
-    equals the one recorded before the choice was removed."""
+    """A cell's key payload is pinned: the dropped kernel choice never
+    entered it, and the payload changes only when a ``SimConfig`` field
+    is added or removed (the pin is the earlier payload with the removed
+    queue, fabric and op-time fields popped from ``cell.config``)."""
     from repro.ps import ClusterSpec
     from repro.sweep import SimCell
     from repro.sweep.spec import canonical_json
@@ -245,7 +246,7 @@ def test_kernel_choice_shares_cache_entries():
     )
     payload = canonical_json(cell.key_payload()).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "15cfd4142a3c90f877d6856978c83028906bdeaa315bc4e9acbaafa6e90b8424"
+        "a03e4bf2fbb7e0935c87d743f530e91e43f6a68b3c99921f9e2d7b291973e259"
     )
 
 

@@ -1,4 +1,4 @@
-"""Pipelined simulation and the extension knobs (slowdown, fabric)."""
+"""Pipelined simulation and the device-slowdown knob."""
 
 import numpy as np
 import pytest
@@ -106,7 +106,7 @@ def test_slowdown_applies_to_named_device_only():
     g = cluster.graph
     for op in g:
         factor = sim.slowdown[op.op_id]
-        if op.device == "worker:0" and not sim.is_transfer[op.op_id]:
+        if op.device == "worker:0" and not sim.core.is_transfer[op.op_id]:
             assert factor == 3.0
         else:
             assert factor == 1.0
@@ -116,38 +116,3 @@ def test_invalid_slowdown_rejected():
     with pytest.raises(ValueError, match="slowdown"):
         SimConfig(device_slowdown=(("worker:0", 0.0),))
 
-
-# ----------------------------------------------------------------------
-# fabric congestion (§7 future work)
-# ----------------------------------------------------------------------
-def test_fabric_capacity_one_serializes_all_transfers():
-    spec = ClusterSpec(2, 1, "inference")
-    free = simulate_cluster(tiny_model(), spec, platform=FLAT,
-                            config=SimConfig(iterations=2, jitter_sigma=0.0))
-    tight = simulate_cluster(
-        tiny_model(), spec, platform=FLAT,
-        config=SimConfig(iterations=2, jitter_sigma=0.0, fabric_slots=1),
-    )
-    assert tight.mean_iteration_time >= free.mean_iteration_time
-
-
-def test_generous_fabric_is_a_noop():
-    spec = ClusterSpec(2, 1, "inference")
-    cfg = dict(iterations=2, jitter_sigma=0.0, seed=3)
-    free = simulate_cluster(tiny_model(), spec, platform=FLAT,
-                            config=SimConfig(**cfg))
-    wide = simulate_cluster(tiny_model(), spec, platform=FLAT,
-                            config=SimConfig(fabric_slots=1000, **cfg))
-    assert wide.mean_iteration_time == pytest.approx(free.mean_iteration_time)
-
-
-def test_fabric_load_reported():
-    cluster = build_cluster_graph(tiny_model(), ClusterSpec(2, 1, "inference"))
-    sim = SimVariant(CompiledCore(cluster, FLAT), None, SimConfig(iterations=1, fabric_slots=2))
-    loads = sim.resource_loads(sim.run_iteration(0))
-    assert "fabric" in loads and loads["fabric"] > 0
-
-
-def test_invalid_fabric_rejected():
-    with pytest.raises(ValueError, match="fabric"):
-        SimConfig(fabric_slots=0)

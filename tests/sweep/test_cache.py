@@ -1,11 +1,30 @@
 """Cache-key stability and on-disk cache behavior."""
 
+import dataclasses
 import json
 import os
 
+from repro.faults import FaultPlan, StragglerBurst
 from repro.ps import ClusterSpec
 from repro.sim import SimConfig
 from repro.sweep import FnTask, ResultCache, SimCell, cache_key
+
+
+#: one non-default value per ``SimConfig`` field that changes results
+#: (``trace`` is observational and deliberately shares one key).
+CONFIG_AXES = {
+    "seed": 7,
+    "enforcement": "dag",
+    "grpc_reorder_prob": 0.0,
+    "jitter_sigma": 0.05,
+    "chunk_bytes": 1 << 16,
+    "iterations": 3,
+    "warmup": 1,
+    "device_slowdown": (("worker:0", 1.5),),
+    "faults": FaultPlan((
+        StragglerBurst("worker:0", start=0.0, duration=0.01, factor=2.0),
+    )),
+}
 
 
 def make_cell(**overrides) -> SimCell:
@@ -44,19 +63,13 @@ class TestKeyStability:
             make_cell(algorithm="tac"),
             make_cell(platform="envC"),
             make_cell(batch_factor=2.0),
-            make_cell(config=SimConfig(iterations=3, warmup=0)),
-            make_cell(config=SimConfig(iterations=2, warmup=1)),
-            make_cell(config=SimConfig(iterations=2, warmup=0, seed=7)),
-            make_cell(config=SimConfig(iterations=2, warmup=0, enforcement="dag")),
-            make_cell(
-                config=SimConfig(iterations=2, warmup=0, grpc_reorder_prob=0.0)
-            ),
-            make_cell(
-                config=SimConfig(
-                    iterations=2, warmup=0, device_slowdown=(("worker:0", 1.5),)
-                )
-            ),
         ]
+        config = make_cell().config
+        fields = {f.name for f in dataclasses.fields(SimConfig)}
+        assert set(CONFIG_AXES) == fields - {"trace"}
+        for name, value in CONFIG_AXES.items():
+            assert getattr(config, name) != value, name
+            variants.append(make_cell(config=config.with_(**{name: value})))
         keys = [cache_key(v.cache_key_material()) for v in variants]
         assert len(set(keys + [base])) == len(variants) + 1
 

@@ -62,19 +62,6 @@ def test_build_comm_graph_memoizes_plain_calls():
     backends.clear_graph_memo()
 
 
-def test_build_comm_graph_kwargs_bypass_memo():
-    """Builder kwargs (e.g. unrolled windows) return private instances —
-    callers may mutate those freely."""
-    backends.clear_graph_memo()
-    ir = tiny_model()
-    spec = ClusterSpec(2, 1, "training")
-    a = backends.build_comm_graph(ir, spec, n_iterations=2)
-    b = backends.build_comm_graph(ir, spec, n_iterations=2)
-    assert a is not b
-    assert backends.graph_memo_size() == 0
-    backends.clear_graph_memo()
-
-
 def test_graph_memo_distinguishes_structurally_different_models():
     from repro.models.builder import NetBuilder
 

@@ -115,15 +115,6 @@ class TestCacheBehavior:
         assert runner.stats.misses == len(cells)  # not 2x
         assert_results_identical(results[: len(cells)], results[len(cells):])
 
-    def test_keep_op_times_bypasses_cache(self, tmp_path):
-        runner = SweepRunner(jobs=1, cache_dir=str(tmp_path))
-        cell = tiny_cells()[0].with_(
-            config=CFG.with_(keep_op_times=True)
-        )
-        result, = runner.run_cells([cell])
-        assert result.iterations[0].start is not None
-        assert runner.stats.writes == 0
-
     def test_stale_format_entry_recomputes_and_counts_as_miss(self, tmp_path):
         import json
 
