@@ -4,9 +4,9 @@ Three nouns:
 
 * :class:`Session` — owns execution (scale, worker pool, on-disk sweep
   cache); a context manager.
-* :class:`Scenario` — a declarative, registry-validated description of a
-  study: backends x models x workers x algorithms x SimConfig knobs,
-  plus a named analysis callback. The built-in registry covers every
+* :class:`Scenario` — one study: a name, its outputs and parameters, an
+  ``analyze`` function that runs it and an optional ``cells`` function
+  naming the cells it sweeps. The built-in registry covers every
   table/figure of the paper (``repro.api.scenario_names()``).
 * :class:`ResultSet` — typed results: rows + schema + provenance
   (engine revision, cache hits), with ``save``/``to_table``/``frame``.
@@ -21,10 +21,9 @@ Quick start::
         print(rs.to_table())
         rs.save("results")
 
-Extending: define callbacks with :func:`register_analysis`, register
-:class:`Scenario` objects with :func:`register_scenario`, and they are
-immediately runnable by name — from :class:`Session` and from the
-``tictac-repro`` CLI alike.
+Extending: register a :class:`Scenario` holding your analysis function
+with :func:`register_scenario`, and it is immediately runnable by name —
+from :class:`Session` and from the ``tictac-repro`` CLI alike.
 """
 
 from .context import (
@@ -38,32 +37,27 @@ from .context import (
     make_context,
 )
 from .engine import ScenarioRun, execute_scenario
-from .jobmix_scenarios import JobMixScenario
 
-# Deliberately after jobmix_scenarios (whose import pulls the built-in
-# scenarios in): registration order is presentation order, and the
-# replay studies come last.
+# The built-in scenarios register on import; import order is
+# presentation order (the order ``tictac-repro all`` runs).
+from . import scenarios, jobmix_scenarios, replay_scenarios
+from .jobmix_scenarios import JobMixScenario
 from .replay_scenarios import ReplayScenario
 from .registry import (
-    UnknownAnalysisError,
     UnknownScenarioError,
-    analysis,
-    analysis_names,
     iter_scenarios,
-    register_analysis,
     register_scenario,
     scenario,
     scenario_names,
 )
 from .resultset import Provenance, Report, ResultSet
-from .scenario import Grid, Scenario, ScenarioError
+from .scenario import Scenario, ScenarioError
 from .session import Session
 
 __all__ = [
     "Context",
     "FIG7_MODELS",
     "FULL",
-    "Grid",
     "JobMixScenario",
     "Provenance",
     "QUICK",
@@ -77,14 +71,10 @@ __all__ = [
     "ScenarioError",
     "ScenarioRun",
     "Session",
-    "UnknownAnalysisError",
     "UnknownScenarioError",
-    "analysis",
-    "analysis_names",
     "execute_scenario",
     "iter_scenarios",
     "make_context",
-    "register_analysis",
     "register_scenario",
     "scenario",
     "scenario_names",

@@ -4,12 +4,10 @@ Every scenario — paper figure, table, or extension study — runs through
 :func:`execute_scenario`:
 
 1. bind parameters (defaults + caller overrides, validated);
-2. if the scenario declares a :class:`~repro.api.scenario.Grid`, resolve
-   it against the context's scale and sweep it (speedup pairs or plain
-   cells) on the context's shared :class:`~repro.sweep.SweepRunner`;
-3. hand the :class:`ScenarioRun` to the scenario's named analysis
-   callback, which returns the tables/text/extras;
-4. wrap everything in a :class:`~repro.api.resultset.ResultSet` with
+2. call the scenario's ``analyze`` function with a :class:`ScenarioRun`;
+   it sweeps its cells/tasks on the context's shared
+   :class:`~repro.sweep.SweepRunner` and returns the tables/text/extras;
+3. wrap everything in a :class:`~repro.api.resultset.ResultSet` with
    provenance (engine revision, scale, seed, cache hit/miss deltas,
    wall time).
 
@@ -19,14 +17,11 @@ The CLI is a loop over it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 from ..obs.telemetry import memo_counters
 from ..sim.engine import ENGINE_REV
-from ..sim.metrics import SimulationResult
-from ..sweep.runner import Speedup
-from ..sweep.spec import SimCell
 from . import registry
 from .context import Context
 from .resultset import Provenance, Report, ResultSet
@@ -35,19 +30,13 @@ from .scenario import Scenario
 
 @dataclass
 class ScenarioRun:
-    """Everything an analysis callback may touch: the execution context
-    (scale, seed, sweep runner, logging), the scenario with its bound
-    parameters, and — for grid scenarios — the resolved cells with their
-    sweep results."""
+    """Everything a scenario's ``analyze``/``cells`` function may touch:
+    the execution context (scale, seed, sweep runner, logging) and the
+    scenario with its bound parameters."""
 
     ctx: Context
     scenario: Scenario
     params: dict
-    cells: list[SimCell] = field(default_factory=list)
-    #: populated when ``grid.compare_baseline`` (one per cell) ...
-    speedups: Optional[list[Speedup]] = None
-    #: ... or plain results otherwise (also one per cell).
-    results: Optional[list[SimulationResult]] = None
 
     @property
     def scale(self):
@@ -107,15 +96,9 @@ def execute_scenario(
     memo_before = memo_counters()
     quarantine_before = len(getattr(ctx.sweep, "quarantined", ()))
 
-    run = ScenarioRun(ctx=ctx, scenario=scenario, params=params)
-    if scenario.grid is not None:
-        run.cells = scenario.grid.resolve(ctx.scale, params, ctx.sim_config)
-        if scenario.grid.compare_baseline:
-            run.speedups = ctx.sweep.run_speedups(run.cells)
-        else:
-            run.results = ctx.sweep.run_cells(run.cells)
-
-    report: Report = registry.analysis(scenario.analyze)(run)
+    report: Report = scenario.analyze(
+        ScenarioRun(ctx=ctx, scenario=scenario, params=params)
+    )
 
     stats_after = ctx.sweep.stats.as_dict()
     # telemetry delta for this scenario: runner counters, on-disk cache

@@ -3,11 +3,12 @@
 A :class:`JobMixScenario` is the declarative surface of the multi-job
 layer (:mod:`repro.sim.jobmix`): a list of jobs (model x backend x
 shape x algorithm x arrival offset), the placement policies to compare,
-and the platform. The generic ``jobmix`` analysis callback expands it
-into :class:`~repro.sweep.spec.SimCell`\\ s — one per (algorithm,
-placement), always including the ``dedicated`` reference placement —
-runs them through the shared sweep runner (so mixes hit the same disk
-cache and worker pool as single-job sweeps), and reports
+and the platform. Every job-mix scenario holds it as its ``mix``
+parameter and shares one cell function, ``_mix_cells``: one
+:class:`~repro.sweep.spec.SimCell` per (algorithm, placement), always
+including the ``dedicated`` reference placement. The generic ``_jobmix``
+analysis runs those cells through the shared sweep runner (so mixes hit
+the same disk cache and worker pool as single-job sweeps), and reports
 per-job completion time (JCT), slowdown vs dedicated, mix makespan and
 Jain fairness.
 
@@ -27,14 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..analysis import format_table
 from ..backends.placement import place_jobs
 from ..sim.jobmix import JobMixSpec, JobSpec, job_label
 from ..sweep.spec import SimCell
 from .engine import ScenarioRun
-from .registry import register_analysis, register_scenario
+from .registry import register_scenario
 from .resultset import Report
 from .scenario import Scenario
-from .scenarios import render_rows
 
 
 @dataclass(frozen=True)
@@ -123,32 +124,31 @@ def _job_stats(res, mix: JobMixScenario) -> tuple[dict[str, float], float]:
     return jct, makespan
 
 
-def _mix_tables(run: ScenarioRun, mix: JobMixScenario) -> tuple:
-    """The JCT/fairness tables every job-mix analysis shares: per-job
-    rows, the placement summary, and the cell factory (so callers can
-    re-derive any cell, e.g. to trace it). Numbers are identical through
-    every caller — the sweep cache sees one cell set."""
-    cells = mix.cells(run.sim_config())
-    by_cell = dict(zip(cells, run.sweep.run_cells(cells)))
+def _mix_cells(run: ScenarioRun) -> list[SimCell]:
+    """The cells every job-mix scenario sweeps: its ``mix`` parameter's."""
+    return run.param("mix").cells(run.sim_config())
 
-    def cell_for(algorithm: str, placement: str) -> SimCell:
-        return SimCell(
-            model=mix.jobs[0].model,
-            spec=mix.mix_spec(placement),
-            algorithm=algorithm,
-            platform=mix.platform,
-            config=run.sim_config(),
-        )
+
+def _mix_tables(run: ScenarioRun) -> tuple:
+    """The JCT/fairness tables every job-mix analysis shares: per-job
+    rows, the placement summary, and the swept cells keyed by
+    (algorithm, placement) (so callers can reuse any cell, e.g. to trace
+    it). Numbers are identical through every caller — the sweep cache
+    sees one cell set."""
+    mix: JobMixScenario = run.param("mix")
+    cells = _mix_cells(run)
+    by_cell = dict(zip(cells, run.sweep.run_cells(cells)))
+    cell_for = {(cell.algorithm, cell.spec.placement): cell for cell in cells}
 
     rows = []
     summary = []
     for algorithm in mix.algorithms:
         ded_jct, ded_makespan = _job_stats(
-            by_cell[cell_for(algorithm, "dedicated")], mix
+            by_cell[cell_for[(algorithm, "dedicated")]], mix
         )
         for placement in mix.all_placements():
             jct, makespan = _job_stats(
-                by_cell[cell_for(algorithm, placement)], mix
+                by_cell[cell_for[(algorithm, placement)]], mix
             )
             slowdowns = []
             for i, job in enumerate(mix.jobs):
@@ -195,21 +195,18 @@ def _mix_tables(run: ScenarioRun, mix: JobMixScenario) -> tuple:
 def _mix_report(run: ScenarioRun, rows, summary) -> Report:
     summary_name = f"{run.scenario.output}_summary"
     text = (
-        render_rows(rows, run.scenario.title)
+        format_table(rows, title=run.scenario.title)
         + "\n"
-        + render_rows(summary, "placement summary (makespan + fairness)")
+        + format_table(summary, title="placement summary (makespan + fairness)")
     )
     return Report(rows=rows, text=text, tables={summary_name: summary})
 
 
-@register_analysis("jobmix")
 def _jobmix(run: ScenarioRun) -> Report:
-    mix: JobMixScenario = run.param("mix")
-    rows, summary, _ = _mix_tables(run, mix)
+    rows, summary, _ = _mix_tables(run)
     return _mix_report(run, rows, summary)
 
 
-@register_analysis("jobmix_starvation")
 def _jobmix_starvation(run: ScenarioRun) -> Report:
     """The oversubscribed-rack starvation study (ROADMAP follow-up to
     ``jobmix_crosstalk``): the standard JCT/fairness tables, joined with
@@ -223,11 +220,11 @@ def _jobmix_starvation(run: ScenarioRun) -> Report:
     from ..obs.capture import trace_cell
 
     mix: JobMixScenario = run.param("mix")
-    rows, summary, cell_for = _mix_tables(run, mix)
+    rows, summary, cell_for = _mix_tables(run)
     by_key = {(r["algorithm"], r["placement"], r["job"]): r for r in rows}
     for algorithm in mix.algorithms:
         for placement in mix.all_placements():
-            cap = trace_cell(cell_for(algorithm, placement))
+            cap = trace_cell(cell_for[(algorithm, placement)])
             trace = cap.trace
             for stats in trace.job_stats():
                 row = by_key[(algorithm, placement, stats["job"])]
@@ -292,7 +289,8 @@ register_scenario(Scenario(
     name="jobmix_contention",
     title="Job-mix contention: packed vs spread placement on shared NICs (envC)",
     output="jobmix_contention",
-    analyze="jobmix",
+    analyze=_jobmix,
+    cells=_mix_cells,
     backends=("jobmix",),
     aux_outputs=("jobmix_contention_summary",),
     params=(("mix", CONTENTION_MIX),),
@@ -321,7 +319,8 @@ register_scenario(Scenario(
     name="jobmix_crosstalk",
     title="Job-mix crosstalk: TIC and TAC jobs co-scheduled (envC)",
     output="jobmix_crosstalk",
-    analyze="jobmix",
+    analyze=_jobmix,
+    cells=_mix_cells,
     backends=("jobmix",),
     aux_outputs=("jobmix_crosstalk_summary",),
     params=(("mix", CROSSTALK_MIX),),
@@ -331,7 +330,8 @@ register_scenario(Scenario(
     name="jobmix_starvation",
     title="Job-mix starvation: four skewed jobs on an oversubscribed rack (envC)",
     output="jobmix_starvation",
-    analyze="jobmix_starvation",
+    analyze=_jobmix_starvation,
+    cells=_mix_cells,
     backends=("jobmix",),
     aux_outputs=("jobmix_starvation_summary",),
     params=(("mix", STARVATION_MIX),),

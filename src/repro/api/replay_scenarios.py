@@ -3,11 +3,11 @@
 A :class:`ReplayScenario` is the declarative surface of the replay
 subsystem (:mod:`repro.replay`): one synthetic trace spec, one shared
 cluster, and the scheduling modes to replay the *same* trace under.
-The ``replay`` analysis callback generates the trace from the run's
-seed, replays it once per mode through the epoch scheduler (rate cells
-ride the context's shared sweep runner, so they hit the same disk cache
-and quarantine machinery as every sweep), and streams per-job rows into
-a chunked CSV sink next to the primary output — the summary table is
+The ``_replay`` analysis generates the trace from the run's seed,
+replays it once per mode through the epoch scheduler (rate cells ride
+the context's shared sweep runner, so they hit the same disk cache and
+quarantine machinery as every sweep), and streams per-job rows into a
+chunked CSV sink next to the primary output — the summary table is
 computed *incrementally* by the sink's aggregate, so a million-row
 replay never holds its rows.
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from ..analysis import format_table
 from ..core.wizard import ALGORITHMS
 from ..registry import did_you_mean
 from ..replay.admission import ADMISSIONS
@@ -37,10 +38,9 @@ from ..replay.engine import JOB_COLUMNS, ReplayCluster, ReplayError, replay
 from ..replay.sink import CsvChunkSink
 from ..replay.trace import SyntheticTraceSpec, generate_trace
 from .engine import ScenarioRun
-from .registry import register_analysis, register_scenario
+from .registry import register_scenario
 from .resultset import Report
 from .scenario import Scenario
-from .scenarios import render_rows
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,6 @@ class ReplayScenario:
             )
 
 
-@register_analysis("replay")
 def _replay(run: ScenarioRun) -> Report:
     rp: ReplayScenario = run.param("replay")
     traces = generate_trace(rp.trace, seed=run.seed)
@@ -127,9 +126,9 @@ def _replay(run: ScenarioRun) -> Report:
     run.sweep.telemetry.add("replay_sink_chunks", info["chunks"])
     rows = aggregate.summary_rows()
     text = (
-        render_rows(rows, run.scenario.title)
+        format_table(rows, title=run.scenario.title)
         + "\n"
-        + render_rows(stats, "replay run stats (per mode)")
+        + format_table(stats, title="replay run stats (per mode)")
     )
     stats_name = f"{run.scenario.output}_stats"
     return Report(
@@ -174,7 +173,7 @@ register_scenario(Scenario(
     name="cluster_day",
     title="Cluster day: 1000-job trace replay, baseline vs TIC/TAC (envC)",
     output="cluster_day",
-    analyze="replay",
+    analyze=_replay,
     backends=("jobmix",),
     aux_outputs=("cluster_day_jobs", "cluster_day_stats"),
     params=(("replay", CLUSTER_DAY),),

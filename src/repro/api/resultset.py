@@ -24,9 +24,10 @@ Rows = list[dict]
 
 @dataclass
 class Report:
-    """What an analysis callback hands back to the engine: the primary
-    table's rows, the rendered text, optional auxiliary tables (name ->
-    rows; each becomes ``<name>.csv`` on save) and free-form extras."""
+    """What a scenario's ``analyze`` function hands back to the engine:
+    the primary table's rows, the rendered text, optional auxiliary
+    tables (name -> rows; each becomes ``<name>.csv`` on save) and
+    free-form extras."""
 
     rows: Rows
     text: str

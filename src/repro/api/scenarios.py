@@ -1,17 +1,17 @@
-"""The built-in scenario registry: every table/figure as data.
+"""The built-in scenarios: every table and figure of the paper.
 
-Each legacy ``repro.experiments.<driver>`` module collapsed into (a) a
-:class:`~repro.api.scenario.Scenario` definition here — declarative axes
-validated against the backend/platform/model/algorithm registries — and
-(b) a named analysis callback that turns sweep results into the
-scenario's tables. Grid-shaped studies (Fig. 7/9/10/11/13, the headline
-scan) declare a :class:`~repro.api.scenario.Grid` the generic engine
-expands and sweeps; irregular studies (Fig. 12's consistency statistics,
-the ablation matrix, the all-reduce analytic-bound check, ...) build
-their cells/tasks inside the callback against the same shared sweep
-runner. Either way the cells, row assembly and rounding are identical to
-the legacy drivers, so every ``results/*.csv`` regenerates byte-for-byte
-through this path.
+Each study is a :class:`~repro.api.scenario.Scenario` holding its
+analysis function, which builds its cells/tasks, runs them on the
+context's shared sweep runner and tabulates the results. The grid-shaped
+studies (Fig. 7/9/10/11/13, the headline scan) also hold a cell
+function — ``fig7_cells``, ``fig9_cells``, ... — that expands their
+slice of the evaluation grid through a
+:class:`~repro.sweep.spec.GridSpec`; their analysis sweeps exactly those
+cells, and ``tictac-repro trace`` picks from them. Irregular studies
+(Fig. 12's consistency statistics, the ablation matrix, the all-reduce
+analytic-bound check, ...) build their cells inside the analysis. The
+cells, row assembly and rounding are fixed, so every ``results/*.csv``
+regenerates byte-for-byte.
 
 Module-level task functions (``model_characteristics``,
 ``training_run``, ...) are sweep :class:`~repro.sweep.spec.FnTask`
@@ -40,7 +40,7 @@ from ..models import emit_graph
 from ..models.emit import WORKER_INFERENCE, WORKER_TRAINING
 from ..ps import ClusterSpec, build_cluster_graph, build_reference_partition, shard_parameters
 from ..sim import CompiledCore, SimConfig, SimVariant, simulate_cluster, simulate_pipelined
-from ..sweep import FnTask, SimCell
+from ..sweep import FnTask, GridSpec, SimCell
 from ..sweep.spec import ps_for_workers
 from ..timing import ENV_G, PLATFORMS, PerturbedOracle, estimate_time_oracle
 from ..training import (
@@ -50,13 +50,9 @@ from ..training import (
     train_data_parallel,
 )
 from .engine import ScenarioRun
-from .registry import register_analysis, register_scenario
+from .registry import register_scenario
 from .resultset import Report
-from .scenario import Grid, Scenario
-
-
-def render_rows(rows, title: str, **kw) -> str:
-    return format_table(rows, title=title, **kw)
+from .scenario import Scenario
 
 
 # ======================================================================
@@ -78,7 +74,6 @@ def model_characteristics(name: str) -> dict:
     }
 
 
-@register_analysis("table1")
 def _table1(run: ScenarioRun) -> Report:
     names = list(PAPER_TABLE_1)
     tasks = [FnTask.make(model_characteristics, name=name) for name in names]
@@ -102,7 +97,9 @@ def _table1(run: ScenarioRun) -> Report:
                 "batch": char["batch"],
             }
         )
-    text = render_rows(rows, "Table 1: DNN model characteristics (ours vs paper)")
+    text = format_table(
+        rows, title="Table 1: DNN model characteristics (ours vs paper)"
+    )
     return Report(rows=rows, text=text)
 
 
@@ -130,7 +127,6 @@ def count_unique_orders(model: str, iterations: int, seed: int = 0) -> int:
     return len(seen)
 
 
-@register_analysis("motivation")
 def _motivation(run: ScenarioRun) -> Report:
     iterations = min(run.scale.consistency_runs, 1000)
     tasks = [
@@ -163,9 +159,9 @@ def _motivation(run: ScenarioRun) -> Report:
     )
     text = "\n".join(
         [
-            render_rows(
+            format_table(
                 rows,
-                f"Motivation (§2.2): distinct parameter-arrival orders over "
+                title=f"Motivation (§2.2): distinct parameter-arrival orders over "
                 f"{iterations} baseline iterations",
             ),
             f"ResNet-v2-152 sizing: {r152['params']} tensors "
@@ -180,23 +176,25 @@ def _motivation(run: ScenarioRun) -> Report:
 # Fig. 7 — throughput speedup vs. number of workers (envG)
 # ======================================================================
 
-#: Fig. 7's slice of the evaluation grid. The headline scan declares the
-#: SAME grid, so their cells cache-hit each other.
-FIG7_GRID = Grid(
-    models="scale",
-    workloads=("inference", "training"),
-    workers="scale",
-    ps="ratio",
-    algorithms=("$algorithm",),
-    platforms=("envG",),
-)
+def fig7_cells(run: ScenarioRun) -> list[SimCell]:
+    """Fig. 7's slice of the evaluation grid: every scale model and worker
+    count, PS:workers = 1:4. The headline scan sweeps the SAME cells, so
+    the two cache-hit each other."""
+    return GridSpec(
+        models=run.scale.models,
+        workloads=("inference", "training"),
+        worker_counts=run.scale.worker_counts,
+        ps_from_workers=True,
+        algorithms=(run.param("algorithm"),),
+        platforms=("envG",),
+    ).cells(run.sim_config())
 
 
-@register_analysis("fig7")
 def _fig7(run: ScenarioRun) -> Report:
     algorithm = run.param("algorithm")
+    cells = fig7_cells(run)
     rows = []
-    for cell, (gain, sched, base) in zip(run.cells, run.speedups):
+    for cell, (gain, sched, base) in zip(cells, run.sweep.run_speedups(cells)):
         rows.append(
             {
                 "model": cell.model,
@@ -212,9 +210,9 @@ def _fig7(run: ScenarioRun) -> Report:
             f"  fig7 {cell.model} {cell.spec.workload} "
             f"w{cell.spec.n_workers}ps{cell.spec.n_ps}: {gain:+.1f}%"
         )
-    text = render_rows(
+    text = format_table(
         rows,
-        f"Fig. 7: throughput speedup of {algorithm.upper()} vs baseline, "
+        title=f"Fig. 7: throughput speedup of {algorithm.upper()} vs baseline, "
         "scaling workers (envG, PS:W = 1:4)",
     )
     return Report(rows=rows, text=text)
@@ -240,7 +238,6 @@ def training_run(ordering: str, iterations: int, seed: int) -> dict:
     }
 
 
-@register_analysis("fig8")
 def _fig8(run: ScenarioRun) -> Report:
     iters = run.scale.loss_iterations
     labels = ("no_ordering", "tic")
@@ -272,7 +269,7 @@ def _fig8(run: ScenarioRun) -> Report:
             f"  curves identical: {identical}",
             f"  loss {first:.4f} -> {last:.4f} "
             f"(accuracy {runs['tic']['accuracy']:.3f})",
-            render_rows(rows[:10], "  first sampled points", floatfmt=".4f"),
+            format_table(rows[:10], title="  first sampled points", floatfmt=".4f"),
         ]
     )
     return Report(
@@ -284,12 +281,28 @@ def _fig8(run: ScenarioRun) -> Report:
 # Fig. 9 — speedup vs. number of parameter servers (envG)
 # ======================================================================
 
-@register_analysis("fig9")
+def fig9_cells(run: ScenarioRun) -> list[SimCell]:
+    """Fig. 9's slice: ``n_workers`` workers, every scale PS count. At the
+    quick scale the worker count is clamped to the scale's largest."""
+    n_workers = run.param("n_workers")
+    if run.scale.name == "quick":
+        n_workers = min(n_workers, max(run.scale.worker_counts))
+    return GridSpec(
+        models=run.scale.models,
+        workloads=("inference", "training"),
+        worker_counts=(n_workers,),
+        ps_counts=run.scale.ps_counts,
+        algorithms=(run.param("algorithm"),),
+        platforms=("envG",),
+    ).cells(run.sim_config())
+
+
 def _fig9(run: ScenarioRun) -> Report:
     algorithm = run.param("algorithm")
-    n_workers = run.cells[0].spec.n_workers
+    cells = fig9_cells(run)
+    n_workers = cells[0].spec.n_workers
     rows = []
-    for cell, (gain, sched, base) in zip(run.cells, run.speedups):
+    for cell, (gain, sched, base) in zip(cells, run.sweep.run_speedups(cells)):
         rows.append(
             {
                 "model": cell.model,
@@ -305,10 +318,10 @@ def _fig9(run: ScenarioRun) -> Report:
             f"  fig9 {cell.model} {cell.spec.workload} "
             f"ps{cell.spec.n_ps}: {gain:+.1f}%"
         )
-    text = render_rows(
+    text = format_table(
         rows,
-        f"Fig. 9: speedup of {algorithm.upper()} vs baseline, scaling parameter "
-        f"servers (envG, {n_workers} workers)",
+        title=f"Fig. 9: speedup of {algorithm.upper()} vs baseline, scaling "
+        f"parameter servers (envG, {n_workers} workers)",
     )
     return Report(rows=rows, text=text)
 
@@ -320,11 +333,24 @@ def _fig9(run: ScenarioRun) -> Report:
 BATCH_FACTORS = (0.5, 1.0, 2.0)
 
 
-@register_analysis("fig10")
+def fig10_cells(run: ScenarioRun) -> list[SimCell]:
+    """Fig. 10's slice: inference, ``n_workers`` workers, one PS, every
+    batch-size factor."""
+    return GridSpec(
+        models=run.scale.models,
+        workloads=("inference",),
+        worker_counts=(run.param("n_workers"),),
+        algorithms=(run.param("algorithm"),),
+        platforms=("envG",),
+        batch_factors=BATCH_FACTORS,
+    ).cells(run.sim_config())
+
+
 def _fig10(run: ScenarioRun) -> Report:
     algorithm = run.param("algorithm")
+    cells = fig10_cells(run)
     rows = []
-    for cell, (gain, sched, base) in zip(run.cells, run.speedups):
+    for cell, (gain, sched, base) in zip(cells, run.sweep.run_speedups(cells)):
         rows.append(
             {
                 "model": cell.model,
@@ -336,10 +362,10 @@ def _fig10(run: ScenarioRun) -> Report:
             }
         )
         run.log(f"  fig10 {cell.model} x{cell.batch_factor}: {gain:+.1f}%")
-    text = render_rows(
+    text = format_table(
         rows,
-        f"Fig. 10: speedup of {algorithm.upper()} vs baseline under batch-size "
-        f"scaling (envG, {run.param('n_workers')} workers, inference)",
+        title=f"Fig. 10: speedup of {algorithm.upper()} vs baseline under "
+        f"batch-size scaling (envG, {run.param('n_workers')} workers, inference)",
     )
     return Report(rows=rows, text=text)
 
@@ -358,9 +384,22 @@ def ops_per_worker(model: str, workload: str) -> int:
     return len(emit_graph(ir, mode, placement=placement).graph)
 
 
-@register_analysis("fig11")
+def fig11_cells(run: ScenarioRun) -> list[SimCell]:
+    """Fig. 11's slice: ``n_workers`` workers, PS:workers = 1:4, baseline
+    and TIC side by side."""
+    return GridSpec(
+        models=run.scale.models,
+        workloads=("inference", "training"),
+        worker_counts=(run.param("n_workers"),),
+        ps_from_workers=True,
+        algorithms=("baseline", "tic"),
+        platforms=("envG",),
+    ).cells(run.sim_config())
+
+
 def _fig11(run: ScenarioRun) -> Report:
-    cells, results = run.cells, run.results
+    cells = fig11_cells(run)
+    results = run.sweep.run_cells(cells)
     n_ops_of = dict(
         zip(
             [(c.model, c.spec.workload) for c in cells],
@@ -390,10 +429,10 @@ def _fig11(run: ScenarioRun) -> Report:
         )
         if cell.algorithm == "tic":
             run.log(f"  fig11 {cell.model} {cell.spec.workload}: done")
-    text = render_rows(
+    text = format_table(
         rows,
-        "Fig. 11: (a) scheduling efficiency and (b) straggler time vs ops per "
-        f"worker (envG, {run.param('n_workers')} workers, baseline vs TIC)",
+        title="Fig. 11: (a) scheduling efficiency and (b) straggler time vs "
+        f"ops per worker (envG, {run.param('n_workers')} workers, baseline vs TIC)",
         floatfmt=".3f",
     )
     return Report(rows=rows, text=text)
@@ -403,7 +442,6 @@ def _fig11(run: ScenarioRun) -> Report:
 # Fig. 12 — scheduling efficiency vs. step time, and consistency (envC)
 # ======================================================================
 
-@register_analysis("fig12")
 def _fig12(run: ScenarioRun) -> Report:
     model, n_workers = run.param("model"), run.param("n_workers")
     runs = run.scale.consistency_runs
@@ -491,7 +529,9 @@ def _fig12(run: ScenarioRun) -> Report:
     text = "\n".join(
         [
             f"Fig. 12: {model}, envC, {runs} runs, {n_workers} workers",
-            render_rows(summary_rows, "  summary (ours vs paper)", floatfmt=".4f"),
+            format_table(
+                summary_rows, title="  summary (ours vs paper)", floatfmt=".4f"
+            ),
             sketch,
         ]
     )
@@ -510,10 +550,21 @@ def _fig12(run: ScenarioRun) -> Report:
 # Fig. 13 / Appendix B — TIC vs. TAC on the commodity CPU cluster (envC)
 # ======================================================================
 
-@register_analysis("fig13")
+def fig13_cells(run: ScenarioRun) -> list[SimCell]:
+    """Fig. 13's slice: the envC models, ``n_workers`` workers, one PS,
+    TIC and TAC."""
+    return GridSpec(
+        models=ENVC_MODEL_NAMES,
+        workloads=("inference", "training"),
+        worker_counts=(run.param("n_workers"),),
+        algorithms=("tic", "tac"),
+        platforms=("envC",),
+    ).cells(run.sim_config())
+
+
 def _fig13(run: ScenarioRun) -> Report:
     n_workers = run.param("n_workers")
-    speedups = iter(run.speedups)
+    speedups = iter(run.sweep.run_speedups(fig13_cells(run)))
     rows = []
     for workload in ("inference", "training"):
         for model in ENVC_MODEL_NAMES:
@@ -531,9 +582,10 @@ def _fig13(run: ScenarioRun) -> Report:
                 f"  fig13 {model} {workload}: tic {entry['tic_speedup_pct']:+.1f}% "
                 f"tac {entry['tac_speedup_pct']:+.1f}%"
             )
-    text = render_rows(
+    text = format_table(
         rows,
-        f"Fig. 13: TIC and TAC speedup vs baseline (envC, {n_workers} workers)",
+        title=f"Fig. 13: TIC and TAC speedup vs baseline (envC, {n_workers} "
+        "workers)",
     )
     return Report(rows=rows, text=text)
 
@@ -542,14 +594,14 @@ def _fig13(run: ScenarioRun) -> Report:
 # Headline claims (§1/abstract) — aggregate maxima over the sweeps
 # ======================================================================
 
-@register_analysis("headline")
 def _headline(run: ScenarioRun) -> Report:
     best = {"inference": (-1e9, ""), "training": (-1e9, "")}
     worst = (1e9, "")
     straggler_ratios = []
     # The headline scan is exactly Fig. 7's grid, so a run that follows
     # (or precedes) fig7 resolves entirely from the sweep cache.
-    for cell, (gain, sched, base) in zip(run.cells, run.speedups):
+    cells = fig7_cells(run)
+    for cell, (gain, sched, base) in zip(cells, run.sweep.run_speedups(cells)):
         workload, w = cell.spec.workload, cell.spec.n_workers
         tag = f"{cell.model}/w{w}"
         if gain > best[workload][0]:
@@ -588,7 +640,7 @@ def _headline(run: ScenarioRun) -> Report:
             "where": best_straggler[1],
         },
     ]
-    text = render_rows(rows, "Headline claims (abstract) — ours vs paper")
+    text = format_table(rows, title="Headline claims (abstract) — ours vs paper")
     return Report(rows=rows, text=text)
 
 
@@ -633,7 +685,6 @@ def custom_schedule_throughputs(seed: int, iterations: int, warmup: int) -> dict
     }
 
 
-@register_analysis("ablations")
 def _ablations(run: ScenarioRun) -> Report:
     spec = ClusterSpec(
         n_workers=ABLATION_WORKERS, n_ps=ABLATION_PS, workload="training"
@@ -722,9 +773,10 @@ def _ablations(run: ScenarioRun) -> Report:
             }
         )
 
-    text = render_rows(
+    text = format_table(
         rows,
-        f"Ablations ({ABLATION_MODEL}, training, {ABLATION_WORKERS} workers, envG)",
+        title=f"Ablations ({ABLATION_MODEL}, training, {ABLATION_WORKERS} "
+        "workers, envG)",
     )
     return Report(rows=rows, text=text)
 
@@ -736,7 +788,6 @@ def _ablations(run: ScenarioRun) -> Report:
 SLOWDOWNS = (1.0, 1.25, 1.5)
 
 
-@register_analysis("stragglers")
 def _stragglers(run: ScenarioRun) -> Report:
     model, n_workers = run.param("model"), run.param("n_workers")
     spec = ClusterSpec(n_workers=n_workers, n_ps=1, workload="training")
@@ -773,9 +824,9 @@ def _stragglers(run: ScenarioRun) -> Report:
         )
         if algorithm == "tic":
             run.log(f"  stragglers x{slowdown}: done")
-    text = render_rows(
+    text = format_table(
         rows,
-        "Straggler decomposition (extends §6.3): scheduling-induced vs "
+        title="Straggler decomposition (extends §6.3): scheduling-induced vs "
         f"system-induced straggling ({model}, {n_workers} workers, envG)",
     )
     return Report(rows=rows, text=text)
@@ -807,7 +858,6 @@ def fault_plan_for(intensity: float):
     ))
 
 
-@register_analysis("fault_resilience")
 def _fault_resilience(run: ScenarioRun) -> Report:
     from ..obs.capture import trace_cell
 
@@ -870,9 +920,9 @@ def _fault_resilience(run: ScenarioRun) -> Report:
             )
         if algorithm == algorithms[-1]:
             run.log(f"  fault intensity {intensity}: done")
-    text = render_rows(
+    text = format_table(
         rows,
-        "Fault resilience: scheduling under degraded links and straggler "
+        title="Fault resilience: scheduling under degraded links and straggler "
         f"bursts ({model}, {n_workers} workers, envG)",
     )
     return Report(
@@ -908,7 +958,6 @@ def pipelined_metrics(
     }
 
 
-@register_analysis("pipelining")
 def _pipelining(run: ScenarioRun) -> Report:
     model = run.param("model")
     n_workers, window = run.param("n_workers"), run.param("window")
@@ -955,9 +1004,9 @@ def _pipelining(run: ScenarioRun) -> Report:
         (base["pipelined_steady_ms"] - tic["pipelined_steady_ms"])
         / base["pipelined_steady_ms"] * 100, 1,
     )
-    text = render_rows(
+    text = format_table(
         rows,
-        f"Pipelining ablation ({model}, {n_workers} workers, training, "
+        title=f"Pipelining ablation ({model}, {n_workers} workers, training, "
         f"window={window}): barrier model vs per-parameter pipelining",
     )
     return Report(rows=rows, text=text)
@@ -1011,7 +1060,6 @@ def allreduce_grid_cells(scale, cfg: SimConfig) -> list[SimCell]:
     return cells
 
 
-@register_analysis("allreduce")
 def _allreduce(run: ScenarioRun) -> Report:
     models, workers, partitions = allreduce_axes(run.scale)
 
@@ -1118,19 +1166,19 @@ def _allreduce(run: ScenarioRun) -> Report:
 
     text = "\n\n".join(
         [
-            render_rows(
+            format_table(
                 rows,
-                "All-reduce backend: {ring, hierarchical} x {baseline, TIC, "
+                title="All-reduce backend: {ring, hierarchical} x {baseline, TIC, "
                 "TAC} x partition x workers (envG)",
             ),
-            render_rows(
+            format_table(
                 wire_rows,
-                "Ring wire check: simulated vs analytic 2(W-1)/W * M/B "
+                title="Ring wire check: simulated vs analytic 2(W-1)/W * M/B "
                 "(wire platform)",
             ),
-            render_rows(
+            format_table(
                 vs_rows,
-                f"PS (TAC, 1:4 provisioning) vs ring all-reduce (TAC), "
+                title=f"PS (TAC, 1:4 provisioning) vs ring all-reduce (TAC), "
                 f"W={w_head} (envG)",
             ),
         ]
@@ -1153,7 +1201,7 @@ register_scenario(Scenario(
     name="table1",
     title="Table 1: DNN model characteristics, ours vs the paper",
     output="table1_models",
-    analyze="table1",
+    analyze=_table1,
     backends=(),
 ))
 
@@ -1161,7 +1209,7 @@ register_scenario(Scenario(
     name="motivation",
     title="§2.2 motivation: how random is the transfer order?",
     output="motivation_unique_orders",
-    analyze="motivation",
+    analyze=_motivation,
     backends=("ps",),
 ))
 
@@ -1169,8 +1217,8 @@ register_scenario(Scenario(
     name="fig7",
     title="Fig. 7: throughput speedup vs number of workers (envG)",
     output="fig7_worker_scaling",
-    analyze="fig7",
-    grid=FIG7_GRID,
+    analyze=_fig7,
+    cells=fig7_cells,
     params=(("algorithm", "tic"),),
 ))
 
@@ -1178,7 +1226,7 @@ register_scenario(Scenario(
     name="fig8",
     title="Fig. 8: training loss with and without enforced ordering",
     output="fig8_training_loss",
-    analyze="fig8",
+    analyze=_fig8,
     backends=(),
 ))
 
@@ -1186,16 +1234,8 @@ register_scenario(Scenario(
     name="fig9",
     title="Fig. 9: speedup vs number of parameter servers (envG)",
     output="fig9_ps_scaling",
-    analyze="fig9",
-    grid=Grid(
-        models="scale",
-        workloads=("inference", "training"),
-        workers="$n_workers",
-        ps="scale",
-        algorithms=("$algorithm",),
-        platforms=("envG",),
-        cap_workers_quick=True,
-    ),
+    analyze=_fig9,
+    cells=fig9_cells,
     params=(("algorithm", "tic"), ("n_workers", 8)),
 ))
 
@@ -1203,16 +1243,8 @@ register_scenario(Scenario(
     name="fig10",
     title="Fig. 10: speedup vs computational load (batch-size factor)",
     output="fig10_batch_scaling",
-    analyze="fig10",
-    grid=Grid(
-        models="scale",
-        workloads=("inference",),
-        workers="$n_workers",
-        ps=1,
-        algorithms=("$algorithm",),
-        platforms=("envG",),
-        batch_factors=BATCH_FACTORS,
-    ),
+    analyze=_fig10,
+    cells=fig10_cells,
     params=(("algorithm", "tic"), ("n_workers", 4)),
 ))
 
@@ -1220,16 +1252,8 @@ register_scenario(Scenario(
     name="fig11",
     title="Fig. 11: scheduling efficiency and straggler effect vs model size",
     output="fig11_efficiency_stragglers",
-    analyze="fig11",
-    grid=Grid(
-        models="scale",
-        workloads=("inference", "training"),
-        workers="$n_workers",
-        ps="ratio",
-        algorithms=("baseline", "tic"),
-        platforms=("envG",),
-        compare_baseline=False,
-    ),
+    analyze=_fig11,
+    cells=fig11_cells,
     params=(("n_workers", 4),),
 ))
 
@@ -1237,7 +1261,7 @@ register_scenario(Scenario(
     name="fig12",
     title="Fig. 12: scheduling efficiency vs step time, and consistency (envC)",
     output="fig12_consistency",
-    analyze="fig12",
+    analyze=_fig12,
     params=(("model", "Inception v2"), ("n_workers", 4)),
 ))
 
@@ -1245,15 +1269,8 @@ register_scenario(Scenario(
     name="fig13",
     title="Fig. 13: TIC vs TAC on the commodity CPU cluster (envC)",
     output="fig13_tic_vs_tac",
-    analyze="fig13",
-    grid=Grid(
-        models="envc",
-        workloads=("inference", "training"),
-        workers="$n_workers",
-        ps=1,
-        algorithms=("tic", "tac"),
-        platforms=("envC",),
-    ),
+    analyze=_fig13,
+    cells=fig13_cells,
     params=(("n_workers", 4),),
 ))
 
@@ -1261,8 +1278,8 @@ register_scenario(Scenario(
     name="headline",
     title="Headline claims (abstract): aggregate maxima over the sweeps",
     output="headline",
-    analyze="headline",
-    grid=FIG7_GRID,
+    analyze=_headline,
+    cells=fig7_cells,
     params=(("algorithm", "tic"),),
 ))
 
@@ -1270,14 +1287,14 @@ register_scenario(Scenario(
     name="ablations",
     title="Ablations: §5.1's design choices made measurable",
     output="ablations",
-    analyze="ablations",
+    analyze=_ablations,
 ))
 
 register_scenario(Scenario(
     name="stragglers",
     title="Straggler-source decomposition (extends §6.3)",
     output="straggler_decomposition",
-    analyze="stragglers",
+    analyze=_stragglers,
     params=(("model", "ResNet-50 v1"), ("n_workers", 4)),
 ))
 
@@ -1285,7 +1302,7 @@ register_scenario(Scenario(
     name="fault_resilience",
     title="Fault resilience: scheduling algorithms under injected faults",
     output="fault_resilience",
-    analyze="fault_resilience",
+    analyze=_fault_resilience,
     aux_outputs=("fault_resilience_attribution",),
     params=(("model", "AlexNet v2"), ("n_workers", 2)),
 ))
@@ -1294,7 +1311,7 @@ register_scenario(Scenario(
     name="pipelining",
     title="Pipelining ablation: does the benefit survive cross-iteration overlap?",
     output="pipelining_ablation",
-    analyze="pipelining",
+    analyze=_pipelining,
     params=(("model", "ResNet-50 v1"), ("n_workers", 4), ("window", 4)),
 ))
 
@@ -1302,7 +1319,7 @@ register_scenario(Scenario(
     name="allreduce",
     title="Collective backend: all-reduce topologies under TIC/TAC",
     output="allreduce_comparison",
-    analyze="allreduce",
+    analyze=_allreduce,
     backends=("allreduce", "ps"),
     aux_outputs=("allreduce_wire_check", "allreduce_vs_ps"),
 ))

@@ -58,7 +58,7 @@ def print_listing() -> None:
 
     print("scenarios (presentation order):")
     for sc in iter_scenarios():
-        kind = "grid" if sc.grid is not None else "custom"
+        kind = "cells" if sc.cells is not None else "custom"
         aux = f" +{len(sc.aux_outputs)} aux" if sc.aux_outputs else ""
         print(f"  {sc.name:<12} {sc.title}")
         print(f"  {'':<12} [{kind} -> {sc.output}.csv{aux}]")
@@ -134,7 +134,7 @@ def trace_main(argv: Sequence[str]) -> int:
             cell_index=args.cell,
             iteration=args.iteration,
         )
-    except ValueError as exc:  # scenario with no simulation cells
+    except ValueError as exc:  # no simulation cells, or --cell out of range
         parser.error(str(exc))
     ext = "json" if args.exporter == "chrome" else "csv"
     out = args.out or os.path.join(

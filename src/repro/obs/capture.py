@@ -1,14 +1,16 @@
 """End-to-end trace capture: scenario name -> one traced iteration.
 
 :func:`capture_trace` is the programmatic body of the ``tictac-repro
-trace`` subcommand: resolve a registered scenario, expand its grid (or
-its job-mix's cell list) exactly as a run would, pick one cell, and
-simulate a single iteration of it with ``SimConfig(trace=True)``
+trace`` subcommand: resolve a registered scenario, call its ``cells``
+function — the cells its analysis sweeps, in sweep order — pick one
+cell, and simulate a single iteration of it with ``SimConfig(trace=True)``
 directly on a :class:`~repro.sim.engine.SimVariant` — no sweep pool, no
 cache — returning the joined :class:`~repro.obs.trace.Trace` plus the
 cell it came from. The traced iteration is bit-identical to the same
-iteration of a full scenario run (same seed protocol, same schedule
-memoization path); tracing only *adds* event streams.
+iteration of a full scenario run (same cell, same seed protocol, same
+schedule memoization path); tracing only *adds* event streams.
+``tests/api/test_api.py::test_cells_are_what_the_analysis_sweeps`` pins
+that every analysis sweeps exactly its scenario's ``cells``.
 """
 
 from __future__ import annotations
@@ -25,20 +27,13 @@ class TraceCapture(NamedTuple):
     iteration: int
 
 
-def scenario_cells(scenario, scale, params, make_config) -> list:
-    """The cells a scenario would sweep, in sweep order.
-
-    Grid scenarios expand their :class:`~repro.api.scenario.Grid`;
-    job-mix scenarios expand their ``mix`` parameter's cell list.
-    Scenarios that build no cells (e.g. the SGD substrate study) return
-    ``[]`` — they have nothing to trace.
-    """
-    if scenario.grid is not None:
-        return scenario.grid.resolve(scale, params, make_config)
-    mix = params.get("mix")
-    if mix is not None and hasattr(mix, "cells"):
-        return mix.cells(make_config())
-    return []
+def scenario_cells(run) -> list:
+    """The cells a :class:`~repro.api.engine.ScenarioRun`'s scenario
+    sweeps, in sweep order: ``scenario.cells(run)``, or ``[]`` for
+    scenarios without a cell function (e.g. the SGD substrate study) —
+    they have nothing to trace."""
+    cells = run.scenario.cells
+    return cells(run) if cells is not None else []
 
 
 def trace_cell(
@@ -94,36 +89,35 @@ def capture_trace(
 ) -> TraceCapture:
     """Trace one iteration of one cell of a registered scenario.
 
-    ``cell_index`` selects among the scenario's resolved cells (default:
-    the first); ``iteration`` defaults to the first *measured* iteration
+    ``cell_index`` selects among the scenario's cells (default: the
+    first); ``iteration`` defaults to the first *measured* iteration
     (index ``warmup``); remaining keyword arguments rebind scenario
     parameters as ``Session.run`` would.
 
     Raises ``ValueError`` for scenarios that expand to no simulation
-    cells, listing the traceable ones.
+    cells, listing the traceable ones, and for a ``cell_index`` outside
+    ``0..n-1``, naming that range.
     """
     from ..api import registry
     from ..api.context import SCALES, Context
+    from ..api.engine import ScenarioRun
 
     if isinstance(scenario, str):
         scenario = registry.scenario(scenario)
     params = scenario.bind(**overrides)
     ctx = Context(scale=SCALES[scale], seed=seed, verbose=False)
-    cells = scenario_cells(scenario, ctx.scale, params, ctx.sim_config)
+    cells = scenario_cells(ScenarioRun(ctx=ctx, scenario=scenario, params=params))
     if not cells:
         traceable = [
-            name
-            for name in registry.scenario_names()
-            if scenario_cells(
-                registry.scenario(name),
-                ctx.scale,
-                dict(registry.scenario(name).params),
-                ctx.sim_config,
-            )
+            sc.name for sc in registry.iter_scenarios() if sc.cells is not None
         ]
         raise ValueError(
             f"scenario {scenario.name!r} expands to no simulation cells; "
             f"traceable scenarios: {traceable}"
         )
-    cell = cells[cell_index % len(cells)]
-    return trace_cell(cell, iteration=iteration)
+    if not 0 <= cell_index < len(cells):
+        raise ValueError(
+            f"cell {cell_index} is out of range: scenario "
+            f"{scenario.name!r} has {len(cells)} cells, 0..{len(cells) - 1}"
+        )
+    return trace_cell(cells[cell_index], iteration=iteration)

@@ -1,8 +1,8 @@
 """Named tables and the one rule for names they do not hold.
 
-Every input to this package is a *name*: a scenario, analysis callback,
-communication backend, platform, model, placement or admission policy,
-trace generator or exporter. Each table of such names is a
+Every input to this package is a *name*: a scenario, communication
+backend, platform, model, placement or admission policy, trace
+generator or exporter. Each table of such names is a
 :class:`Registry` — a plain ``dict`` (``in``, ``.get``, iteration and
 ``sorted()`` behave as usual) whose failed subscript raises the table's
 :class:`UnknownNameError` subclass, listing what exists and suggesting

@@ -26,8 +26,12 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterator, Optional
 
+from ..core.wizard import ALGORITHMS
+from ..models.zoo import MODELS
 from ..ps.cluster import ClusterSpec
+from ..registry import did_you_mean
 from ..sim.config import SimConfig
+from ..timing import PLATFORMS
 from .fingerprint import code_fingerprint, module_fingerprint
 
 
@@ -144,6 +148,10 @@ class GridSpec:
     nesting — workload, model, workers, PS, platform, batch factor,
     algorithm — so rows assembled from the expansion match the seed's
     hand-rolled loops.
+
+    Construction checks every model, platform and algorithm name, so a
+    typo fails before any cell is swept, naming the accepted values and
+    the nearest match.
     """
 
     models: tuple[str, ...]
@@ -155,6 +163,18 @@ class GridSpec:
     platforms: tuple[str, ...] = ("envG",)
     batch_factors: tuple[float, ...] = (1.0,)
     sharding: str = "greedy"
+
+    def __post_init__(self) -> None:
+        for model in self.models:
+            MODELS[model]
+        for platform in self.platforms:
+            PLATFORMS[platform]
+        for algorithm in self.algorithms:
+            if algorithm not in ALGORITHMS:
+                raise ValueError(
+                    f"unknown algorithm {algorithm!r}; one of {ALGORITHMS}"
+                    + did_you_mean(algorithm, ALGORITHMS)
+                )
 
     def cells(self, config: Optional[SimConfig] = None) -> list["SimCell"]:
         return list(self.iter_cells(config))

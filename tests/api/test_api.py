@@ -5,18 +5,21 @@ import csv
 import pytest
 
 from repro.api import (
-    Grid,
+    Report,
     Scenario,
     ScenarioError,
+    ScenarioRun,
     Session,
     UnknownScenarioError,
     execute_scenario,
-    register_analysis,
+    iter_scenarios,
     scenario,
     scenario_names,
 )
-from repro.api.context import Context, Scale
+from repro.api.context import QUICK, Context, Scale
+from repro.registry import UnknownNameError
 from repro.sim.engine import ENGINE_REV
+from repro.sweep import GridSpec, SweepRunner
 
 MICRO = Scale(
     name="micro",
@@ -35,45 +38,39 @@ def ctx(tmp_path):
     return Context(scale=MICRO, results_dir=str(tmp_path), verbose=False)
 
 
+def _tiny(run):
+    return Report(rows=[{"p": run.param("p")}], text="tiny")
+
+
 # ----------------------------------------------------------------------
-# Scenario validation (construction fails fast, names spelled out)
+# Validation (construction fails fast, names spelled out)
 # ----------------------------------------------------------------------
 
 def test_scenario_rejects_unknown_backend():
     with pytest.raises(ScenarioError, match="unknown communication backend"):
-        Scenario(name="x", title="x", output="x", analyze="table1",
+        Scenario(name="x", title="x", output="x", analyze=_tiny,
                  backends=("carrier-pigeon",))
 
 
 def test_scenario_rejects_unknown_platform():
-    with pytest.raises(ScenarioError, match="unknown platform"):
-        Scenario(name="x", title="x", output="x", analyze="table1",
-                 grid=Grid(platforms=("envZ",)))
+    with pytest.raises(UnknownNameError) as exc:
+        GridSpec(models=("AlexNet v2",), platforms=("envX",))
+    assert str(exc.value).startswith("unknown platform 'envX'; available: ")
+    assert "did you mean 'envG' or 'envC'?" in str(exc.value)
 
 
 def test_scenario_rejects_unknown_model():
-    with pytest.raises(ScenarioError, match="unknown model"):
-        Scenario(name="x", title="x", output="x", analyze="table1",
-                 grid=Grid(models=("SkyNet v1",)))
+    with pytest.raises(UnknownNameError) as exc:
+        GridSpec(models=("AlexNet v2", "AlexNet v3"))
+    assert str(exc.value).startswith("unknown model 'AlexNet v3'; available: ")
+    assert "did you mean 'AlexNet v2'" in str(exc.value)
 
 
 def test_scenario_rejects_unknown_algorithm():
-    with pytest.raises(ScenarioError, match="unknown algorithm"):
-        Scenario(name="x", title="x", output="x", analyze="table1",
-                 grid=Grid(algorithms=("chaos",)))
-
-
-def test_scenario_rejects_unregistered_analysis():
-    with pytest.raises(ScenarioError, match="unregistered analysis"):
-        Scenario(name="x", title="x", output="x", analyze="no-such-callback")
-
-
-def test_grid_rejects_undeclared_param_reference():
-    with pytest.raises(ScenarioError, match="does not declare"):
-        Scenario(
-            name="x", title="x", output="x", analyze="table1",
-            grid=Grid(algorithms=("$algorithm",)),  # no params declared
-        )
+    with pytest.raises(ValueError) as exc:
+        GridSpec(models=("AlexNet v2",), algorithms=("tic", "tacc"))
+    assert str(exc.value).startswith("unknown algorithm 'tacc'; one of (")
+    assert "did you mean 'tac'" in str(exc.value)
 
 
 def test_bind_rejects_unknown_override():
@@ -111,52 +108,86 @@ def test_unknown_scenario_suggests_near_matches():
 
 
 def test_register_scenario_makes_it_runnable(ctx):
-    @register_analysis("_test_tiny")
-    def _tiny(run):
-        from repro.api import Report
-
-        return Report(rows=[{"p": run.param("p")}], text="tiny")
-
     sc = Scenario(
         name="_test_tiny", title="t", output="_test_tiny",
-        analyze="_test_tiny", backends=(), params=(("p", 1),),
+        analyze=_tiny, backends=(), params=(("p", 1),),
     )
     out = execute_scenario(ctx, sc, p=7)
     assert out.rows == [{"p": 7}]
 
 
 # ----------------------------------------------------------------------
-# Grid resolution mirrors the legacy drivers exactly
+# Cell functions: the grid each study sweeps, and nothing else
 # ----------------------------------------------------------------------
 
-def test_fig7_grid_resolution_matches_legacy_gridspec(ctx):
-    from repro.api.scenarios import FIG7_GRID
-    from repro.sweep import GridSpec
+def _run(sc, scale=MICRO, **overrides) -> ScenarioRun:
+    ctx = Context(scale=scale, verbose=False)
+    return ScenarioRun(ctx=ctx, scenario=sc, params=sc.bind(**overrides))
 
+
+def test_fig7_grid_resolution_matches_legacy_gridspec(ctx):
     sc = scenario("fig7")
-    cells = sc.grid.resolve(ctx.scale, sc.bind(), ctx.sim_config)
+    cells = sc.cells(ScenarioRun(ctx=ctx, scenario=sc, params=sc.bind()))
     # the grid the deleted fig7 driver built, spelled out
     legacy = GridSpec(
         models=ctx.scale.models,
-        workloads=FIG7_GRID.workloads,
+        workloads=("inference", "training"),
         worker_counts=ctx.scale.worker_counts,
         ps_from_workers=True,
         algorithms=("tic",),
-        platforms=FIG7_GRID.platforms,
+        platforms=("envG",),
     ).cells(ctx.sim_config())
     assert cells == legacy
 
 
 def test_fig9_quick_clamp_only_applies_at_quick_scale():
-    from repro.api.context import QUICK
-
     sc = scenario("fig9")
-    quick_cells = sc.grid.resolve(QUICK, sc.bind(), lambda **kw: None)
+    quick_cells = sc.cells(_run(sc, QUICK))
     assert {c.spec.n_workers for c in quick_cells} == {8}
-    micro_cells = sc.grid.resolve(MICRO, sc.bind(), lambda **kw: None)
+    micro_cells = sc.cells(_run(sc, MICRO))
     assert {c.spec.n_workers for c in micro_cells} == {8}  # 'micro' != 'quick'
-    quick_16 = sc.grid.resolve(QUICK, sc.bind(n_workers=16), lambda **kw: None)
+    quick_16 = sc.cells(_run(sc, QUICK, n_workers=16))
     assert {c.spec.n_workers for c in quick_16} == {8}  # clamped
+
+
+class _Stop(Exception):
+    pass
+
+
+class _RecordingRunner(SweepRunner):
+    """Records the first batch of cells an analysis submits, then stops
+    the analysis before anything is simulated."""
+
+    batch = None
+
+    def run_cells(self, cells):
+        self.batch = list(cells)
+        raise _Stop
+
+
+#: scenarios whose analysis pairs every cell with its baseline twin
+SPEEDUP_SCENARIOS = {"fig7", "fig9", "fig10", "fig13", "headline"}
+
+
+@pytest.mark.parametrize(
+    "name", [sc.name for sc in iter_scenarios() if sc.cells is not None]
+)
+def test_cells_are_what_the_analysis_sweeps(name):
+    """``trace`` picks from ``cells``; the analysis must sweep exactly
+    those cells, in that order."""
+    sc = scenario(name)
+    run = _run(sc)
+    runner = run.ctx._sweep = _RecordingRunner(jobs=1, cache_dir=None)
+    with pytest.raises(_Stop):
+        sc.analyze(run)
+    expected = sc.cells(run)
+    if name in SPEEDUP_SCENARIOS:
+        expected = [
+            twin
+            for cell in expected
+            for twin in (cell.with_(algorithm="baseline"), cell)
+        ]
+    assert expected and runner.batch == expected
 
 
 # ----------------------------------------------------------------------
@@ -245,10 +276,9 @@ def test_session_runs_by_name_and_closes(tmp_path):
 
 
 def test_fresh_process_can_reference_builtin_analyses():
-    """Scenario construction must load the built-in callbacks itself —
-    it cannot rely on something else having touched the registry first
-    (regression: has_analysis skipped default loading, so constructing a
-    Scenario in a fresh process spuriously rejected 'table1')."""
+    """Whatever module a process imports first, every built-in scenario is
+    registered, in presentation order, before any lookup can run —
+    ``repro.api`` imports the three scenario modules itself."""
     import os
     import pathlib
     import subprocess
@@ -259,21 +289,21 @@ def test_fresh_process_can_reference_builtin_analyses():
     env["PYTHONPATH"] = str(repo_root / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    script = (
-        "from repro.api import Scenario\n"
-        "Scenario(name='x', title='x', output='x', analyze='table1',\n"
-        "         backends=())\n"
-        "print('ok')\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=repo_root,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
+    for first in ("repro.api.registry", "repro.obs.capture"):
+        script = (
+            f"import {first}\n"
+            "from repro.api.registry import scenario_names\n"
+            "print(','.join(scenario_names()))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=repo_root,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert tuple(proc.stdout.strip().split(",")) == scenario_names(), first
 
 
 def test_session_explicit_cache_dir_beats_env(tmp_path, monkeypatch):

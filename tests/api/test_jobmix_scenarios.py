@@ -13,7 +13,12 @@ from repro.api import (
     execute_scenario,
     scenario,
 )
-from repro.api.jobmix_scenarios import CONTENTION_MIX, CROSSTALK_MIX, _jain
+from repro.api.jobmix_scenarios import (
+    CONTENTION_MIX,
+    CROSSTALK_MIX,
+    _jain,
+    _jobmix,
+)
 from repro.sim import JobSpec
 
 MICRO = Scale(
@@ -97,7 +102,7 @@ def test_crosstalk_scenario_scheduling_survives_contention(ctx):
 def test_scenario_registry_lists_jobmix_entries():
     sc = scenario("jobmix_contention")
     assert sc.backends == ("jobmix",)
-    assert sc.analyze == "jobmix"
+    assert sc.analyze is _jobmix
     assert dict(scenario("jobmix_crosstalk").params)["mix"] is CROSSTALK_MIX
 
 

@@ -138,6 +138,13 @@ def test_capture_trace_rejects_cell_less_scenarios():
         capture_trace("table1")
 
 
+@pytest.mark.parametrize("index", [999, -1])
+def test_capture_trace_rejects_out_of_range_cell(index):
+    # fig13 at quick scale: 3 envC models x 2 workloads x {tic, tac}
+    with pytest.raises(ValueError, match=r"has 12 cells, 0\.\.11"):
+        capture_trace("fig13", cell_index=index)
+
+
 # ----------------------------------------------------------------------
 # Trace reductions (sanity on a real headline trace)
 # ----------------------------------------------------------------------

@@ -299,7 +299,7 @@ class TestSpeedups:
 class TestGridSpec:
     def test_expansion_size_and_order(self):
         grid = GridSpec(
-            models=("A", "B"),
+            models=("AlexNet v2", "VGG-16"),
             workloads=("inference", "training"),
             worker_counts=(2, 4),
             ps_counts=(1, 2),
@@ -308,12 +308,13 @@ class TestGridSpec:
         cells = list(grid.iter_cells(CFG))
         assert len(cells) == len(grid) == 16
         assert cells[0].spec.workload == "inference"
-        assert [c.model for c in cells[:4]] == ["A"] * 4
+        assert [c.model for c in cells[:4]] == ["AlexNet v2"] * 4
         assert [c.spec.n_ps for c in cells[:4]] == [1, 2, 1, 2]
 
     def test_ps_from_workers_policy(self):
         grid = GridSpec(
-            models=("A",), worker_counts=(2, 4, 8, 16), ps_from_workers=True
+            models=("AlexNet v2",), worker_counts=(2, 4, 8, 16),
+            ps_from_workers=True,
         )
         cells = grid.cells(CFG)
         assert len(cells) == len(grid) == 4

@@ -23,10 +23,8 @@ MISSING = "no-such-name"
 
 
 def tables() -> dict[str, Registry]:
-    api_registry.scenario_names()  # loads the built-in scenarios/analyses
     return {
         "scenarios": api_registry._SCENARIOS,
-        "analyses": api_registry._ANALYSES,
         "backends": backends(),
         "placements": PLACEMENTS,
         "admissions": ADMISSIONS,
