@@ -1033,9 +1033,11 @@ def allreduce_axes(scale) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, 
     return scale.models[:3], workers, PARTITIONS_QUICK
 
 
-def allreduce_grid_cells(scale, cfg: SimConfig) -> list[SimCell]:
-    """The scenario's main evaluation grid, in deterministic row order."""
-    models, workers, partitions = allreduce_axes(scale)
+def allreduce_grid_cells(run: ScenarioRun) -> list[SimCell]:
+    """The scenario's cells: its main evaluation grid, in deterministic
+    row order (the wire check and the PS comparison are derived sweeps)."""
+    models, workers, partitions = allreduce_axes(run.scale)
+    cfg = run.sim_config()
     cells = []
     for model in models:
         for topology in TOPOLOGIES:
@@ -1064,7 +1066,7 @@ def _allreduce(run: ScenarioRun) -> Report:
     models, workers, partitions = allreduce_axes(run.scale)
 
     # --- main grid ----------------------------------------------------
-    cells = allreduce_grid_cells(run.scale, run.sim_config())
+    cells = allreduce_grid_cells(run)
     results = run.sweep.run_cells(cells)
     by_cell = dict(zip(cells, results))
     rows = []
@@ -1320,6 +1322,7 @@ register_scenario(Scenario(
     title="Collective backend: all-reduce topologies under TIC/TAC",
     output="allreduce_comparison",
     analyze=_allreduce,
+    cells=allreduce_grid_cells,
     backends=("allreduce", "ps"),
     aux_outputs=("allreduce_wire_check", "allreduce_vs_ps"),
 ))

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..graph import Graph, OpKind, Resource
+from ..graph import Graph, Op, OpKind, Resource
 from ..models.emit import WORKER_TRAINING, emit_graph
 from ..models.ir import ModelIR
 from ..ps.cluster import Transfer
@@ -85,6 +85,31 @@ class CollectiveGraph:
 
     def _register_transfer(self, link: Resource, transfer: Transfer) -> None:
         self.transfers_by_link.setdefault(link, []).append(transfer)
+
+
+def _stamp(worker: str):
+    """``Graph.splice`` rebuild that stamps a replica op onto ``worker``'s
+    compute resource. Parameter recvs become zero-cost local ``READ``
+    entries and gradient sends zero-cost ``COMPUTE`` markers: the
+    all-reduce, not a PS pull or push, moves the bytes."""
+    compute = Resource.compute(worker)
+
+    def rebuild(op: Op, new_id: int) -> Op:
+        kind, cost, attrs = op.kind, op.cost, dict(op.attrs)
+        if kind is OpKind.RECV:
+            kind, cost = OpKind.READ, 0.0
+            attrs["local_param"] = True
+        elif kind is OpKind.SEND:
+            # the produced gradient is consumed by the *next* window's
+            # all-reduce
+            kind, cost = OpKind.COMPUTE, 0.0
+            attrs["grad_marker"] = True
+        return Op(
+            new_id, f"{worker}/{op.name}", kind, compute, cost, op.param,
+            worker, attrs,
+        )
+
+    return rebuild
 
 
 def build_collective_graph(ir: ModelIR, spec: CollectiveSpec) -> CollectiveGraph:
@@ -203,30 +228,17 @@ def build_collective_graph(ir: ModelIR, spec: CollectiveSpec) -> CollectiveGraph
     # --- worker replicas, gated by the chunk updates ---------------------
     placement = {p.name: LOCAL for p in ir.params}
     replica = emit_graph(ir, WORKER_TRAINING, placement=placement)
+    param_entries = [op for op in replica.graph if op.kind is OpKind.RECV]
     for w in workers:
-        compute = Resource.compute(w)
-        mapping = g.merge(replica.graph, rename=lambda n: f"{w}/{n}")
+        ids = g.splice(replica.graph, _stamp(w))
+        worker_ops[w].extend(ids)
         recvs: dict[str, int] = {}
-        for src_op in replica.graph:
-            op = g.op(mapping[src_op.op_id])
-            op.device = w
-            op.resource = compute
-            worker_ops[w].append(op.op_id)
-            if op.kind is OpKind.RECV:
-                # Parameter entry: locally resident, served once this
-                # window's all-reduce has updated it.
-                op.kind = OpKind.READ
-                op.cost = 0.0
-                op.attrs["local_param"] = True
-                chunk = chunk_of_param[op.param]
-                g.add_edge(update_ids[(w, chunk.name)], op.op_id)
-                recvs[op.param] = update_ids[(w, chunk.name)]
-            elif op.kind is OpKind.SEND:
-                # Gradient exit: zero-cost marker; the produced gradient
-                # is consumed by the *next* window's all-reduce.
-                op.kind = OpKind.COMPUTE
-                op.cost = 0.0
-                op.attrs["grad_marker"] = True
+        for local in param_entries:
+            # Parameter entry: locally resident, served once this
+            # window's all-reduce has updated it.
+            update_id = update_ids[(w, chunk_of_param[local.param].name)]
+            g.add_edge(update_id, ids[local.op_id])
+            recvs[local.param] = update_id
         cluster.param_recvs[w] = recvs
 
     cluster.worker_ops = worker_ops

@@ -1,9 +1,10 @@
 """Directed acyclic computational graphs.
 
 A :class:`Graph` is the substrate everything else is built on: the model zoo
-emits one per model replica, the cluster builder merges replicas with PS
-subgraphs, the scheduling algorithms consume the single-worker reference
-partition, and the simulator executes the merged cluster graph.
+emits one per model replica, the cluster builders splice replicas in beside
+PS or all-reduce subgraphs, the scheduling algorithms consume the
+single-worker reference partition, and the simulator executes the
+assembled cluster graph.
 
 The structure is append-only (ops are never removed) which keeps op ids
 dense and stable — a property the vectorized property computation in
@@ -86,54 +87,41 @@ class Graph:
             self._succs[p].append(op_id)
         return op
 
-    def merge(self, other: "Graph", rename: Callable[[str], str] = lambda n: n) -> dict[int, int]:
-        """Copy all ops of ``other`` into this graph.
-
-        ``rename`` maps each foreign op name to its name here (used to
-        namespace per-worker replicas). Returns a mapping from ``other``'s
-        op ids to the new ids in this graph.
-        """
-        mapping: dict[int, int] = {}
-        for op in other._ops:
-            new = self.add_op(
-                rename(op.name),
-                op.kind,
-                [mapping[p] for p in other._preds[op.op_id]],
-                cost=op.cost,
-                param=op.param,
-                device=op.device,
-                resource=op.resource,
-                **op.attrs,
-            )
-            mapping[op.op_id] = new.op_id
-        return mapping
-
     def splice(
         self,
         other: "Graph",
         rebuild: Callable[[Op, int], Op],
-    ) -> dict[int, int]:
+    ) -> list[int]:
         """Graft a fully assembled graph into this one, verbatim.
 
-        Unlike :meth:`merge` — which re-adds ops through :meth:`add_op`
-        and therefore cannot carry edges created by :meth:`add_edge` that
-        point from a later op to an earlier one — ``splice`` copies the
-        complete pred/succ structure with ids offset, preserving relative
-        op-id order exactly. This is the job-mix union primitive: each
-        job's cluster DAG (including its PS send-activation back-edges)
-        is spliced in under a namespace prefix.
+        Copies ``other``'s complete pred/succ structure with ids offset,
+        preserving relative op-id order and every edge, including edges
+        :meth:`add_edge` created from a later op to an earlier one. This
+        is the one graph-copy primitive: the cluster builders stamp each
+        worker replica with it, and the job-mix union splices each job's
+        cluster DAG (PS send-activation back-edges included) in under a
+        namespace prefix.
 
         ``rebuild(op, new_id)`` returns the :class:`~repro.graph.op.Op`
         to insert for ``other``'s ``op`` — it must carry ``op_id ==
-        new_id`` and a name unique in this graph (typically the original
-        fields with names/devices/resources rewritten). Acyclicity is
-        preserved structurally: ``other`` is a DAG and no cross-graph
-        edges are introduced. Returns the old-id -> new-id mapping.
+        new_id``, a name unique in this graph and its own ``attrs`` dict
+        (typically the original fields with names, devices and resources
+        rewritten). Acyclicity is preserved structurally: ``other`` is a
+        DAG and no cross-graph edges are introduced. Returns the new ids
+        in ``other``'s op order, so ``ids[old_id]`` is the new id.
         """
         offset = len(self._ops)
-        mapping: dict[int, int] = {}
-        for op in other._ops:
-            new_id = offset + op.op_id
+        ids = list(range(offset, offset + len(other._ops)))
+        # One renumbered copy of each adjacency table, cut per op: a slice
+        # is allocated at its exact length, where a per-op comprehension
+        # would over-allocate every short list. Indexing ``ids`` (rather
+        # than adding the offset) makes every edge share its op's one int.
+        preds = [ids[p] for op_preds in other._preds for p in op_preds]
+        succs = [ids[s] for op_succs in other._succs for s in op_succs]
+        p_lo = s_lo = 0
+        for op, new_id, op_preds, op_succs in zip(
+            other._ops, ids, other._preds, other._succs
+        ):
             new_op = rebuild(op, new_id)
             if new_op.op_id != new_id:
                 raise GraphError(
@@ -144,10 +132,12 @@ class Graph:
                 raise GraphError(f"duplicate op name: {new_op.name!r}")
             self._ops.append(new_op)
             self._by_name[new_op.name] = new_id
-            self._preds.append([p + offset for p in other._preds[op.op_id]])
-            self._succs.append([s + offset for s in other._succs[op.op_id]])
-            mapping[op.op_id] = new_id
-        return mapping
+            p_hi = p_lo + len(op_preds)
+            s_hi = s_lo + len(op_succs)
+            self._preds.append(preds[p_lo:p_hi])
+            self._succs.append(succs[s_lo:s_hi])
+            p_lo, s_lo = p_hi, s_hi
+        return ids
 
     def add_edge(self, src: OpRef, dst: OpRef) -> None:
         """Add a dependency edge between two existing ops.

@@ -111,6 +111,27 @@ class ClusterGraph:
         self.transfers_by_link.setdefault(link, []).append(transfer)
 
 
+def _stamp(name_prefix: str, worker: str):
+    """``Graph.splice`` rebuild that stamps a replica op onto ``worker``:
+    recvs occupy the PS->worker link, gradient sends the worker->PS link,
+    everything else the worker's compute resource."""
+    compute = Resource.compute(worker)
+
+    def rebuild(op: Op, new_id: int) -> Op:
+        if op.kind is OpKind.RECV:
+            resource = Resource.link(op.attrs["ps"], worker)
+        elif op.kind is OpKind.SEND:
+            resource = Resource.link(worker, op.attrs["ps"])
+        else:
+            resource = compute
+        return Op(
+            new_id, name_prefix + op.name, op.kind, resource, op.cost,
+            op.param, worker, dict(op.attrs),
+        )
+
+    return rebuild
+
+
 def build_cluster_graph(
     ir: ModelIR,
     spec: ClusterSpec,
@@ -156,6 +177,7 @@ def build_cluster_graph(
     #: iteration-(k-1) final output op per worker (inference agent loop).
     prev_output: dict[str, Op] = {}
     final_local_name = replica.output_ops[list(ir.nodes)[-1]]
+    comm_ops = [op for op in replica.graph if op.kind.is_communication]
 
     for k in range(n_iterations):
         prefix = f"it{k}/" if n_iterations > 1 else ""
@@ -183,27 +205,23 @@ def build_cluster_graph(
         # --- worker replicas, stitched to the PS subgraphs ---------------
         grad_send_ops: dict[str, list[Op]] = {p.name: [] for p in params}
         for worker in spec.workers:
-            compute = Resource.compute(worker)
-            mapping = g.merge(
-                replica.graph, rename=lambda n: f"{prefix}{worker}/{n}"
-            )
-            worker_op_ids = cluster.worker_ops.setdefault(worker, [])
+            ids = g.splice(replica.graph, _stamp(prefix + worker + "/", worker))
+            cluster.worker_ops.setdefault(worker, []).extend(ids)
             recv_ids: dict[str, int] = {}
-            for src_op in replica.graph:
-                op = g.op(mapping[src_op.op_id])
-                op.device = worker
-                worker_op_ids.append(op.op_id)
-                iteration_op_ids.append(op.op_id)
+            done = 0  # replica ops already listed in iteration_op_ids
+            for local in comm_ops:
+                op = g.op(ids[local.op_id])
+                ps_dev = op.attrs["ps"]
                 if op.kind is OpKind.RECV:
-                    ps_dev = op.attrs["ps"]
-                    link = Resource.link(ps_dev, worker)
-                    op.resource = link
                     recv_ids[op.param] = op.op_id
                     cluster._register_transfer(
-                        link,
+                        op.resource,
                         Transfer(op.op_id, op.param, ps_dev, worker, "param", k),
                     )
-                    # PS-side send activation: the §5.1 hand-off point.
+                    # PS-side send activation: the §5.1 hand-off point,
+                    # listed right after the recv it feeds.
+                    iteration_op_ids.extend(ids[done:local.op_id + 1])
+                    done = local.op_id + 1
                     send_deps = [read_ops[op.param].op_id]
                     if worker in prev_output:
                         # agent loop: next pull requested after acting
@@ -223,17 +241,13 @@ def build_cluster_graph(
                     )
                     iteration_op_ids.append(send.op_id)
                     g.add_edge(send.op_id, op.op_id)
-                elif op.kind is OpKind.SEND:
-                    ps_dev = op.attrs["ps"]
-                    link = Resource.link(worker, ps_dev)
-                    op.resource = link
+                else:  # gradient push
                     grad_send_ops[op.param].append(op)
                     cluster._register_transfer(
-                        link,
+                        op.resource,
                         Transfer(op.op_id, op.param, worker, ps_dev, "grad", k),
                     )
-                else:
-                    op.resource = compute
+            iteration_op_ids.extend(ids[done:])
             cluster.param_recvs[worker] = recv_ids
             if not training:
                 prev_output[worker] = g.op(f"{prefix}{worker}/{final_local_name}")

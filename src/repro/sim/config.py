@@ -55,8 +55,11 @@ class SimConfig:
     #: this many bytes, round-robin across a NIC's channels, which
     #: reproduces that fair sharing without per-packet events.
     chunk_bytes: int = 4 * 2**20
-    #: iterations to simulate and how many leading ones to discard (the
-    #: paper discards 2 warm-up iterations and records 10).
+    #: iterations to record, and the index of the first recorded one
+    #: (the paper discards 2 warm-up iterations and records 10). Each
+    #: iteration is a pure function of ``(seed, index)``, so the
+    #: ``warmup`` indices before the first recorded one are skipped, not
+    #: simulated: a run records indices ``warmup .. warmup+iterations-1``.
     iterations: int = 10
     warmup: int = 0
     #: per-device compute slowdown factors, e.g. (("worker:2", 1.5),) makes
@@ -104,12 +107,6 @@ class SimConfig:
             )
         if self.iterations <= 0 or self.warmup < 0:
             raise ValueError("iterations must be > 0 and warmup >= 0")
-
-    @property
-    def total_iterations(self) -> int:
-        """Warm-up plus recorded iterations — the count one simulated run
-        executes (the batch handed to ``SimVariant.run_iterations``)."""
-        return self.warmup + self.iterations
 
     def with_(self, **changes) -> "SimConfig":
         return replace(self, **changes)

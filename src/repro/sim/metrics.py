@@ -47,7 +47,10 @@ class IterationResult:
 
 @dataclass
 class SimulationResult:
-    """All recorded iterations of one simulated run."""
+    """All recorded iterations of one simulated run.
+
+    Warm-up iterations are not simulated and leave no trace here:
+    ``iterations`` holds indices ``config.warmup`` onward."""
 
     model: str
     batch_size: int
@@ -57,8 +60,6 @@ class SimulationResult:
     algorithm: str
     platform: str
     iterations: list[IterationResult] = field(default_factory=list)
-    #: iterations discarded as warm-up (kept for reference).
-    warmup: list[IterationResult] = field(default_factory=list)
     #: parameter-tensor count of the model (for out-of-order rates).
     n_params: int = 0
 

@@ -4,7 +4,9 @@
 schedule (via the ordering wizard) -> cluster graph -> compiled simulation
 -> recorded iterations with the paper's metrics. Mirrors the paper's
 measurement protocol: discard warm-up iterations, record the next N
-(§6 Setup: discard 2, record 10).
+(§6 Setup: discard 2, record 10). Every iteration is a pure function of
+``(config.seed, index)``, so the discarded indices are skipped rather
+than simulated: the recorded ones are ``warmup .. warmup+iterations-1``.
 """
 
 from __future__ import annotations
@@ -105,7 +107,13 @@ def _wizard_schedule(
 def _run_variant(
     ir: ModelIR, spec: ClusterSpec, plat: Platform, sim: SimVariant
 ) -> SimulationResult:
-    """Run and summarize ``sim.config``'s warm-up and recorded iterations."""
+    """Run and summarize ``sim.config``'s recorded iterations.
+
+    These are indices ``cfg.warmup .. cfg.warmup + cfg.iterations - 1``.
+    The engine seeds each index afresh and carries no state from one
+    iteration to the next, so the warm-up indices before them are never
+    simulated: no output reads them, and skipping them leaves every
+    recorded number unchanged."""
     cfg = sim.config
     result = SimulationResult(
         model=ir.name,
@@ -119,9 +127,8 @@ def _run_variant(
     )
     # iter_iterations streams records (slabbed batch setup inside): each
     # is summarized and dropped, so 1000-iteration protocols stay O(n).
-    for i, record in enumerate(sim.iter_iterations(0, cfg.total_iterations)):
-        summary = summarize_iteration(sim, record)
-        (result.warmup if i < cfg.warmup else result.iterations).append(summary)
+    for record in sim.iter_iterations(cfg.warmup, cfg.iterations):
+        result.iterations.append(summarize_iteration(sim, record))
     return result
 
 
@@ -151,8 +158,8 @@ def simulate_cell_group(
     or ``trace`` flag never shares) plus its
     :meth:`~repro.sim.engine.SimVariant.lowering_digest`. A later variant
     with an equal key gets a copy of the earlier result, relabelled with
-    its own ``schedule.algorithm`` and given fresh ``iterations`` /
-    ``warmup`` lists (the :class:`IterationResult` entries are shared);
+    its own ``schedule.algorithm`` and given a fresh ``iterations`` list
+    (the :class:`IterationResult` entries are shared);
     each such reuse adds one to ``variant_memo_hits``. Keys are computed
     only once a group reaches its second variant, so single-variant
     groups pay nothing."""
@@ -183,7 +190,6 @@ def simulate_cell_group(
                 earlier,
                 algorithm=sim.schedule.algorithm,
                 iterations=list(earlier.iterations),
-                warmup=list(earlier.warmup),
             )
         results.append(result)
     return results

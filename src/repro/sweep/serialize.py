@@ -13,7 +13,10 @@ from __future__ import annotations
 from ..core.efficiency import EfficiencyReport
 from ..sim.metrics import IterationResult, SimulationResult
 
-RESULT_FORMAT = 1
+#: bumped whenever the layout changes, so entries written in an older
+#: layout are recomputed instead of served (format 2 has no ``"warmup"``
+#: list: warm-up iterations are not simulated).
+RESULT_FORMAT = 2
 
 
 def iteration_to_dict(it: IterationResult) -> dict:
@@ -59,7 +62,6 @@ def result_to_dict(result: SimulationResult) -> dict:
         "platform": result.platform,
         "n_params": result.n_params,
         "iterations": [iteration_to_dict(it) for it in result.iterations],
-        "warmup": [iteration_to_dict(it) for it in result.warmup],
     }
 
 
@@ -79,5 +81,4 @@ def result_from_dict(data: dict) -> SimulationResult:
         platform=data["platform"],
         n_params=data["n_params"],
         iterations=[iteration_from_dict(d) for d in data["iterations"]],
-        warmup=[iteration_from_dict(d) for d in data["warmup"]],
     )

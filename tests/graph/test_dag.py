@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import Graph, GraphError, OpKind, Resource
+from repro.graph import Graph, GraphError, Op, OpKind, Resource
 
 
 def test_add_op_assigns_dense_ids():
@@ -144,26 +144,64 @@ def test_bidirectional_reachability_matches_forward_dfs(g):
     g.validate()
 
 
-def test_merge_with_rename():
+def _renamed(prefix):
+    def rebuild(op, new_id):
+        return Op(
+            new_id, prefix + op.name, op.kind, op.resource, op.cost,
+            op.param, op.device, dict(op.attrs),
+        )
+
+    return rebuild
+
+
+def test_splice_with_rename():
     src = Graph("src")
     src.add_op("x", cost=2.0, tag="keep")
     src.add_op("y", inputs=["x"])
     dst = Graph("dst")
     dst.add_op("existing")
-    mapping = dst.merge(src, rename=lambda n: f"w/{n}")
-    assert set(mapping.values()) == {1, 2}
+    ids = dst.splice(src, _renamed("w/"))
+    assert ids == [1, 2]
+    assert [dst.op(ids[op.op_id]).name for op in src] == ["w/x", "w/y"]
     assert dst.op("w/x").cost == 2.0
     assert dst.op("w/x").attrs["tag"] == "keep"
     assert [p.name for p in dst.predecessors("w/y")] == ["w/x"]
+    assert [s.name for s in dst.successors("w/x")] == ["w/y"]
+    dst.validate()
 
 
-def test_merge_attrs_are_independent_copies():
+def test_splice_attrs_are_independent_copies():
     src = Graph("src")
     src.add_op("x", tag="orig")
     dst = Graph("dst")
-    dst.merge(src)
+    dst.splice(src, _renamed(""))
     dst.op("x").attrs["tag"] = "changed"
     assert src.op("x").attrs["tag"] == "orig"
+
+
+def test_splice_copies_back_edges_and_adjacency_independently():
+    src = Graph("src")
+    src.add_op("a")
+    src.add_op("b")
+    src.add_edge("b", "a")  # later -> earlier
+    dst = Graph("dst")
+    dst.add_op("existing")
+    dst.splice(src, _renamed("w/"))
+    assert [p.name for p in dst.predecessors("w/a")] == ["w/b"]
+    dst.add_op("tail", inputs=["w/a"])
+    assert [s.name for s in dst.successors("w/a")] == ["tail"]
+    assert src.succ_ids(0) == []
+
+
+def test_splice_rejects_bad_rebuilds():
+    src = Graph("src")
+    src.add_op("x")
+    dst = Graph("dst")
+    dst.add_op("x")
+    with pytest.raises(GraphError, match="duplicate"):
+        dst.splice(src, _renamed(""))
+    with pytest.raises(GraphError, match="op_id"):
+        dst.splice(src, lambda op, new_id: _renamed("w/")(op, new_id + 1))
 
 
 def test_topological_order_with_key():

@@ -114,7 +114,7 @@ def test_jobmix_cell_streams_agree_across_kernels():
     assert cell.algorithm == "baseline"
     schedule = Schedule("baseline")
     sim = SimVariant(CompiledCore(build_comm_graph(ir, cell.spec), plat), schedule, cfg)
-    batched = sim.run_iterations(0, cfg.total_iterations)[alone.iteration]
+    batched = sim.run_iterations(0, cfg.warmup + cfg.iterations)[alone.iteration]
     trace = Trace.from_record(sim, batched)
 
     assert alone.trace.ready.tolist() == trace.ready.tolist()

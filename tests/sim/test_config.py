@@ -36,7 +36,8 @@ def test_invalid_iterations():
 
 def test_warmup_may_exceed_iterations():
     cfg = SimConfig(iterations=2, warmup=5)
-    assert cfg.total_iterations == 7
+    assert (cfg.warmup, cfg.iterations) == (5, 2)
+    assert not hasattr(cfg, "total_iterations")
 
 
 def test_invalid_chunk():

@@ -18,9 +18,21 @@ import os
 import pytest
 
 from repro.analysis import write_csv
-from repro.backends import make_spec
-from repro.sim import JobMixSpec, JobSpec, SimConfig, simulate_cluster
+from repro.backends import build_comm_graph, make_spec
+from repro.core import Schedule
+from repro.models import build_model
+from repro.sim import (
+    CompiledCore,
+    JobMixSpec,
+    JobSpec,
+    SimConfig,
+    SimVariant,
+    prepare_schedule,
+    simulate_cluster,
+    summarize_iteration,
+)
 from repro.sweep.serialize import iteration_to_dict
+from repro.timing import PLATFORMS
 
 #: event loops the bit-identity is checked under (the python loop is
 #: the only one).
@@ -56,18 +68,31 @@ def _strip_prefix(data: dict) -> dict:
     return data
 
 
+def _iterations(model, spec, algorithm, platform):
+    """Summaries of engine indices ``0..warmup+iterations-1`` — the
+    warm-up indices a run skips included — built the way
+    ``simulate_cluster`` builds its variant."""
+    plat = PLATFORMS[platform]
+    ir = build_model(model)
+    schedule = (
+        Schedule("baseline") if algorithm == "baseline"
+        else prepare_schedule(ir, spec, algorithm, plat, seed=CFG.seed)
+    )
+    sim = SimVariant(CompiledCore(build_comm_graph(ir, spec), plat), schedule, CFG)
+    return [
+        summarize_iteration(sim, record)
+        for record in sim.run_iterations(0, CFG.warmup + CFG.iterations)
+    ]
+
+
 def _run_pair(backend, model, shape, algorithm, platform):
-    spec = make_spec(backend, **shape)
-    single = simulate_cluster(
-        model, spec, algorithm=algorithm, platform=platform, config=CFG
+    single = _iterations(
+        model, make_spec(backend, **shape), algorithm, platform
     )
-    mix = simulate_cluster(
-        model,
-        _mix_of(backend, model, shape, algorithm),
-        algorithm=algorithm,
-        platform=platform,
-        config=CFG,
+    mix = _iterations(
+        model, _mix_of(backend, model, shape, algorithm), algorithm, platform
     )
+    assert len(single) == len(mix) == CFG.warmup + CFG.iterations
     return single, mix
 
 
@@ -75,9 +100,7 @@ def _run_pair(backend, model, shape, algorithm, platform):
 @pytest.mark.parametrize("model,shape,algorithm", PS_CELLS)
 def test_one_job_mix_is_bit_identical_ps(model, shape, algorithm, loop):
     single, mix = _run_pair("ps", model, shape, algorithm, "envG")
-    for s_it, m_it in zip(
-        single.warmup + single.iterations, mix.warmup + mix.iterations
-    ):
+    for s_it, m_it in zip(single, mix):
         assert iteration_to_dict(s_it) == _strip_prefix(iteration_to_dict(m_it))
         # the mix bookkeeping agrees with the iteration it annotates
         assert m_it.job_finish == {"j0": m_it.makespan}
@@ -87,9 +110,7 @@ def test_one_job_mix_is_bit_identical_ps(model, shape, algorithm, loop):
 @pytest.mark.parametrize("model,shape,algorithm", AR_CELLS)
 def test_one_job_mix_is_bit_identical_allreduce(model, shape, algorithm, loop):
     single, mix = _run_pair("allreduce", model, shape, algorithm, "envG")
-    for s_it, m_it in zip(
-        single.warmup + single.iterations, mix.warmup + mix.iterations
-    ):
+    for s_it, m_it in zip(single, mix):
         assert iteration_to_dict(s_it) == _strip_prefix(iteration_to_dict(m_it))
 
 

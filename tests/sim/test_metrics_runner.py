@@ -57,13 +57,31 @@ def test_worker_finish_no_later_than_makespan(cluster):
 # ----------------------------------------------------------------------
 # runner
 # ----------------------------------------------------------------------
-def test_simulate_cluster_records_and_warmup():
+def test_simulate_cluster_records_and_warmup(monkeypatch):
+    """The recorded iterations are indices ``warmup..warmup+iterations-1``
+    of the same variant, and no warm-up index is simulated."""
     spec = ClusterSpec(2, 1, "training")
     cfg = SimConfig(iterations=3, warmup=2, seed=1)
-    result = simulate_cluster(tiny_model(), spec, algorithm="baseline",
+    ir = tiny_model()
+    sim = SimVariant(CompiledCore(build_cluster_graph(ir, spec), FLAT), None, cfg)
+    expected = [
+        summarize_iteration(sim, record)
+        for record in sim.run_iterations(cfg.warmup, cfg.iterations)
+    ]
+
+    simulated: list[int] = []
+    original = SimVariant.iter_iterations
+
+    def spy(self, first=0, count=1):
+        simulated.extend(range(first, first + count))
+        return original(self, first, count)
+
+    monkeypatch.setattr(SimVariant, "iter_iterations", spy)
+    result = simulate_cluster(ir, spec, algorithm="baseline",
                               platform=FLAT, config=cfg)
-    assert len(result.iterations) == 3
-    assert len(result.warmup) == 2
+    assert simulated == [2, 3, 4]
+    assert result.iterations == expected
+    assert not hasattr(result, "warmup")
     assert result.algorithm == "baseline"
     assert result.throughput == pytest.approx(
         2 * 8 / result.mean_iteration_time

@@ -55,11 +55,12 @@ class TestSerialization:
             "AlexNet v2", ClusterSpec(2, 1, "training"), algorithm="tic",
             config=SimConfig(iterations=2, warmup=1),
         )
-        back = result_from_dict(result_to_dict(result))
+        payload = result_to_dict(result)
+        assert "warmup" not in payload
+        back = result_from_dict(payload)
+        assert back == result
         assert back.summary() == result.summary()
         assert back.iteration_times.tolist() == result.iteration_times.tolist()
-        assert len(back.warmup) == len(result.warmup)
-        assert back.warmup[0].makespan == result.warmup[0].makespan
 
     def test_json_roundtrip_is_bitwise(self):
         import json
@@ -140,6 +141,37 @@ class TestCacheBehavior:
         assert fresh.stats.hits == len(cells) - 1
         assert fresh.stats.misses == 1  # the rejected entry, reclassified
         assert fresh.stats.writes == 1  # recomputed and refreshed
+
+    def test_format_1_entry_is_recomputed_not_served(self, tmp_path):
+        """An entry in the layout before warm-up records were dropped
+        (format 1, with a ``"warmup"`` list) shares its cell's cache key,
+        so the format check alone keeps it from being served."""
+        import json
+
+        from repro.sweep.serialize import RESULT_FORMAT
+
+        cells = tiny_cells()[:1]
+        runner = SweepRunner(jobs=1, cache_dir=str(tmp_path))
+        (result,) = runner.run_cells(cells)
+        path = runner._cache.path(cache_key_of(cells[0]))
+        with open(path) as fh:
+            payload = json.load(fh)
+        assert payload["format"] == RESULT_FORMAT == 2
+        assert "warmup" not in payload
+        stale = dict(payload, format=1, warmup=[])
+        # a poisoned number shows up if the stale entry were served
+        stale["iterations"] = [
+            dict(it, makespan=-1.0) for it in payload["iterations"]
+        ]
+        with open(path, "w") as fh:
+            json.dump(stale, fh)
+
+        fresh = SweepRunner(jobs=1, cache_dir=str(tmp_path))
+        (again,) = fresh.run_cells(cells)
+        assert fresh.stats.as_dict() == {"hits": 0, "misses": 1, "writes": 1}
+        assert_results_identical([again], [result])
+        with open(path) as fh:
+            assert json.load(fh) == payload
 
     def test_fn_tasks_cache(self, tmp_path):
         runner = SweepRunner(jobs=1, cache_dir=str(tmp_path))
