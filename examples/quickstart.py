@@ -5,18 +5,17 @@ Part 1 rebuilds Figure 1a — a two-transfer DAG where one transfer order
 overlaps communication with computation and the other blocks — and shows
 TIC/TAC picking the good order.
 
-Part 2 uses the stable :mod:`repro.api` facade: a ``Session`` owning the
-runner/cache lifecycle runs a registered scenario at a custom scale and
-returns a typed ``ResultSet`` (rows + schema + provenance) — values, not
-side effects. (The old per-driver pattern,
-``repro.experiments.fig7.run(ctx)``, has been removed.)
+Part 2 uses the stable :mod:`repro.api` facade: a ``Context`` owning the
+runner/cache lifecycle at a custom scale, handed to ``execute_scenario``,
+runs a registered scenario and returns a typed ``ResultSet`` (rows +
+schema + provenance) — values, not side effects.
 
 Part 3 shows parameter overrides and the scenario registry.
 
 Run:  python examples/quickstart.py
 """
 
-from repro.api import Scale, Session, scenario_names
+from repro.api import Context, Scale, execute_scenario, scenario_names
 from repro.core import scheduling_efficiency, tac, tic
 from repro.graph import Graph, OpKind, PartitionedGraph, Resource
 from repro.timing import MappingTimeOracle
@@ -72,24 +71,25 @@ DEMO_SCALE = Scale(
 
 
 def run_a_scenario() -> None:
-    """The public API: Session -> Scenario -> ResultSet."""
-    with Session(scale=DEMO_SCALE, cache=False) as session:
-        rs = session.run("fig7")  # Fig. 7's grid at our demo scale
+    """The public API: Context -> Scenario -> ResultSet."""
+    with Context(scale=DEMO_SCALE, use_cache=False, verbose=False) as ctx:
+        rs = execute_scenario(ctx, "fig7")  # Fig. 7's grid at our demo scale
         print(f"\nfig7 at scale 'demo': {len(rs)} rows, schema {rs.schema}")
         print(rs.to_table())
         prov = rs.provenance
         print(f"provenance: engine rev {prov.engine_rev}, "
               f"cache {dict(prov.cache)}, {prov.elapsed_s:.1f}s")
         # Results are values; persisting them is an explicit step:
-        #   rs.save("results")
+        #   rs.save(ctx.results_dir)
         row = rs.rows[0]
         assert row["model"] == "ResNet-50 v1" and row["workers"] == 4
 
 
 def override_parameters() -> None:
     """Scenarios declare parameters callers may rebind per run."""
-    with Session(scale=DEMO_SCALE, cache=False) as session:
-        rs = session.run("stragglers", model="ResNet-50 v1", n_workers=2)
+    with Context(scale=DEMO_SCALE, use_cache=False, verbose=False) as ctx:
+        rs = execute_scenario(ctx, "stragglers", model="ResNet-50 v1",
+                              n_workers=2)
         tic_rows = [r for r in rs.rows if r["algorithm"] == "tic"]
         print(f"\nstragglers with n_workers=2: {len(rs)} rows "
               f"({len(tic_rows)} under TIC)")

@@ -21,8 +21,9 @@ Subpackages
 ``repro.training``
     Numeric data-parallel SGD substrate (Fig. 8's accuracy-preservation).
 ``repro.api``
-    The stable public facade: ``Session``/``Scenario``/``ResultSet`` and
-    the declarative scenario registry regenerating every table/figure.
+    The stable public facade: ``Context``/``Scenario``/``ResultSet``, run
+    by ``execute_scenario``, and the declarative scenario registry
+    regenerating every table/figure.
 ``repro.experiments``
     The ``tictac-repro`` command-line shell over ``repro.api``.
 ``repro.analysis``
@@ -31,7 +32,7 @@ Subpackages
 
 __version__ = "1.0.0"
 
-__all__ = ["__version__", "Session", "schedule_model", "simulate_cluster"]
+__all__ = ["__version__", "schedule_model", "simulate_cluster"]
 
 
 def __getattr__(name):
@@ -45,8 +46,4 @@ def __getattr__(name):
         from .sim.runner import simulate_cluster
 
         return simulate_cluster
-    if name == "Session":
-        from .api import Session
-
-        return Session
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

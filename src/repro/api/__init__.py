@@ -2,8 +2,9 @@
 
 Three nouns:
 
-* :class:`Session` — owns execution (scale, worker pool, on-disk sweep
-  cache); a context manager.
+* :class:`Context` — owns execution (scale, seed, worker pool, on-disk
+  sweep cache); a context manager built by :func:`make_context` and
+  passed to :func:`execute_scenario`.
 * :class:`Scenario` — one study: a name, its outputs and parameters, an
   ``analyze`` function that runs it and an optional ``cells`` function
   naming the cells it sweeps. The built-in registry covers every
@@ -14,16 +15,16 @@ Three nouns:
 
 Quick start::
 
-    from repro.api import Session
+    from repro.api import execute_scenario, make_context
 
-    with Session(scale="quick") as session:
-        rs = session.run("fig7")
+    with make_context(full=False) as ctx:
+        rs = execute_scenario(ctx, "fig7")
         print(rs.to_table())
-        rs.save("results")
+        rs.save(ctx.results_dir)
 
 Extending: register a :class:`Scenario` holding your analysis function
 with :func:`register_scenario`, and it is immediately runnable by name —
-from :class:`Session` and from the ``tictac-repro`` CLI alike.
+from :func:`execute_scenario` and from the ``tictac-repro`` CLI alike.
 """
 
 from .context import (
@@ -52,7 +53,6 @@ from .registry import (
 )
 from .resultset import Provenance, Report, ResultSet
 from .scenario import Scenario, ScenarioError
-from .session import Session
 
 __all__ = [
     "Context",
@@ -70,7 +70,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "ScenarioRun",
-    "Session",
     "UnknownScenarioError",
     "execute_scenario",
     "iter_scenarios",

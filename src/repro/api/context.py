@@ -8,19 +8,28 @@ Every scenario runs at one of two scales:
   iterations after 2 warm-up, 1000-run consistency study). Select with
   ``REPRO_SCALE=full`` or ``--full`` on the CLI.
 
-:class:`Context` owns the shared :class:`~repro.sweep.SweepRunner`
-(worker pool, on-disk result cache) for one run of one or
-more scenarios. :class:`~repro.api.Session` is the public facade over it.
+:class:`Context` is the one public execution object: it owns the shared
+:class:`~repro.sweep.SweepRunner` (worker pool, on-disk result cache)
+for one run of one or more scenarios, and is a context manager::
+
+    from repro.api import execute_scenario, make_context
+
+    with make_context(full=False, jobs=2) as ctx:
+        rs = execute_scenario(ctx, "fig7")  # a registered scenario
+        print(rs.to_table())                # rows are values...
+        rs.save(ctx.results_dir)            # ...writing CSV is explicit
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..sim import SimConfig
 from ..sweep import SweepRunner
+from ..sweep.cache import ResultCache
 
 #: Fig. 7's model set (the paper's nine; Table 1 lists ten — ResNet-101 v2
 #: appears only in Table 1).
@@ -80,7 +89,7 @@ FULL = Scale(
     loss_iterations=500,
 )
 
-#: Named scales a :class:`~repro.api.Session` accepts.
+#: Scales by name (``capture_trace(scale="full")``).
 SCALES: dict[str, Scale] = {"quick": QUICK, "full": FULL}
 
 
@@ -93,6 +102,7 @@ class Context:
     ``jobs`` fans cells out across processes, the cache (default
     ``<results_dir>/.sweep-cache``) lets re-runs and overlapping scenarios
     skip already-simulated cells, and ``rerun`` forces recomputation.
+    A custom :class:`Scale` goes in ``scale``.
     """
 
     scale: Scale = field(default_factory=lambda: QUICK)
@@ -104,36 +114,52 @@ class Context:
     rerun: bool = False
     cache_dir: Optional[str] = None
     #: size cap (MiB) for the sweep cache; ``None`` keeps entries forever.
-    #: Enforced by :meth:`gc_cache` after a CLI run (LRU eviction).
+    #: Enforced by :meth:`close` (LRU eviction, see :meth:`gc_cache`).
     cache_max_mb: Optional[float] = None
     _sweep: Optional[SweepRunner] = field(
         default=None, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        cap = self.cache_max_mb
+        if cap is not None and not (math.isfinite(cap) and cap >= 0):
+            raise ValueError(
+                f"cache_max_mb must be a finite number >= 0, got {cap!r}"
+            )
+
+    def _cache_path(self) -> str:
+        return self.cache_dir or os.path.join(self.results_dir, ".sweep-cache")
+
     @property
     def sweep(self) -> SweepRunner:
         """The lazily-created sweep runner shared by this context."""
         if self._sweep is None:
-            cache_dir = None
-            if self.use_cache:
-                cache_dir = self.cache_dir or os.path.join(
-                    self.results_dir, ".sweep-cache"
-                )
             self._sweep = SweepRunner(
-                jobs=self.jobs, cache_dir=cache_dir, rerun=self.rerun
+                jobs=self.jobs,
+                cache_dir=self._cache_path() if self.use_cache else None,
+                rerun=self.rerun,
             )
         return self._sweep
 
     def close(self) -> None:
-        """Release the sweep runner's worker pool.
+        """Apply the ``cache_max_mb`` cap (no-op without one), then
+        release the sweep runner's worker pool.
 
-        The CLI and :class:`~repro.api.Session` call this from a
-        ``finally``/``__exit__`` so pool workers never outlive the run
-        (the runner's own ``atexit`` hook is the backstop for embedders
-        that skip it)."""
-        runner, self._sweep = self._sweep, None
-        if runner is not None:
-            runner.close()
+        The CLI calls this from a ``finally`` and ``with`` blocks from
+        ``__exit__``, so pool workers never outlive the run (the runner's
+        own ``atexit`` hook is the backstop for embedders that skip it)."""
+        try:
+            self.gc_cache()
+        finally:
+            runner, self._sweep = self._sweep, None
+            if runner is not None:
+                runner.close()
+
+    def __enter__(self) -> "Context":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def gc_cache(self) -> Optional[dict]:
         """Apply the ``cache_max_mb`` cap to the on-disk sweep cache
@@ -145,16 +171,9 @@ class Context:
         """
         if self.cache_max_mb is None:
             return None
-        if self.use_cache:
-            runner = self.sweep
-        else:  # --no-cache run: point a throwaway runner at the directory
-            cache_dir = self.cache_dir or os.path.join(
-                self.results_dir, ".sweep-cache"
-            )
-            runner = SweepRunner(cache_dir=cache_dir)
-        summary = runner.gc_cache(self.cache_max_mb)
-        if summary is None:  # pragma: no cover - runner without a cache dir
-            return None
+        summary = ResultCache(self._cache_path()).gc(
+            int(self.cache_max_mb * 2**20)
+        )
         self.log(
             f"sweep cache gc: removed {summary['entries_removed']} "
             f"entries ({summary['bytes_removed'] / 2**20:.1f} MiB), "
@@ -187,7 +206,10 @@ def make_context(
     """Build a context; ``full=None`` consults ``REPRO_SCALE`` (``full``),
     ``jobs=None`` consults ``REPRO_JOBS`` (default 1),
     ``REPRO_NO_CACHE=1`` disables the sweep cache, and
-    ``REPRO_CACHE_MAX_MB`` caps its size (LRU eviction after each run)."""
+    ``REPRO_CACHE_MAX_MB`` caps its size (LRU eviction on :meth:`Context.close`).
+    An explicit ``cache_dir`` with ``use_cache=True`` defeats
+    ``REPRO_NO_CACHE``; a negative, NaN or infinite cap raises
+    ``ValueError``."""
     if full is None:
         full = os.environ.get("REPRO_SCALE", "").lower() == "full"
     if jobs is None:

@@ -31,30 +31,12 @@ from .scenario import Scenario
 @dataclass
 class ScenarioRun:
     """Everything a scenario's ``analyze``/``cells`` function may touch:
-    the execution context (scale, seed, sweep runner, logging) and the
-    scenario with its bound parameters."""
+    the execution context ``ctx`` (scale, seed, sweep runner,
+    ``sim_config``, ``log``) and the scenario with its bound parameters."""
 
     ctx: Context
     scenario: Scenario
     params: dict
-
-    @property
-    def scale(self):
-        return self.ctx.scale
-
-    @property
-    def sweep(self):
-        return self.ctx.sweep
-
-    @property
-    def seed(self) -> int:
-        return self.ctx.seed
-
-    def sim_config(self, **overrides):
-        return self.ctx.sim_config(**overrides)
-
-    def log(self, message: str) -> None:
-        self.ctx.log(message)
 
     def param(self, name: str):
         return self.params[name]

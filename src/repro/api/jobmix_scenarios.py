@@ -126,7 +126,7 @@ def _job_stats(res, mix: JobMixScenario) -> tuple[dict[str, float], float]:
 
 def _mix_cells(run: ScenarioRun) -> list[SimCell]:
     """The cells every job-mix scenario sweeps: its ``mix`` parameter's."""
-    return run.param("mix").cells(run.sim_config())
+    return run.param("mix").cells(run.ctx.sim_config())
 
 
 def _mix_tables(run: ScenarioRun) -> tuple:
@@ -137,7 +137,7 @@ def _mix_tables(run: ScenarioRun) -> tuple:
     sees one cell set."""
     mix: JobMixScenario = run.param("mix")
     cells = _mix_cells(run)
-    by_cell = dict(zip(cells, run.sweep.run_cells(cells)))
+    by_cell = dict(zip(cells, run.ctx.sweep.run_cells(cells)))
     cell_for = {(cell.algorithm, cell.spec.placement): cell for cell in cells}
 
     rows = []
@@ -184,7 +184,7 @@ def _mix_tables(run: ScenarioRun) -> tuple:
             )
             if placement != "dedicated":
                 worst = max(slowdowns)
-                run.log(
+                run.ctx.log(
                     f"  jobmix {algorithm} {placement}: makespan "
                     f"{makespan:.4f}s ({makespan / ded_makespan:.3f}x "
                     f"dedicated), worst slowdown {worst:.3f}x"
@@ -245,7 +245,7 @@ def _jobmix_starvation(run: ScenarioRun) -> Report:
             srow["peak_link_util"] = round(peak, 4)
             srow["priority_inversions"] = trace.out_of_order_handoffs
             if placement != "dedicated":
-                run.log(
+                run.ctx.log(
                     f"  starvation {algorithm} {placement}: max "
                     f"{srow['max_starvation']:.2f}x mean wait, peak link "
                     f"util {peak:.2f}"

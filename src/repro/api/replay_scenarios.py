@@ -1,15 +1,19 @@
 """Replay scenarios: trace-driven cluster studies as registry entries.
 
 A :class:`ReplayScenario` is the declarative surface of the replay
-subsystem (:mod:`repro.replay`): one synthetic trace spec, one shared
-cluster, and the scheduling modes to replay the *same* trace under.
-The ``_replay`` analysis generates the trace from the run's seed,
-replays it once per mode through the epoch scheduler (rate cells ride
-the context's shared sweep runner, so they hit the same disk cache and
-quarantine machinery as every sweep), and streams per-job rows into a
-chunked CSV sink next to the primary output — the summary table is
-computed *incrementally* by the sink's aggregate, so a million-row
-replay never holds its rows.
+subsystem (:mod:`repro.replay`): one trace (a synthetic spec or loaded
+jobs), one shared cluster, and the scheduling modes to replay the *same*
+trace under. The ``_replay`` analysis generates a synthetic trace from
+the run's seed, replays it once per mode through the epoch scheduler
+(rate cells ride the context's shared sweep runner, so they hit the same
+disk cache and quarantine machinery as every sweep), and streams per-job
+rows into a chunked CSV sink next to the primary output — the summary
+table is computed *incrementally* by the sink's aggregate, so a
+million-row replay never holds its rows. The sink's manifest survives
+until the replay completes, so a killed run resumes (``resume=True``)
+from its last committed chunk; a completed one leaves no manifest.
+``tictac-repro replay`` builds an ad-hoc ``replay`` scenario from its
+flags and runs it through the same analysis.
 
 The committed study:
 
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Optional, Union
 
 from ..analysis import format_table
 from ..core.wizard import ALGORITHMS
@@ -36,7 +41,7 @@ from ..replay.admission import ADMISSIONS
 from ..replay.aggregate import ReplayAggregate
 from ..replay.engine import JOB_COLUMNS, ReplayCluster, ReplayError, replay
 from ..replay.sink import CsvChunkSink
-from ..replay.trace import SyntheticTraceSpec, generate_trace
+from ..replay.trace import JobTrace, SyntheticTraceSpec, generate_trace
 from .engine import ScenarioRun
 from .registry import register_scenario
 from .resultset import Report
@@ -47,17 +52,23 @@ from .scenario import Scenario
 class ReplayScenario:
     """Declarative description of one trace-replay study.
 
-    ``modes`` are replayed in order over the identical trace: the
-    sentinel ``"mix"`` dispatches each job to its own trace algorithm;
-    any wizard algorithm name applies uniformly. ``chunk_rows`` sets the
-    sink's commit granularity (rows per fsync'd chunk).
+    ``trace`` is a :class:`SyntheticTraceSpec`, generated from the run's
+    seed, or an already-loaded tuple of :class:`JobTrace`. ``modes`` are
+    replayed in order over the identical trace: the sentinel ``"mix"``
+    dispatches each job to its own trace algorithm; any wizard algorithm
+    name applies uniformly. ``chunk_rows`` sets the sink's commit
+    granularity (rows per fsync'd chunk). The per-job rows stream to
+    ``jobs_csv`` (default ``<results_dir>/<output>_jobs.csv``);
+    ``resume`` continues a killed run from that file's manifest.
     """
 
-    trace: SyntheticTraceSpec
+    trace: Union[SyntheticTraceSpec, tuple[JobTrace, ...]]
     cluster: ReplayCluster
     modes: tuple[str, ...] = ("baseline", "mix")
     admission: str = "fifo"
     chunk_rows: int = 256
+    resume: bool = False
+    jobs_csv: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.modes:
@@ -79,12 +90,18 @@ class ReplayScenario:
 
 def _replay(run: ScenarioRun) -> Report:
     rp: ReplayScenario = run.param("replay")
-    traces = generate_trace(rp.trace, seed=run.seed)
-    jobs_stem = f"{run.scenario.output}_jobs"
-    jobs_path = os.path.join(run.ctx.results_dir, f"{jobs_stem}.csv")
-    aggregate = ReplayAggregate(rp.cluster.total_slots)
+    traces = rp.trace
+    if isinstance(traces, SyntheticTraceSpec):
+        traces = generate_trace(traces, seed=run.ctx.seed)
+    jobs_path = rp.jobs_csv or os.path.join(
+        run.ctx.results_dir, f"{run.scenario.output}_jobs.csv"
+    )
     sink = CsvChunkSink(
-        jobs_path, JOB_COLUMNS, chunk_rows=rp.chunk_rows, aggregate=aggregate
+        jobs_path,
+        JOB_COLUMNS,
+        chunk_rows=rp.chunk_rows,
+        resume=rp.resume,
+        aggregate=ReplayAggregate(rp.cluster.total_slots),
     )
     stats = []
     try:
@@ -92,14 +109,14 @@ def _replay(run: ScenarioRun) -> Report:
             res = replay(
                 traces,
                 rp.cluster,
-                runner=run.sweep,
+                runner=run.ctx.sweep,
                 algorithm=mode,
                 admission=rp.admission,
-                config=run.sim_config(),
+                config=run.ctx.sim_config(),
                 sink=sink,
-                log=run.log,
+                log=run.ctx.log,
             )
-            run.log(
+            run.ctx.log(
                 f"  replay {mode}: {res.done}/{res.jobs} jobs in "
                 f"{res.epochs} epochs ({res.compositions} compositions, "
                 f"queue peak {res.queue_peak})"
@@ -116,15 +133,18 @@ def _replay(run: ScenarioRun) -> Report:
                 "jobs_waited": res.queued,
                 "queue_peak": res.queue_peak,
             })
-    finally:
-        info = sink.close()
-    # scenario runs are one-shot (the standalone ``tictac-repro replay``
-    # command owns crash-resume), so drop the manifest sidecar and keep
-    # the results directory to the committed CSVs.
+    except BaseException:
+        # an unfinished run keeps its manifest: ``resume`` continues it
+        sink.close(complete=False)
+        raise
+    info = sink.close()
+    # a finished run has nothing to resume
     os.remove(sink.manifest_path)
-    run.sweep.telemetry.add("replay_sink_rows", info["rows"])
-    run.sweep.telemetry.add("replay_sink_chunks", info["chunks"])
-    rows = aggregate.summary_rows()
+    run.ctx.sweep.telemetry.add("replay_sink_rows", info["rows"])
+    run.ctx.sweep.telemetry.add("replay_sink_chunks", info["chunks"])
+    # a resumed sink restored its aggregate from the manifest, so it,
+    # not the fresh one passed in, holds the rows committed before a crash
+    rows = sink.aggregate.summary_rows()
     text = (
         format_table(rows, title=run.scenario.title)
         + "\n"

@@ -73,7 +73,7 @@ def _columns(rows: Sequence[Mapping[str, object]]) -> tuple[str, ...]:
 
 @dataclass
 class ResultSet:
-    """The value returned by :meth:`repro.api.Session.run`."""
+    """The value returned by :func:`repro.api.execute_scenario`."""
 
     #: primary output stem — ``save`` writes ``<name>.csv``.
     name: str

@@ -65,7 +65,8 @@ class Scenario:
     #: the cells ``analyze`` sweeps, in sweep order (what ``trace`` picks
     #: from); ``None`` for scenarios that sweep no plain cells.
     cells: Optional[Callable[["ScenarioRun"], list["SimCell"]]] = None
-    #: default parameters; ``session.run(name, **overrides)`` rebinds.
+    #: default parameters; ``execute_scenario(ctx, name, **overrides)``
+    #: rebinds them.
     params: tuple[tuple[str, object], ...] = ()
     #: auxiliary output stems the analysis emits as extra tables.
     aux_outputs: tuple[str, ...] = ()

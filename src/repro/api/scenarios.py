@@ -78,7 +78,7 @@ def _table1(run: ScenarioRun) -> Report:
     names = list(PAPER_TABLE_1)
     tasks = [FnTask.make(model_characteristics, name=name) for name in names]
     rows = []
-    for name, char in zip(names, run.sweep.run_tasks(tasks)):
+    for name, char in zip(names, run.ctx.sweep.run_tasks(tasks)):
         ref = PAPER_TABLE_1[name]
         inf, tr = char["ops_inf"], char["ops_train"]
         rows.append(
@@ -128,14 +128,14 @@ def count_unique_orders(model: str, iterations: int, seed: int = 0) -> int:
 
 
 def _motivation(run: ScenarioRun) -> Report:
-    iterations = min(run.scale.consistency_runs, 1000)
+    iterations = min(run.ctx.scale.consistency_runs, 1000)
     tasks = [
         FnTask.make(
-            count_unique_orders, model=model, iterations=iterations, seed=run.seed
+            count_unique_orders, model=model, iterations=iterations, seed=run.ctx.seed
         )
         for model in MOTIVATION_MODELS
     ] + [FnTask.make(model_characteristics, name="ResNet-152 v2")]
-    *uniques, r152 = run.sweep.run_tasks(tasks)
+    *uniques, r152 = run.ctx.sweep.run_tasks(tasks)
     rows = []
     for model, unique in zip(MOTIVATION_MODELS, uniques):
         rows.append(
@@ -146,7 +146,7 @@ def _motivation(run: ScenarioRun) -> Report:
                 "paper_unique_of_1000": PAPER_UNIQUE[model],
             }
         )
-        run.log(f"  motivation {model}: {unique}/{iterations} unique orders")
+        run.ctx.log(f"  motivation {model}: {unique}/{iterations} unique orders")
 
     # The §2.2 sizing example.
     rows.append(
@@ -181,20 +181,20 @@ def fig7_cells(run: ScenarioRun) -> list[SimCell]:
     count, PS:workers = 1:4. The headline scan sweeps the SAME cells, so
     the two cache-hit each other."""
     return GridSpec(
-        models=run.scale.models,
+        models=run.ctx.scale.models,
         workloads=("inference", "training"),
-        worker_counts=run.scale.worker_counts,
+        worker_counts=run.ctx.scale.worker_counts,
         ps_from_workers=True,
         algorithms=(run.param("algorithm"),),
         platforms=("envG",),
-    ).cells(run.sim_config())
+    ).cells(run.ctx.sim_config())
 
 
 def _fig7(run: ScenarioRun) -> Report:
     algorithm = run.param("algorithm")
     cells = fig7_cells(run)
     rows = []
-    for cell, (gain, sched, base) in zip(cells, run.sweep.run_speedups(cells)):
+    for cell, (gain, sched, base) in zip(cells, run.ctx.sweep.run_speedups(cells)):
         rows.append(
             {
                 "model": cell.model,
@@ -206,7 +206,7 @@ def _fig7(run: ScenarioRun) -> Report:
                 "speedup_pct": round(gain, 1),
             }
         )
-        run.log(
+        run.ctx.log(
             f"  fig7 {cell.model} {cell.spec.workload} "
             f"w{cell.spec.n_workers}ps{cell.spec.n_ps}: {gain:+.1f}%"
         )
@@ -239,13 +239,13 @@ def training_run(ordering: str, iterations: int, seed: int) -> dict:
 
 
 def _fig8(run: ScenarioRun) -> Report:
-    iters = run.scale.loss_iterations
+    iters = run.ctx.scale.loss_iterations
     labels = ("no_ordering", "tic")
     tasks = [
-        FnTask.make(training_run, ordering=label, iterations=iters, seed=run.seed)
+        FnTask.make(training_run, ordering=label, iterations=iters, seed=run.ctx.seed)
         for label in labels
     ]
-    runs = dict(zip(labels, run.sweep.run_tasks(tasks)))
+    runs = dict(zip(labels, run.ctx.sweep.run_tasks(tasks)))
     identical = bool(
         np.array_equal(
             np.array(runs["no_ordering"]["losses"]), np.array(runs["tic"]["losses"])
@@ -285,16 +285,16 @@ def fig9_cells(run: ScenarioRun) -> list[SimCell]:
     """Fig. 9's slice: ``n_workers`` workers, every scale PS count. At the
     quick scale the worker count is clamped to the scale's largest."""
     n_workers = run.param("n_workers")
-    if run.scale.name == "quick":
-        n_workers = min(n_workers, max(run.scale.worker_counts))
+    if run.ctx.scale.name == "quick":
+        n_workers = min(n_workers, max(run.ctx.scale.worker_counts))
     return GridSpec(
-        models=run.scale.models,
+        models=run.ctx.scale.models,
         workloads=("inference", "training"),
         worker_counts=(n_workers,),
-        ps_counts=run.scale.ps_counts,
+        ps_counts=run.ctx.scale.ps_counts,
         algorithms=(run.param("algorithm"),),
         platforms=("envG",),
-    ).cells(run.sim_config())
+    ).cells(run.ctx.sim_config())
 
 
 def _fig9(run: ScenarioRun) -> Report:
@@ -302,7 +302,7 @@ def _fig9(run: ScenarioRun) -> Report:
     cells = fig9_cells(run)
     n_workers = cells[0].spec.n_workers
     rows = []
-    for cell, (gain, sched, base) in zip(cells, run.sweep.run_speedups(cells)):
+    for cell, (gain, sched, base) in zip(cells, run.ctx.sweep.run_speedups(cells)):
         rows.append(
             {
                 "model": cell.model,
@@ -314,7 +314,7 @@ def _fig9(run: ScenarioRun) -> Report:
                 "speedup_pct": round(gain, 1),
             }
         )
-        run.log(
+        run.ctx.log(
             f"  fig9 {cell.model} {cell.spec.workload} "
             f"ps{cell.spec.n_ps}: {gain:+.1f}%"
         )
@@ -337,20 +337,20 @@ def fig10_cells(run: ScenarioRun) -> list[SimCell]:
     """Fig. 10's slice: inference, ``n_workers`` workers, one PS, every
     batch-size factor."""
     return GridSpec(
-        models=run.scale.models,
+        models=run.ctx.scale.models,
         workloads=("inference",),
         worker_counts=(run.param("n_workers"),),
         algorithms=(run.param("algorithm"),),
         platforms=("envG",),
         batch_factors=BATCH_FACTORS,
-    ).cells(run.sim_config())
+    ).cells(run.ctx.sim_config())
 
 
 def _fig10(run: ScenarioRun) -> Report:
     algorithm = run.param("algorithm")
     cells = fig10_cells(run)
     rows = []
-    for cell, (gain, sched, base) in zip(cells, run.sweep.run_speedups(cells)):
+    for cell, (gain, sched, base) in zip(cells, run.ctx.sweep.run_speedups(cells)):
         rows.append(
             {
                 "model": cell.model,
@@ -361,7 +361,7 @@ def _fig10(run: ScenarioRun) -> Report:
                 "speedup_pct": round(gain, 1),
             }
         )
-        run.log(f"  fig10 {cell.model} x{cell.batch_factor}: {gain:+.1f}%")
+        run.ctx.log(f"  fig10 {cell.model} x{cell.batch_factor}: {gain:+.1f}%")
     text = format_table(
         rows,
         title=f"Fig. 10: speedup of {algorithm.upper()} vs baseline under "
@@ -388,22 +388,22 @@ def fig11_cells(run: ScenarioRun) -> list[SimCell]:
     """Fig. 11's slice: ``n_workers`` workers, PS:workers = 1:4, baseline
     and TIC side by side."""
     return GridSpec(
-        models=run.scale.models,
+        models=run.ctx.scale.models,
         workloads=("inference", "training"),
         worker_counts=(run.param("n_workers"),),
         ps_from_workers=True,
         algorithms=("baseline", "tic"),
         platforms=("envG",),
-    ).cells(run.sim_config())
+    ).cells(run.ctx.sim_config())
 
 
 def _fig11(run: ScenarioRun) -> Report:
     cells = fig11_cells(run)
-    results = run.sweep.run_cells(cells)
+    results = run.ctx.sweep.run_cells(cells)
     n_ops_of = dict(
         zip(
             [(c.model, c.spec.workload) for c in cells],
-            run.sweep.run_tasks(
+            run.ctx.sweep.run_tasks(
                 [
                     FnTask.make(
                         ops_per_worker, model=c.model, workload=c.spec.workload
@@ -428,7 +428,7 @@ def _fig11(run: ScenarioRun) -> Report:
             }
         )
         if cell.algorithm == "tic":
-            run.log(f"  fig11 {cell.model} {cell.spec.workload}: done")
+            run.ctx.log(f"  fig11 {cell.model} {cell.spec.workload}: done")
     text = format_table(
         rows,
         title="Fig. 11: (a) scheduling efficiency and (b) straggler time vs "
@@ -444,8 +444,8 @@ def _fig11(run: ScenarioRun) -> Report:
 
 def _fig12(run: ScenarioRun) -> Report:
     model, n_workers = run.param("model"), run.param("n_workers")
-    runs = run.scale.consistency_runs
-    cfg = run.sim_config(iterations=runs, warmup=0)
+    runs = run.ctx.scale.consistency_runs
+    cfg = run.ctx.sim_config(iterations=runs, warmup=0)
     keys = [
         (workload, algorithm)
         for workload in ("training", "inference")
@@ -461,9 +461,9 @@ def _fig12(run: ScenarioRun) -> Report:
         )
         for workload, algorithm in keys
     ]
-    results = dict(zip(keys, run.sweep.run_cells(cells)))
+    results = dict(zip(keys, run.ctx.sweep.run_cells(cells)))
     for workload, algorithm in keys:
-        run.log(f"  fig12 {workload}/{algorithm}: {runs} runs done")
+        run.ctx.log(f"  fig12 {workload}/{algorithm}: {runs} runs done")
 
     # --- (a) regression: efficiency vs normalized step time (training) ---
     effs, steps = [], []
@@ -559,12 +559,12 @@ def fig13_cells(run: ScenarioRun) -> list[SimCell]:
         worker_counts=(run.param("n_workers"),),
         algorithms=("tic", "tac"),
         platforms=("envC",),
-    ).cells(run.sim_config())
+    ).cells(run.ctx.sim_config())
 
 
 def _fig13(run: ScenarioRun) -> Report:
     n_workers = run.param("n_workers")
-    speedups = iter(run.sweep.run_speedups(fig13_cells(run)))
+    speedups = iter(run.ctx.sweep.run_speedups(fig13_cells(run)))
     rows = []
     for workload in ("inference", "training"):
         for model in ENVC_MODEL_NAMES:
@@ -578,7 +578,7 @@ def _fig13(run: ScenarioRun) -> Report:
                 entry[f"{algorithm}_speedup_pct"] = round(gain, 1)
                 entry["baseline_sps"] = round(base.throughput, 1)
             rows.append(entry)
-            run.log(
+            run.ctx.log(
                 f"  fig13 {model} {workload}: tic {entry['tic_speedup_pct']:+.1f}% "
                 f"tac {entry['tac_speedup_pct']:+.1f}%"
             )
@@ -601,7 +601,7 @@ def _headline(run: ScenarioRun) -> Report:
     # The headline scan is exactly Fig. 7's grid, so a run that follows
     # (or precedes) fig7 resolves entirely from the sweep cache.
     cells = fig7_cells(run)
-    for cell, (gain, sched, base) in zip(cells, run.sweep.run_speedups(cells)):
+    for cell, (gain, sched, base) in zip(cells, run.ctx.sweep.run_speedups(cells)):
         workload, w = cell.spec.workload, cell.spec.n_workers
         tag = f"{cell.model}/w{w}"
         if gain > best[workload][0]:
@@ -689,7 +689,7 @@ def _ablations(run: ScenarioRun) -> Report:
     spec = ClusterSpec(
         n_workers=ABLATION_WORKERS, n_ps=ABLATION_PS, workload="training"
     )
-    cfg = run.sim_config()
+    cfg = run.ctx.sim_config()
 
     def cell(algorithm: str = "tic", *, spec=spec, config=cfg) -> SimCell:
         return SimCell(
@@ -714,13 +714,13 @@ def _ablations(run: ScenarioRun) -> Report:
                               sharding=strategy))
         for strategy in sharding_strategies
     ]
-    results = iter(run.sweep.run_cells(cells))
+    results = iter(run.ctx.sweep.run_cells(cells))
 
     # --- custom-schedule variants: one shared-build task ----------------
-    custom_tps, = run.sweep.run_tasks(
+    custom_tps, = run.ctx.sweep.run_tasks(
         [
             FnTask.make(
-                custom_schedule_throughputs, seed=run.seed,
+                custom_schedule_throughputs, seed=run.ctx.seed,
                 iterations=cfg.iterations, warmup=cfg.warmup,
             )
         ]
@@ -802,7 +802,7 @@ def _stragglers(run: ScenarioRun) -> Report:
             spec=spec,
             algorithm=algorithm,
             platform="envG",
-            config=run.sim_config(
+            config=run.ctx.sim_config(
                 device_slowdown=()
                 if slowdown == 1.0
                 else (("worker:0", slowdown),)
@@ -811,7 +811,7 @@ def _stragglers(run: ScenarioRun) -> Report:
         for slowdown, algorithm in points
     ]
     rows = []
-    for (slowdown, algorithm), result in zip(points, run.sweep.run_cells(cells)):
+    for (slowdown, algorithm), result in zip(points, run.ctx.sweep.run_cells(cells)):
         rows.append(
             {
                 "model": model,
@@ -823,7 +823,7 @@ def _stragglers(run: ScenarioRun) -> Report:
             }
         )
         if algorithm == "tic":
-            run.log(f"  stragglers x{slowdown}: done")
+            run.ctx.log(f"  stragglers x{slowdown}: done")
     text = format_table(
         rows,
         title="Straggler decomposition (extends §6.3): scheduling-induced vs "
@@ -875,11 +875,11 @@ def _fault_resilience(run: ScenarioRun) -> Report:
             spec=spec,
             algorithm=algorithm,
             platform="envG",
-            config=run.sim_config(faults=fault_plan_for(intensity)),
+            config=run.ctx.sim_config(faults=fault_plan_for(intensity)),
         )
         for intensity, algorithm in points
     ]
-    results = run.sweep.run_cells(cells)
+    results = run.ctx.sweep.run_cells(cells)
     base_ms = {
         intensity: res.mean_iteration_time * 1e3
         for (intensity, algorithm), res in zip(points, results)
@@ -919,7 +919,7 @@ def _fault_resilience(run: ScenarioRun) -> Report:
                 {"algorithm": algorithm, "intensity": intensity, **r}
             )
         if algorithm == algorithms[-1]:
-            run.log(f"  fault intensity {intensity}: done")
+            run.ctx.log(f"  fault intensity {intensity}: done")
     text = format_table(
         rows,
         title="Fault resilience: scheduling under degraded links and straggler "
@@ -962,15 +962,15 @@ def _pipelining(run: ScenarioRun) -> Report:
     model = run.param("model")
     n_workers, window = run.param("n_workers"), run.param("window")
     spec = ClusterSpec(n_workers=n_workers, n_ps=1, workload="training")
-    cfg = run.sim_config(iterations=max(2, run.scale.iterations // 2), warmup=0)
+    cfg = run.ctx.sim_config(iterations=max(2, run.ctx.scale.iterations // 2), warmup=0)
     algorithms = ("baseline", "tic")
-    barriers = run.sweep.run_cells(
+    barriers = run.ctx.sweep.run_cells(
         [
             SimCell(model=model, spec=spec, algorithm=a, platform="envG", config=cfg)
             for a in algorithms
         ]
     )
-    pipelineds = run.sweep.run_tasks(
+    pipelineds = run.ctx.sweep.run_tasks(
         [
             FnTask.make(
                 pipelined_metrics,
@@ -998,7 +998,7 @@ def _pipelining(run: ScenarioRun) -> Report:
                 "fill_latency_ms": round(pipelined["fill_s"] * 1e3, 1),
             }
         )
-        run.log(f"  pipelining {algorithm}: done")
+        run.ctx.log(f"  pipelining {algorithm}: done")
     base, tic = rows
     tic["tic_gain_pipelined_pct"] = round(
         (base["pipelined_steady_ms"] - tic["pipelined_steady_ms"])
@@ -1036,8 +1036,8 @@ def allreduce_axes(scale) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, 
 def allreduce_grid_cells(run: ScenarioRun) -> list[SimCell]:
     """The scenario's cells: its main evaluation grid, in deterministic
     row order (the wire check and the PS comparison are derived sweeps)."""
-    models, workers, partitions = allreduce_axes(run.scale)
-    cfg = run.sim_config()
+    models, workers, partitions = allreduce_axes(run.ctx.scale)
+    cfg = run.ctx.sim_config()
     cells = []
     for model in models:
         for topology in TOPOLOGIES:
@@ -1063,11 +1063,11 @@ def allreduce_grid_cells(run: ScenarioRun) -> list[SimCell]:
 
 
 def _allreduce(run: ScenarioRun) -> Report:
-    models, workers, partitions = allreduce_axes(run.scale)
+    models, workers, partitions = allreduce_axes(run.ctx.scale)
 
     # --- main grid ----------------------------------------------------
     cells = allreduce_grid_cells(run)
-    results = run.sweep.run_cells(cells)
+    results = run.ctx.sweep.run_cells(cells)
     by_cell = dict(zip(cells, results))
     rows = []
     for cell, res in zip(cells, results):
@@ -1087,7 +1087,7 @@ def _allreduce(run: ScenarioRun) -> Report:
             }
         )
         if cell.algorithm != "baseline":
-            run.log(
+            run.ctx.log(
                 f"  allreduce {cell.model} {cell.spec.topology} "
                 f"w{cell.spec.n_workers} p{cell.spec.partition_bytes // MIB}MiB "
                 f"{cell.algorithm}: {gain:+.1f}%"
@@ -1095,7 +1095,7 @@ def _allreduce(run: ScenarioRun) -> Report:
 
     # --- analytic ring wire check ------------------------------------
     wire = PLATFORMS["wire"]
-    wire_cfg = run.sim_config(iterations=2, warmup=0)
+    wire_cfg = run.ctx.sim_config(iterations=2, warmup=0)
     wire_cells = [
         SimCell(
             model=model,
@@ -1114,7 +1114,7 @@ def _allreduce(run: ScenarioRun) -> Report:
     ]
     model_bytes = {m: build_model(m).total_param_bytes for m in models}
     wire_rows = []
-    for cell, res in zip(wire_cells, run.sweep.run_cells(wire_cells)):
+    for cell, res in zip(wire_cells, run.ctx.sweep.run_cells(wire_cells)):
         w = cell.spec.n_workers
         bound = 2 * (w - 1) / w * model_bytes[cell.model] / wire.bandwidth_bps
         wire_rows.append(
@@ -1136,11 +1136,11 @@ def _allreduce(run: ScenarioRun) -> Report:
             spec=make_spec("ps", n_workers=w_head, n_ps=ps_for_workers(w_head)),
             algorithm="tac",
             platform="envG",
-            config=run.sim_config(),
+            config=run.ctx.sim_config(),
         )
         for model in models
     ]
-    for model, ps_res in zip(models, run.sweep.run_cells(ps_cells)):
+    for model, ps_res in zip(models, run.ctx.sweep.run_cells(ps_cells)):
         ring_tac = [
             r
             for r in rows

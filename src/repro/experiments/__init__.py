@@ -5,9 +5,9 @@ executed by one generic engine; this package is the thin CLI shell over
 that facade (``python -m repro.experiments`` / the ``tictac-repro``
 console script). Programmatic use goes through :mod:`repro.api`::
 
-    from repro.api import Session
+    from repro.api import execute_scenario, make_context
 
-    with Session(scale="quick") as session:
-        rs = session.run("fig7")
-        rs.save("results")
+    with make_context(full=False) as ctx:
+        rs = execute_scenario(ctx, "fig7")
+        rs.save(ctx.results_dir)
 """

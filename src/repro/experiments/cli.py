@@ -20,7 +20,8 @@ default, tidy per-op CSV with ``--exporter csv``.
 
 ``replay`` streams a job trace (synthetic or Alibaba-style CSV) through
 the dynamic-admission cluster scheduler (:mod:`repro.replay`) into a
-chunked, crash-resumable CSV sink.
+chunked, crash-resumable CSV sink — an ad-hoc replay scenario, run by
+the same engine as every registered one.
 """
 
 from __future__ import annotations
@@ -163,14 +164,17 @@ def trace_main(argv: Sequence[str]) -> int:
 
 
 def replay_main(argv: Sequence[str]) -> int:
-    """``tictac-repro replay``: stream a trace through the epoch
-    scheduler (:mod:`repro.replay`) into a chunked CSV sink.
+    """``tictac-repro replay``: build a one-mode
+    :class:`~repro.api.replay_scenarios.ReplayScenario` from the flags
+    and run it through :func:`~repro.api.engine.execute_scenario`, like
+    any registered replay study.
 
     The per-job rows land in ``--out`` as they finish (never held in
-    memory); the incremental per-mode summary lands in ``--summary-out``
-    on exit. A killed run resumes from the sink's last committed chunk
-    with ``--resume`` — the finished files are byte-identical to an
-    uninterrupted run.
+    memory); the incremental summary lands in ``--summary-out`` on exit.
+    A killed run resumes from the sink's last committed chunk with
+    ``--resume`` — the finished files are byte-identical to an
+    uninterrupted run. A completed run deletes the sink's manifest, so
+    it has nothing to resume.
     """
     parser = argparse.ArgumentParser(
         prog="tictac-repro replay",
@@ -220,96 +224,67 @@ def replay_main(argv: Sequence[str]) -> int:
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(list(argv))
 
-    from ..analysis import format_table, write_csv
-    from ..replay.admission import UnknownAdmissionError
-    from ..replay.aggregate import ReplayAggregate
-    from ..replay.engine import (
-        JOB_COLUMNS,
-        ReplayCluster,
-        ReplayError,
-        replay,
-    )
+    from ..analysis import write_csv
+    from ..api.replay_scenarios import ReplayScenario, _replay
+    from ..api.scenario import Scenario
+    from ..replay.engine import ReplayCluster, ReplayError
     from ..replay.loader import load_alibaba_csv
-    from ..replay.sink import CsvChunkSink, SinkError
-    from ..replay.trace import SyntheticTraceSpec, TraceError, generate_trace
+    from ..replay.sink import SinkError
+    from ..replay.trace import SyntheticTraceSpec, generate_trace
 
     try:
         if args.trace is not None:
-            traces = load_alibaba_csv(args.trace, limit=args.limit)
+            trace = load_alibaba_csv(args.trace, limit=args.limit)
         else:
-            traces = generate_trace(
-                SyntheticTraceSpec(
-                    n_jobs=args.n_jobs,
-                    horizon_s=args.horizon_s,
-                    arrival=args.arrival,
-                ),
-                seed=args.seed,
+            trace = SyntheticTraceSpec(
+                n_jobs=args.n_jobs,
+                horizon_s=args.horizon_s,
+                arrival=args.arrival,
             )
             if args.limit is not None:
-                traces = traces[: args.limit]
-        cluster = ReplayCluster(
-            n_hosts=args.n_hosts,
-            slots_per_host=args.slots_per_host,
-            placement=args.placement,
-            platform=args.platform,
+                trace = generate_trace(trace, seed=args.seed)[: args.limit]
+        study = ReplayScenario(
+            trace=trace,
+            cluster=ReplayCluster(
+                n_hosts=args.n_hosts,
+                slots_per_host=args.slots_per_host,
+                placement=args.placement,
+                platform=args.platform,
+            ),
+            modes=(args.algorithm,),
+            admission=args.admission,
+            chunk_rows=args.chunk_rows,
+            resume=args.resume,
+            jobs_csv=args.out,
         )
-    except (TraceError, ReplayError, KeyError) as exc:
+        ctx = make_context(
+            full=False,  # replay rates are scale-independent (1-iteration cells)
+            results_dir=args.results_dir,
+            seed=args.seed,
+            verbose=not args.quiet,
+            jobs=args.jobs,
+            **({"use_cache": False} if args.no_cache else {}),
+        )
+    except (KeyError, ValueError) as exc:  # bad trace, cluster, mode or cap
         parser.error(str(exc))
-
-    out = args.out or os.path.join(args.results_dir, "replay_jobs.csv")
     summary_out = args.summary_out or os.path.join(
         args.results_dir, "replay.csv"
     )
-    try:
-        sink = CsvChunkSink(
-            out,
-            JOB_COLUMNS,
-            chunk_rows=args.chunk_rows,
-            resume=args.resume,
-            aggregate=ReplayAggregate(cluster.total_slots),
-        )
-    except SinkError as exc:
-        parser.error(str(exc))
-
-    ctx = make_context(
-        full=False,  # replay rates are scale-independent (1-iteration cells)
-        results_dir=args.results_dir,
-        seed=args.seed,
-        verbose=not args.quiet,
-        jobs=args.jobs,
-        **({"use_cache": False} if args.no_cache else {}),
-    )
-    try:
+    with ctx:
         try:
-            result = replay(
-                traces,
-                cluster,
-                runner=ctx.sweep,
-                algorithm=args.algorithm,
-                admission=args.admission,
-                config=ctx.sim_config(),
-                sink=sink,
-                log=ctx.log,
-            )
-        except (ReplayError, UnknownAdmissionError) as exc:
-            sink.close(complete=False)
+            rs = execute_scenario(ctx, Scenario(
+                name="replay",
+                title=f"Trace replay ({args.algorithm}, {args.admission})",
+                output="replay",
+                analyze=_replay,
+                backends=("jobmix",),
+                params=(("replay", study),),
+            ))
+        except (ReplayError, SinkError) as exc:
             parser.error(str(exc))
-        info = sink.close()
-        summary = sink.aggregate.summary_rows()
-        write_csv(summary_out, summary)
-        if not args.quiet:
-            print(format_table(summary))
-            print(
-                f"replay[{result.label}] {result.done}/{result.jobs} jobs, "
-                f"{len(result.quarantined)} quarantined, {result.epochs} "
-                f"epochs, {result.compositions} compositions, queue peak "
-                f"{result.queue_peak}"
-            )
-            print(f"  jobs    -> {info['path']} ({info['rows']} rows, "
-                  f"{info['chunks']} chunks)")
-            print(f"  summary -> {summary_out}")
-    finally:
-        ctx.close()
+        write_csv(summary_out, rs.rows)
+        ctx.log(f"  jobs    -> {rs.extras['jobs_csv']}")
+        ctx.log(f"  summary -> {summary_out}")
     return 0
 
 
@@ -381,18 +356,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
 
     full = True if args.full else (False if args.quick else None)
-    ctx = make_context(
-        full=full,
-        results_dir=args.results_dir,
-        seed=args.seed,
-        verbose=not args.quiet,
-        jobs=args.jobs,
-        rerun=args.rerun,
-        **({"use_cache": False} if args.no_cache else {}),
-        **({"cache_max_mb": args.cache_max_mb}
-           if args.cache_max_mb is not None else {}),
-    )
     try:
+        ctx = make_context(
+            full=full,
+            results_dir=args.results_dir,
+            seed=args.seed,
+            verbose=not args.quiet,
+            jobs=args.jobs,
+            rerun=args.rerun,
+            **({"use_cache": False} if args.no_cache else {}),
+            **({"cache_max_mb": args.cache_max_mb}
+               if args.cache_max_mb is not None else {}),
+        )
+    except ValueError as exc:  # a bad cap, before any scenario runs
+        parser.error(str(exc))
+    with ctx:  # close() applies the cache cap, then releases the pool
         for name in names:
             ctx.log(f"=== {name} (scale={ctx.scale.name}, jobs={ctx.jobs}) ===")
             result = execute_scenario(ctx, scenario(name))
@@ -402,9 +380,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ctx.log(f"sweep cache: {ctx.sweep.stats.as_dict()}")
         if args.cache_gc and ctx.cache_max_mb is None:
             ctx.cache_max_mb = 0.0  # explicit GC with no cap empties the cache
-        ctx.gc_cache()
-    finally:
-        ctx.close()
     return 0
 
 

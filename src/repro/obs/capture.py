@@ -92,7 +92,7 @@ def capture_trace(
     ``cell_index`` selects among the scenario's cells (default: the
     first); ``iteration`` defaults to the first *measured* iteration
     (index ``warmup``); remaining keyword arguments rebind scenario
-    parameters as ``Session.run`` would.
+    parameters as :func:`~repro.api.engine.execute_scenario` would.
 
     Raises ``ValueError`` for scenarios that expand to no simulation
     cells, listing the traceable ones, and for a ``cell_index`` outside

@@ -22,8 +22,10 @@ Layers (each its own module):
 * :mod:`repro.replay.sink` / :mod:`repro.replay.aggregate` — streaming
   result sinks and the running percentile/fairness aggregation.
 
-The API surface is :mod:`repro.api.replay_scenarios` (the registered
-``cluster_day`` study) and the ``tictac-repro replay`` subcommand.
+The API surface is :mod:`repro.api.replay_scenarios`: a
+``ReplayScenario`` run through :func:`repro.api.execute_scenario`. The
+registered ``cluster_day`` study and the ``tictac-repro replay``
+subcommand, which builds one from its flags, both take that path.
 """
 
 from .admission import (

@@ -121,8 +121,8 @@ class CsvChunkSink(RowSink):
         except FileNotFoundError:
             raise SinkError(
                 f"cannot resume {self.path}: no manifest at "
-                f"{self.manifest_path} (was the original run started "
-                f"without a sink, or already cleaned up?)"
+                f"{self.manifest_path} (a completed replay deletes its "
+                f"manifest; only an interrupted one can resume)"
             ) from None
         if tuple(manifest["columns"]) != self.columns:
             raise SinkError(

@@ -1,4 +1,4 @@
-"""The Session/Scenario facade: validation, registry, execution, results."""
+"""The Context/Scenario facade: validation, registry, execution, results."""
 
 import csv
 
@@ -9,14 +9,14 @@ from repro.api import (
     Scenario,
     ScenarioError,
     ScenarioRun,
-    Session,
     UnknownScenarioError,
     execute_scenario,
     iter_scenarios,
+    make_context,
     scenario,
     scenario_names,
 )
-from repro.api.context import QUICK, Context, Scale
+from repro.api.context import FULL, QUICK, Context, Scale
 from repro.registry import UnknownNameError
 from repro.sim.engine import ENGINE_REV
 from repro.sweep import GridSpec, SweepRunner
@@ -261,17 +261,17 @@ def test_provenance_reports_cache_hits_on_rerun(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Session lifecycle
+# Context lifecycle
 # ----------------------------------------------------------------------
 
 def test_session_runs_by_name_and_closes(tmp_path):
-    with Session(scale=MICRO, results_dir=str(tmp_path)) as session:
-        out = session.run("table1")
+    with Context(scale=MICRO, results_dir=str(tmp_path)) as ctx:
+        out = execute_scenario(ctx, "table1")
         assert out.rows
-        assert session.scale.name == "micro"
-        runner = session.sweep
+        assert ctx.scale.name == "micro"
+        runner = ctx.sweep
     # __exit__ released the runner
-    assert session.context._sweep is None
+    assert ctx._sweep is None
     assert runner._pool is None
 
 
@@ -308,39 +308,46 @@ def test_fresh_process_can_reference_builtin_analyses():
 
 def test_session_explicit_cache_dir_beats_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    with Session(
-        scale=MICRO, results_dir=str(tmp_path), cache=str(tmp_path / "c")
-    ) as session:
-        assert session.context.use_cache is True
-        assert session.context.cache_dir == str(tmp_path / "c")
-    with Session(scale=MICRO, results_dir=str(tmp_path)) as session:
-        # the default (cache=True) still honours the ambient env toggle
-        assert session.context.use_cache is False
+    with make_context(
+        results_dir=str(tmp_path), cache_dir=str(tmp_path / "c"), use_cache=True
+    ) as ctx:
+        assert ctx.use_cache is True
+        assert ctx.cache_dir == str(tmp_path / "c")
+        assert ctx.sweep.cache_dir == str(tmp_path / "c")
+    with make_context(results_dir=str(tmp_path)) as ctx:
+        # without an explicit choice the ambient env toggle still applies
+        assert ctx.use_cache is False
 
 
-def test_session_named_scales_and_overrides(tmp_path):
-    session = Session(scale="quick", results_dir=str(tmp_path), cache=False)
+def test_session_named_scales_and_overrides(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPRO_SCALE", raising=False)
+    ctx = make_context(full=False, results_dir=str(tmp_path), use_cache=False)
     try:
-        assert session.scale.name == "quick"
-        assert session.context.use_cache is False
+        assert ctx.scale.name == "quick"
+        assert ctx.use_cache is False
     finally:
-        session.close()
-    with pytest.raises(ValueError, match="unknown scale"):
-        Session(scale="humongous")
+        ctx.close()
+    assert make_context(full=True).scale is FULL
+    # full=None consults $REPRO_SCALE, like the CLI
+    assert make_context(full=None).scale is QUICK
+    monkeypatch.setenv("REPRO_SCALE", "full")
+    assert make_context(full=None).scale is FULL
 
 
 def test_session_run_all_subset(tmp_path):
-    with Session(scale=MICRO, results_dir=str(tmp_path)) as session:
-        results = session.run_all(["table1", "stragglers"])
+    with Context(scale=MICRO, results_dir=str(tmp_path)) as ctx:
+        results = {
+            name: execute_scenario(ctx, name)
+            for name in ["table1", "stragglers"]
+        }
         assert list(results) == ["table1", "stragglers"]
         assert all(rs.rows for rs in results.values())
-        paths = session.save(results["stragglers"])
+        paths = results["stragglers"].save(ctx.results_dir)
         assert paths["straggler_decomposition"].startswith(str(tmp_path))
 
 
-def test_session_scenarios_listing(tmp_path):
-    with Session(scale=MICRO, results_dir=str(tmp_path)) as session:
-        assert "fig7" in session.scenarios()
+def test_session_scenarios_listing():
+    assert "fig7" in scenario_names()
 
 
 def test_quarantined_extras_carry_cell_params():

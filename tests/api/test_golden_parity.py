@@ -1,4 +1,4 @@
-"""Golden parity: ``Session.run`` reproduces the committed results CSVs
+"""Golden parity: ``execute_scenario`` reproduces the committed results CSVs
 byte-for-byte for a quick-scale subset (the full set is verified by
 ``tictac-repro all --quick`` against ``results/`` — same engine, same
 registry path)."""
@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import Session
+from repro.api import execute_scenario, make_context
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 GOLDEN_DIR = REPO_ROOT / "results"
@@ -24,20 +24,20 @@ PARITY = (
 
 
 @pytest.fixture(scope="module")
-def quick_session(tmp_path_factory):
+def quick_ctx(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("golden")
-    with Session(
-        scale="quick", results_dir=str(tmp), cache=False, verbose=False
-    ) as session:
-        yield session
+    with make_context(
+        full=False, results_dir=str(tmp), use_cache=False, verbose=False
+    ) as ctx:
+        yield ctx
 
 
 @pytest.mark.parametrize("name,output", PARITY)
-def test_session_reproduces_committed_csv(quick_session, name, output):
+def test_session_reproduces_committed_csv(quick_ctx, name, output):
     golden = GOLDEN_DIR / f"{output}.csv"
     assert golden.exists(), f"committed golden CSV missing: {golden}"
-    rs = quick_session.run(name)
-    paths = rs.save(quick_session.results_dir)
+    rs = execute_scenario(quick_ctx, name)
+    paths = rs.save(quick_ctx.results_dir)
     regenerated = Path(paths[output]).read_bytes()
     assert regenerated == golden.read_bytes(), (
         f"{output}.csv is no longer byte-identical through the scenario "

@@ -13,6 +13,8 @@ from repro.backends.placement import (
     place_jobs,
 )
 
+from ..conftest import examples
+
 POLICIES = ("dedicated", "packed", "spread", "rack_aware")
 
 
@@ -31,7 +33,7 @@ mix_shapes = st.tuples(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(shape=mix_shapes, policy=st.sampled_from(POLICIES))
 def test_every_device_maps_to_exactly_one_host(shape, policy):
     sizes, slots, extra = shape
@@ -51,7 +53,7 @@ def test_every_device_maps_to_exactly_one_host(shape, policy):
         assert max(loads.values()) <= slots
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(shape=mix_shapes)
 def test_packed_uses_minimal_hosts(shape):
     sizes, slots, extra = shape
@@ -64,7 +66,7 @@ def test_packed_uses_minimal_hosts(shape):
     assert len(set(mapping.values())) == -(-total // slots)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(shape=mix_shapes)
 def test_spread_never_colocates_jobs_while_hosts_remain_free(shape):
     sizes, slots, extra = shape
@@ -84,7 +86,7 @@ def test_spread_never_colocates_jobs_while_hosts_remain_free(shape):
         assert len(hosts_by_host) == n_hosts
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(shape=mix_shapes)
 def test_dedicated_is_identity(shape):
     sizes, _slots, _extra = shape

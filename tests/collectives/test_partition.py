@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.collectives import CollectiveSpec, partition_tensors
 from repro.models.ir import FLOAT_BYTES, ParamTensor
 
+from ..conftest import examples
 from ..strategies import model_irs
 
 
@@ -53,7 +54,7 @@ def test_partition_bytes_must_be_positive():
 
 
 @given(model_irs(), st.sampled_from([64, 1024, 2**20]), st.booleans())
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 def test_partition_conserves_model_bytes(ir, partition_bytes, fuse):
     chunks = partition_tensors(ir.params, partition_bytes, fuse=fuse)
     assert sum(c.n_elements for c in chunks) == sum(

@@ -12,7 +12,7 @@ from repro.graph import OpKind, ResourceKind
 from repro.sim import SimConfig, simulate_cluster
 from repro.timing.platform import WIRE
 
-from ..conftest import tiny_model
+from ..conftest import examples, tiny_model
 from ..strategies import model_irs
 
 
@@ -93,7 +93,7 @@ def test_single_worker_degenerates_to_local_update():
     st.sampled_from([256, 4096, 2**20]),
     st.booleans(),
 )
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 def test_collective_graph_structural_invariants(
     ir, n_workers, topology, partition_bytes, fuse
 ):

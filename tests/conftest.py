@@ -1,14 +1,42 @@
-"""Shared fixtures: the paper's toy DAGs and a fast miniature model."""
+"""Shared fixtures: the paper's toy DAGs and a fast miniature model, and
+the hypothesis profiles.
+
+Tier-1 runs the ``tier1`` profile: every ``@given`` test draws the same
+examples on every run (``derandomize``, no example database), so the
+suite is a deterministic function of the tree. The ``explore`` profile
+(``pytest --hypothesis-profile=explore``) draws fresh random examples,
+``EXPLORE_FACTOR`` times as many per test; turn what it finds into a
+pinned ``@example``.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.graph import Graph, OpKind, Resource
 from repro.models.builder import NetBuilder
 
 WORKER = "worker:0"
 PS = "ps:0"
+
+#: hypothesis's own default ``max_examples``, which ``tier1`` keeps.
+TIER1_EXAMPLES = 100
+EXPLORE_FACTOR = 5
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile(
+    "explore", max_examples=TIER1_EXAMPLES * EXPLORE_FACTOR
+)
+settings.load_profile("tier1")
+
+
+def examples(n: int) -> int:
+    """A ``@given`` test's example count: ``n`` under ``tier1``, scaled by
+    the loaded profile's ``max_examples`` (``EXPLORE_FACTOR`` times ``n``
+    under ``explore``). Pass it as ``@settings(max_examples=examples(n))``,
+    which a profile cannot override by itself."""
+    return n * settings.default.max_examples // TIER1_EXAMPLES
 
 
 def make_worker_graph(edges, costs=None, params=None):

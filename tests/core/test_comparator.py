@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from repro.core import RecvProps, precedes, precedes_as_printed
 
+from ..conftest import examples
+
 finite = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 
 
@@ -38,7 +40,7 @@ def test_printed_comparator_inverts_fig1a():
 
 
 @given(finite, finite, finite, finite)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_eq6_agrees_with_makespan_algebra(ma, pa, mb, pb):
     """Whenever the two orders have different makespans, Eq. 6 picks the
     smaller one (the derivation in §4.3, Case 1)."""
@@ -55,7 +57,7 @@ def test_eq6_agrees_with_makespan_algebra(ma, pa, mb, pb):
 
 
 @given(finite, finite, finite, finite, finite, finite)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_antisymmetry(ma, pa, mplusa, mb, pb, mplusb):
     a = props(ma, pa, mplusa, index=0)
     b = props(mb, pb, mplusb, index=1)
@@ -85,7 +87,7 @@ def eq6_strict(a: RecvProps, b: RecvProps) -> bool:
 
 
 @given(st.lists(st.tuples(positive, finite), min_size=3, max_size=3))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_strict_eq6_has_no_cycles_with_positive_transfer_times(triple):
     """The strict Eq. 6 preference is acyclic on the physical domain
     (positive transfer times) — the defensible core of the paper's

@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.timing import MappingTimeOracle
 
-from ..conftest import make_worker_graph
+from ..conftest import examples, make_worker_graph
 from ..strategies import worker_dags
 
 
@@ -82,7 +82,7 @@ def test_schedule_order_affects_makespan_monotonically():
 
 
 @given(worker_dags(max_recvs=5, max_compute=8))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 def test_tac_bounded_gap_on_random_dags(g):
     """Per-instance sanity: TAC is greedy for an NP-hard problem, so
     adversarial DAGs can open a gap — but it must never be worse than the
@@ -146,7 +146,7 @@ def test_tac_near_optimal_in_aggregate():
 
 
 @given(worker_dags(max_recvs=5, max_compute=8))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 def test_heuristics_beat_worst_case(g):
     """Every heuristic stays below the worst permutation's makespan."""
     t = oracle(g)
@@ -159,7 +159,7 @@ def test_heuristics_beat_worst_case(g):
 
 
 @given(worker_dags(max_recvs=5, max_compute=8))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 def test_makespan_bounds_hold_in_ideal_model(g):
     """Any order's makespan sits within [L', U] where L' is the
     bottleneck-resource load (Eq. 2) and U the serialized sum (Eq. 1)."""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.core import PropertyEngine, update_properties_reference
 from repro.timing import GeneralTimeOracle, MappingTimeOracle
 
-from ..conftest import make_worker_graph
+from ..conftest import examples, make_worker_graph
 from ..strategies import worker_dags
 
 
@@ -119,7 +119,7 @@ def test_vectorized_matches_reference_fig4b(fig4b):
 
 
 @given(worker_dags(), st.randoms(use_true_random=False))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_vectorized_matches_reference_random(g, rnd):
     recvs = [op.op_id for op in g.recv_ops()]
     outstanding = [r for r in recvs if rnd.random() < 0.7]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from repro.core import PropertyEngine
 from repro.timing import MappingTimeOracle
 
+from ..conftest import examples
 from ..strategies import worker_dags
 
 
@@ -14,7 +15,7 @@ def oracle(g):
 
 
 @given(worker_dags())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_m_plus_includes_own_transfer_time(g):
     """§4.1: 'recvOp.M+ includes the communication time of that recvOp' —
     so any finite M+ is at least the recv's own time."""
@@ -26,7 +27,7 @@ def test_m_plus_includes_own_transfer_time(g):
 
 
 @given(worker_dags())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_m_is_monotone_in_outstanding_set(g):
     """Shrinking R can only decrease every op's outstanding transfer time."""
     engine = PropertyEngine(g, oracle(g))
@@ -38,7 +39,7 @@ def test_m_is_monotone_in_outstanding_set(g):
 
 
 @given(worker_dags())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_p_total_bounded_by_compute_total(g):
     """ΣP over outstanding recvs never exceeds total compute time: each
     op's time is credited to at most one recv (its unique blocker)."""
@@ -49,7 +50,7 @@ def test_p_total_bounded_by_compute_total(g):
 
 
 @given(worker_dags())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_m_of_op_bounded_by_total_transfer_time(g):
     engine = PropertyEngine(g, oracle(g))
     snap = engine.full_snapshot()
@@ -57,7 +58,7 @@ def test_m_of_op_bounded_by_total_transfer_time(g):
 
 
 @given(worker_dags())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_retiring_recvs_moves_their_p_elsewhere(g):
     """After removing a recv from R, the compute it used to gate either
     activates or re-attaches to other recvs — P values remain finite and

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from repro.core import Schedule, dense_ranks, tac, tic, tic_plus
 from repro.timing import MappingTimeOracle
 
-from ..conftest import make_worker_graph
+from ..conftest import examples, make_worker_graph
 from ..strategies import worker_dags
 
 
@@ -114,7 +114,7 @@ def test_tac_deterministic(fig4b):
 
 
 @given(worker_dags())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_tac_is_a_permutation(g):
     schedule = tac(g, cost_oracle(g))
     n = len(g.recv_ops())
@@ -122,7 +122,7 @@ def test_tac_is_a_permutation(g):
 
 
 @given(worker_dags())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_tic_plus_is_a_permutation(g):
     schedule = tic_plus(g)
     n = len(g.recv_ops())

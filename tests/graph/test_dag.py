@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.graph import Graph, GraphError, Op, OpKind, Resource
 
+from ..conftest import examples
+
 
 def test_add_op_assigns_dense_ids():
     g = Graph()
@@ -135,7 +137,7 @@ def dags_with_back_edges(draw):
 
 
 @given(dags_with_back_edges())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 def test_bidirectional_reachability_matches_forward_dfs(g):
     n = len(g)
     for a in range(n):

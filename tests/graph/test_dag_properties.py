@@ -9,11 +9,12 @@ from repro.graph import (
     dependency_sets,
 )
 
+from ..conftest import examples
 from ..strategies import worker_dags
 
 
 @given(worker_dags())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_dependency_sets_monotone_along_edges(g):
     """An op's dep set contains every predecessor's dep set (transitivity)."""
     deps = dependency_sets(g)
@@ -23,7 +24,7 @@ def test_dependency_sets_monotone_along_edges(g):
 
 
 @given(worker_dags())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_recv_dep_sets_are_self_singletons(g):
     deps = dependency_sets(g)
     for op in g.recv_ops():
@@ -31,7 +32,7 @@ def test_recv_dep_sets_are_self_singletons(g):
 
 
 @given(worker_dags())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_matrix_row_sums_match_set_sizes(g):
     mat = dependency_matrix(g)
     deps = dependency_sets(g)
@@ -40,7 +41,7 @@ def test_matrix_row_sums_match_set_sizes(g):
 
 
 @given(worker_dags())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_critical_path_between_bounds(g):
     """max op cost <= critical path <= total cost (Eq. 1's U)."""
     cp = critical_path_cost(g)
@@ -50,7 +51,7 @@ def test_critical_path_between_bounds(g):
 
 
 @given(worker_dags())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_partition_load_sums_to_total_cost(g):
     loads = PartitionedGraph(g).load()
     assert abs(sum(loads.values()) - g.total_cost()) < 1e-9

@@ -98,6 +98,44 @@ class TestReplayCli:
         assert proc.returncode == 2
         assert "no manifest" in proc.stderr
 
+    def test_completed_run_leaves_nothing_to_resume(self, tmp_path):
+        """A finished replay deletes its sink manifest and writes only the
+        jobs stream and the summary: resuming it is an error."""
+        run_cli([*SMALL, "--results-dir", "out"], tmp_path)
+        out = tmp_path / "out"
+        assert not (out / "replay_jobs.csv.manifest.json").exists()
+        assert not (out / "replay_stats.csv").exists()
+        assert sorted(p.name for p in out.glob("*.csv")) == [
+            "replay.csv", "replay_jobs.csv"
+        ]
+        proc = run_cli(
+            [*SMALL, "--results-dir", "out", "--resume"], tmp_path, check=False
+        )
+        assert proc.returncode == 2
+        assert "no manifest" in proc.stderr
+
+    def test_custom_out_paths_are_honoured(self, tmp_path):
+        run_cli([*SMALL, "--results-dir", "ref"], tmp_path)
+        run_cli(
+            [*SMALL, "--results-dir", "out", "--out", "a/jobs.csv",
+             "--summary-out", "b/summary.csv"],
+            tmp_path,
+        )
+        ref = tmp_path / "ref"
+        assert (tmp_path / "a" / "jobs.csv").read_bytes() == (
+            ref / "replay_jobs.csv"
+        ).read_bytes()
+        assert (tmp_path / "b" / "summary.csv").read_bytes() == (
+            ref / "replay.csv"
+        ).read_bytes()
+        assert not (tmp_path / "a" / "jobs.csv.manifest.json").exists()
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+    def test_limit_keeps_the_first_jobs(self, tmp_path):
+        run_cli([*SMALL, "--results-dir", "out", "--limit", "4"], tmp_path)
+        jobs = (tmp_path / "out" / "replay_jobs.csv").read_bytes()
+        assert jobs.count(b"\r\n") == 5  # header + 4 job rows
+
 
 class TestCrashResume:
     @pytest.mark.slow

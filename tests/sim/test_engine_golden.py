@@ -39,7 +39,7 @@ from repro.sim import (
 )
 from repro.timing import PLATFORMS, Platform
 
-from ..conftest import tiny_model
+from ..conftest import examples, tiny_model
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_engine.json")
 
@@ -208,7 +208,7 @@ def _records_equal(a, b) -> bool:
     st.sampled_from(["sender", "ready_queue", "dag", "none"]),
     st.sampled_from([0.0, 0.05]),
 )
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 def test_run_iterations_equals_k_single_runs(first, count, mode, sigma):
     """run_iterations(first, k) is bit-equal to k run_iteration calls."""
     ir, cluster = build_cluster("ps")

@@ -40,6 +40,8 @@ from repro.sim import CompiledCore, SimConfig, SimVariant
 
 from .test_engine_golden import FLAT, build_cluster, layerwise
 
+from ..conftest import examples
+
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_faults.json")
 
 ITERATIONS = 2
@@ -196,7 +198,7 @@ _noop_events = st.one_of(
     st.lists(_noop_events, max_size=4),
     st.integers(min_value=0, max_value=20),
 )
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 def test_zero_magnitude_plan_is_byte_identical(events, seed):
     """Empty plans and plans whose windows retain 100% of capacity
     compile to nothing and reproduce the fault-free run byte-for-byte."""
@@ -230,7 +232,7 @@ _outage_events = st.one_of(
 
 
 @given(st.lists(_outage_events, min_size=1, max_size=3), st.integers(0, 10))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 def test_recovery_conserves_chunk_bytes(events, seed):
     """Outage retransmission neither loses nor duplicates chunks: the
     faulted run emits exactly the same chunk events per op as the

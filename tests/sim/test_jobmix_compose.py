@@ -30,6 +30,8 @@ from repro.sim import (
 )
 from repro.timing import PLATFORMS
 
+from ..conftest import examples
+
 PLATFORM = PLATFORMS["envC"]
 
 #: every array attribute of a compiled core.
@@ -114,7 +116,7 @@ def mixes(draw, min_jobs: int = 1, max_jobs: int = 12) -> JobMixSpec:
 
 
 @settings(
-    max_examples=12,
+    max_examples=examples(12),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )

@@ -31,6 +31,7 @@ from repro.backends import build_comm_graph
 from repro.collectives import CollectiveSpec
 from repro.sim import CompiledCore, SimConfig, SimVariant, engine
 
+from ..conftest import examples
 from ..strategies import model_irs
 from .test_engine_golden import (
     _GOLDEN,
@@ -184,7 +185,7 @@ def test_raw_buffer_exhaustion_retry_is_bit_exact(monkeypatch):
     st.sampled_from([0.0, 0.05]),
     st.integers(min_value=0, max_value=99),
 )
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=examples(12), deadline=None)
 def test_kernels_agree_on_random_collective_irs(ir, mode, sigma, seed):
     """On random models run through the collective backend (chunk
     queues, priority picks and ring channels all exercised), a batch on
@@ -204,7 +205,7 @@ def test_kernels_agree_on_random_collective_irs(ir, mode, sigma, seed):
     st.integers(min_value=1, max_value=5),
     st.sampled_from(["sender", "ready_queue", "dag", "none"]),
 )
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=examples(10), deadline=None)
 def test_kernel_batch_equals_python_batch(first, count, mode):
     """A batch split over two-iteration slabs equals the same batch in
     one slab, including the slabbed jitter path."""

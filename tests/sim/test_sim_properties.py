@@ -9,7 +9,7 @@ from repro.core import Schedule
 from repro.ps import ClusterSpec, build_cluster_graph
 from repro.sim import CompiledCore, SimConfig, SimVariant
 
-from ..conftest import tiny_model
+from ..conftest import examples, tiny_model
 from .test_engine import FLAT
 
 _CLUSTER = build_cluster_graph(tiny_model(), ClusterSpec(2, 1, "training"))
@@ -29,7 +29,7 @@ def schedules(draw):
     st.sampled_from(["sender", "ready_queue", "dag", "none"]),
     st.integers(min_value=0, max_value=10_000),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_invariants_hold_for_any_schedule_and_mode(schedule, mode, seed):
     config = SimConfig(iterations=1, enforcement=mode, seed=seed,
                        grpc_reorder_prob=0.0)
@@ -47,7 +47,7 @@ def test_invariants_hold_for_any_schedule_and_mode(schedule, mode, seed):
 
 
 @given(st.floats(min_value=0.0, max_value=0.2), st.integers(0, 1000))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 def test_jitter_never_breaks_completion(sigma, seed):
     config = SimConfig(iterations=1, seed=seed)
     sim = SimVariant(CompiledCore(_CLUSTER, FLAT.scaled(jitter_sigma=sigma)), None, config)

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.api import make_context
+from repro.api import Context, make_context
 from repro.experiments import cli
 from repro.sweep.cache import ResultCache, cache_key
 from repro.sweep.runner import SweepRunner
@@ -97,6 +97,23 @@ def test_context_cap_from_env(tmp_path, monkeypatch):
     assert make_context(results_dir=str(tmp_path)).cache_max_mb is None
 
 
+def test_context_close_applies_the_cap(tmp_path):
+    """Leaving a context evicts down to its cap, then releases the pool;
+    a context without a cap keeps every entry."""
+    cache = ResultCache(str(tmp_path / ".sweep-cache"))
+    keys = fill(cache, 4, payload_bytes=2**20)
+    with Context(results_dir=str(tmp_path), verbose=False):
+        pass
+    assert cache.entry_count() == 4
+    with Context(
+        results_dir=str(tmp_path), cache_max_mb=2.5, verbose=False
+    ) as ctx:
+        ctx.sweep  # a live runner, released after the eviction
+    assert ctx._sweep is None
+    assert cache.entry_count() == 2
+    assert keys[-1] in cache
+
+
 def test_cli_cache_gc_entry_point(tmp_path, capsys):
     """`repro experiments --cache-gc` works with no experiments named and
     empties the cache when no cap is configured."""
@@ -123,3 +140,28 @@ def test_cli_cache_gc_respects_cap(tmp_path):
 def test_cli_requires_experiment_or_gc(tmp_path, capsys):
     with pytest.raises(SystemExit):
         cli.main(["--results-dir", str(tmp_path)])
+
+
+@pytest.mark.parametrize("cap", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_invalid_cache_cap_fails_before_any_work(tmp_path, monkeypatch, capsys,
+                                                 cap, via):
+    """A negative, NaN or infinite cap is a usage error (exit 2) raised
+    where the context is built — no scenario runs and no CSV is written."""
+    argv = ["table1", "stragglers", "--results-dir", str(tmp_path), "--quiet"]
+    if via == "flag":
+        argv += ["--cache-max-mb", cap]
+    else:
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", cap)
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            make_context(results_dir=str(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "cache_max_mb must be a finite number >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    if via == "env":  # the replay subcommand builds its context the same way
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["replay", "--n-jobs", "3", "--results-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
