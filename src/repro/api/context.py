@@ -27,6 +27,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..registry import Registry
 from ..sim import SimConfig
 from ..sweep import SweepRunner
 from ..sweep.cache import ResultCache
@@ -89,8 +90,9 @@ FULL = Scale(
     loss_iterations=500,
 )
 
-#: Scales by name (``capture_trace(scale="full")``).
-SCALES: dict[str, Scale] = {"quick": QUICK, "full": FULL}
+#: Scales by name (``capture_trace(scale="full")``); an unknown name
+#: raises :class:`~repro.registry.UnknownNameError` listing these.
+SCALES = Registry("scale", entries={"quick": QUICK, "full": FULL})
 
 
 @dataclass

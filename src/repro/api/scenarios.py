@@ -38,8 +38,9 @@ from ..core.tac import tac
 from ..models import ENVC_MODEL_NAMES, PAPER_TABLE_1, build_model, op_counts
 from ..models import emit_graph
 from ..models.emit import WORKER_INFERENCE, WORKER_TRAINING
-from ..ps import ClusterSpec, build_cluster_graph, build_reference_partition, shard_parameters
-from ..sim import CompiledCore, SimConfig, SimVariant, simulate_cluster, simulate_pipelined
+from ..ps import ClusterSpec, build_reference_partition, shard_parameters
+from ..sim import SimConfig, simulate_cell_group, simulate_pipelined
+from ..sim.runner import bind_variant, compile_group
 from ..sweep import FnTask, GridSpec, SimCell
 from ..sweep.spec import ps_for_workers
 from ..timing import ENV_G, PLATFORMS, PerturbedOracle, estimate_time_oracle
@@ -114,11 +115,10 @@ PAPER_UNIQUE = {"ResNet-50 v2": 1000, "Inception v3": 1000, "VGG-16": 493}
 
 def count_unique_orders(model: str, iterations: int, seed: int = 0) -> int:
     """Distinct parameter-arrival orders at worker:0 across iterations."""
-    ir = build_model(model)
-    cluster = build_cluster_graph(ir, ClusterSpec(2, 1, "training"))
-    sim = SimVariant(CompiledCore(cluster, ENV_G), None, SimConfig(seed=seed, iterations=1))
-    recvs = cluster.param_recvs["worker:0"]
-    op_ids = np.array(list(recvs.values()))
+    spec = ClusterSpec(2, 1, "training")
+    ir, core = compile_group(model, spec, platform=ENV_G)
+    sim = bind_variant(ir, spec, core, "baseline", SimConfig(seed=seed, iterations=1))
+    op_ids = np.array(list(core.cluster.param_recvs["worker:0"].values()))
     seen: set[tuple] = set()
     # stream the 1000-iteration protocol (slabbed batch setup inside)
     for record in sim.iter_iterations(0, iterations):
@@ -655,7 +655,8 @@ ABLATION_WORKERS, ABLATION_PS = 4, 1
 def custom_schedule_throughputs(seed: int, iterations: int, warmup: int) -> dict:
     """Throughput of every hand-scheduled variant (one sweep task: the
     model, reference partition and traced oracle are shared across the
-    four tac() invocations, as the comparator/oracle study intends)."""
+    four tac() invocations, as the comparator/oracle study intends, and
+    the four schedules run as one compile-once group)."""
     ir = build_model(ABLATION_MODEL)
     spec = ClusterSpec(n_workers=ABLATION_WORKERS, n_ps=ABLATION_PS, workload="training")
     reference = build_reference_partition(ir, workload="training", n_ps=ABLATION_PS)
@@ -675,13 +676,13 @@ def custom_schedule_throughputs(seed: int, iterations: int, warmup: int) -> dict
         ),
     }
     cfg = SimConfig(seed=seed, iterations=iterations, warmup=warmup)
+    results = simulate_cell_group(
+        ir, spec, [(schedule, cfg) for schedule in schedules.values()],
+        platform="envG",
+    )
     return {
-        variant: float(
-            simulate_cluster(
-                ir, spec, schedule=schedule, platform="envG", config=cfg
-            ).throughput
-        )
-        for variant, schedule in schedules.items()
+        variant: float(result.throughput)
+        for variant, result in zip(schedules, results)
     }
 
 

@@ -86,20 +86,33 @@ def register_backend(backend: CommBackend) -> None:
     _BY_SPEC_TYPE[backend.spec_type] = backend
 
 
-def _ps_prepare(ir, spec, algorithm, platform, *, trace_runs: int = 5, seed: int = 0):
-    from ..core.wizard import compute_schedule
-    from ..ps.reference import build_reference_partition
-    from ..timing import estimate_time_oracle
+def _reference_backend(name, spec_type, build_graph, reference_of) -> CommBackend:
+    """A backend whose wizard runs on one worker's reference partition.
 
-    reference = build_reference_partition(
-        ir, workload=spec.workload, n_ps=spec.n_ps, sharding=spec.sharding
-    )
-    oracle = None
-    if algorithm == "tac":
-        oracle = estimate_time_oracle(
-            reference.graph, platform, runs=trace_runs, seed=seed
+    ``reference_of(spec)`` projects a spec onto the ``(workload, n_ps,
+    sharding)`` its reference partition is built from. The same
+    projection, prefixed by the backend name, is the wizard-memo key, so
+    the key holds exactly what the pass reads."""
+
+    def prepare(ir, spec, algorithm, platform, *, trace_runs: int = 5, seed: int = 0):
+        from ..core.wizard import compute_schedule
+        from ..ps.reference import build_reference_partition
+
+        workload, n_ps, sharding = reference_of(spec)
+        reference = build_reference_partition(
+            ir, workload=workload, n_ps=n_ps, sharding=sharding
         )
-    return compute_schedule(reference, algorithm, oracle=oracle, seed=seed)
+        return compute_schedule(
+            reference, algorithm, platform=platform, trace_runs=trace_runs, seed=seed
+        )
+
+    return CommBackend(
+        name=name,
+        spec_type=spec_type,
+        build_graph=build_graph,
+        prepare_schedule=prepare,
+        schedule_key=lambda spec: (name, *reference_of(spec)),
+    )
 
 
 def _ensure_defaults() -> None:
@@ -107,12 +120,7 @@ def _ensure_defaults() -> None:
     if _defaults_loaded:
         return
     _defaults_loaded = True  # set first: the registrations below re-enter
-    from ..collectives import (
-        CollectiveSpec,
-        build_collective_graph,
-        prepare_collective_schedule,
-        reference_schedule_key,
-    )
+    from ..collectives import CollectiveSpec, build_collective_graph
     from ..ps.cluster import ClusterSpec, build_cluster_graph
     from ..sim.jobmix import (
         JobMixSpec,
@@ -122,23 +130,22 @@ def _ensure_defaults() -> None:
     )
 
     register_backend(
-        CommBackend(
-            name="ps",
-            spec_type=ClusterSpec,
-            build_graph=build_cluster_graph,
-            prepare_schedule=_ps_prepare,
-            schedule_key=lambda spec: (
-                "ps", spec.workload, spec.n_ps, spec.sharding
-            ),
+        _reference_backend(
+            "ps", ClusterSpec, build_cluster_graph,
+            lambda spec: (spec.workload, spec.n_ps, spec.sharding),
         )
     )
+    # TIC/TAC carry over unchanged: the collective window gates each
+    # forward layer on its chunk's all-reduce exactly as the PS window
+    # gates it on the parameter pull, so the scheduler answers the same
+    # question. The collective wizard is the PS wizard on a training
+    # reference with one pseudo shard (the collective wire); the engine
+    # lowers its priorities onto chunks (core.schedules.chunk_ranks). The
+    # reference depends only on the model: one pass serves every cell.
     register_backend(
-        CommBackend(
-            name="allreduce",
-            spec_type=CollectiveSpec,
-            build_graph=build_collective_graph,
-            prepare_schedule=prepare_collective_schedule,
-            schedule_key=lambda spec: reference_schedule_key(spec),
+        _reference_backend(
+            "allreduce", CollectiveSpec, build_collective_graph,
+            lambda spec: ("training", 1, "greedy"),
         )
     )
     register_backend(

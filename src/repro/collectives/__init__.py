@@ -13,7 +13,6 @@ from .graph import CollectiveGraph, build_collective_graph
 from .hierarchical import emit_hierarchical_allreduce
 from .partition import Chunk, partition_tensors
 from .ring import emit_ring_allreduce
-from .schedule import prepare_collective_schedule, reference_schedule_key
 from .spec import TOPOLOGIES, CollectiveSpec
 
 __all__ = [
@@ -25,6 +24,4 @@ __all__ = [
     "emit_hierarchical_allreduce",
     "emit_ring_allreduce",
     "partition_tensors",
-    "prepare_collective_schedule",
-    "reference_schedule_key",
 ]

@@ -21,7 +21,8 @@ every layer *not* gated by c — exactly the overlap DeAR's decoupled
 all-reduce exploits, and the reason chunk transfer order matters: chunks
 feeding early forward layers must win the wire first. That makes the DAG
 the same scheduling problem TicTac solves for PS recvs, with chunks in
-place of parameter pulls (see :mod:`repro.collectives.schedule`).
+place of parameter pulls (the wizard is registered with the backend in
+:mod:`repro.backends`).
 
 Resource model: transfers occupy the existing directional
 ``link:src->dst`` channels and per-device NIC resources of

@@ -42,12 +42,15 @@ def compute_schedule(
     algorithm: str = "tic",
     *,
     oracle: Optional[TimeOracleLike] = None,
+    platform: Optional[Platform] = None,
+    trace_runs: int = 5,
     seed: int = 0,
 ) -> Schedule:
     """Run one scheduling algorithm on a reference worker partition.
 
-    ``oracle`` is required for ``'tac'`` (the estimated per-op times);
-    all other algorithms are timing-independent.
+    ``'tac'`` needs the estimated per-op times: pass an ``oracle``, or a
+    ``platform`` to trace the reference on (min of ``trace_runs`` runs,
+    §5). All other algorithms are timing-independent.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(
@@ -61,8 +64,12 @@ def compute_schedule(
     if algorithm == "tic_plus":
         return tic_plus(reference.graph)
     if algorithm == "tac":
+        if oracle is None and platform is not None:
+            oracle = estimate_time_oracle(
+                reference.graph, platform, runs=trace_runs, seed=seed
+            )
         if oracle is None:
-            raise ValueError("TAC requires a time oracle (see estimate_time_oracle)")
+            raise ValueError("TAC requires a time oracle or a platform to trace")
         return tac(reference.graph, oracle)
     params = reference.recv_params
     if algorithm == "random":
@@ -92,10 +99,7 @@ def schedule_model(
     """
     ir = model if isinstance(model, ModelIR) else build_model(model, batch_factor=batch_factor)
     reference = build_reference_partition(ir, workload=workload, n_ps=n_ps)
-    oracle = None
-    if algorithm == "tac":
-        plat = PLATFORMS[platform] if isinstance(platform, str) else platform
-        oracle = estimate_time_oracle(
-            reference.graph, plat, runs=trace_runs, seed=seed
-        )
-    return compute_schedule(reference, algorithm, oracle=oracle, seed=seed)
+    plat = PLATFORMS[platform] if isinstance(platform, str) else platform
+    return compute_schedule(
+        reference, algorithm, platform=plat, trace_runs=trace_runs, seed=seed
+    )

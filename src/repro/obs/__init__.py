@@ -18,8 +18,8 @@ Three layers, lowest first:
   a schema validator CI runs against every emitted file.
 
 :mod:`repro.obs.telemetry` is the sibling subsystem for *run*-level
-observability: structured counters (cells executed, cache hits, shared
-core publishes, wall time) the sweep runner emits and
+observability: structured counters (cells executed, cache hits, graph,
+wizard and variant memo hits, wall time) the sweep runner emits and
 ``ResultSet.telemetry`` surfaces. :mod:`repro.obs.capture` holds the
 ``tictac-repro trace`` entry point that runs one scenario cell traced
 and writes the exporter outputs.

@@ -4,13 +4,14 @@
 trace`` subcommand: resolve a registered scenario, call its ``cells``
 function — the cells its analysis sweeps, in sweep order — pick one
 cell, and simulate a single iteration of it with ``SimConfig(trace=True)``
-directly on a :class:`~repro.sim.engine.SimVariant` — no sweep pool, no
-cache — returning the joined :class:`~repro.obs.trace.Trace` plus the
-cell it came from. The traced iteration is bit-identical to the same
-iteration of a full scenario run (same cell, same seed protocol, same
-schedule memoization path); tracing only *adds* event streams.
-``tests/api/test_api.py::test_cells_are_what_the_analysis_sweeps`` pins
-that every analysis sweeps exactly its scenario's ``cells``.
+through the sweep's own seam (:func:`repro.sim.runner.compile_group`,
+:func:`~repro.sim.runner.bind_variant`) — no sweep pool, no cache —
+returning the joined :class:`~repro.obs.trace.Trace` plus the cell it
+came from. The traced iteration is bit-identical to the same iteration
+of a full scenario run; tracing only *adds* event streams.
+``tests/obs/test_trace_parity.py`` pins that for wizard cells, and
+``tests/api/test_api.py::test_cells_are_what_the_analysis_sweeps`` that
+every analysis sweeps exactly its scenario's ``cells``.
 """
 
 from __future__ import annotations
@@ -43,33 +44,21 @@ def trace_cell(
 ) -> TraceCapture:
     """Trace one iteration of one :class:`~repro.sweep.spec.SimCell`.
 
-    Simulates the cell directly on a :class:`~repro.sim.engine.SimVariant`
-    with tracing forced on (no sweep pool, no cache; the graph and
-    wizard memos still apply). ``iteration`` defaults to the first
-    measured index (``config.warmup``).
+    Binds the cell as the sweep does, with tracing forced on (no sweep
+    pool, no cache; the graph and wizard memos still apply).
+    ``iteration`` defaults to the first measured index
+    (``config.warmup``).
     """
-    from ..backends import build_comm_graph, prepare_comm_schedule
-    from ..core.schedules import Schedule
-    from ..models import build_model
-    from ..sim.engine import CompiledCore, SimVariant
-    from ..timing import PLATFORMS
+    from ..sim.runner import bind_variant, compile_group
     from .trace import Trace
 
     cfg = cell.config.with_(trace=True)
     if iteration is None:
         iteration = cfg.warmup
-
-    ir = build_model(cell.model, batch_factor=cell.batch_factor)
-    plat = PLATFORMS[cell.platform]
-    cluster = build_comm_graph(ir, cell.spec)
-    core = CompiledCore(cluster, plat)
-    if cell.algorithm == "baseline":
-        schedule = Schedule("baseline")
-    else:
-        schedule = prepare_comm_schedule(
-            ir, cell.spec, cell.algorithm, plat, seed=cfg.seed
-        )
-    variant = SimVariant(core, schedule, cfg)
+    ir, core = compile_group(
+        cell.model, cell.spec, platform=cell.platform, batch_factor=cell.batch_factor
+    )
+    variant = bind_variant(ir, cell.spec, core, cell.algorithm, cfg)
     record = variant.run_iteration(iteration)
     return TraceCapture(
         trace=Trace.from_record(variant, record),

@@ -29,8 +29,8 @@ from ..models.ir import ModelIR
 from ..ps.cluster import ClusterSpec, build_cluster_graph
 from ..timing import PLATFORMS, Platform
 from .config import SimConfig
-from .engine import CompiledCore, SimVariant
-from .runner import prepare_schedule
+from .engine import CompiledCore
+from .runner import bind_variant
 
 
 @dataclass
@@ -70,23 +70,26 @@ def simulate_pipelined(
     platform: Union[str, Platform] = "envG",
     config: Optional[SimConfig] = None,
 ) -> PipelinedResult:
-    """Simulate ``config.iterations`` runs of a K-iteration pipelined window."""
+    """Simulate ``config.iterations`` runs of a K-iteration pipelined
+    window of a PS cluster; the schedule is bound onto the unrolled
+    graph's core by :func:`repro.sim.runner.bind_variant`."""
+    if not isinstance(spec, ClusterSpec):
+        raise TypeError(
+            f"pipelined simulation needs a ClusterSpec, not {type(spec).__name__}"
+        )
     if window < 2:
         raise ValueError("pipelined simulation needs window >= 2")
     plat = PLATFORMS[platform] if isinstance(platform, str) else platform
-    cfg = config or SimConfig()
     ir = model if isinstance(model, ModelIR) else build_model(model)
     cluster = build_cluster_graph(ir, spec, n_iterations=window)
-    if schedule is None:
-        if algorithm == "baseline":
-            schedule = Schedule("baseline")
-        else:
-            schedule = prepare_schedule(ir, spec, algorithm, plat, seed=cfg.seed)
-    sim = SimVariant(CompiledCore(cluster, plat), schedule, cfg)
-    result = PipelinedResult(
-        model=ir.name, algorithm=schedule.algorithm, window=window
+    sim = bind_variant(
+        ir, spec, CompiledCore(cluster, plat),
+        schedule if schedule is not None else algorithm, config,
     )
-    for record in sim.iter_iterations(0, cfg.iterations):
+    result = PipelinedResult(
+        model=ir.name, algorithm=sim.schedule.algorithm, window=window
+    )
+    for record in sim.iter_iterations(0, sim.config.iterations):
         finishes = np.array(
             [
                 record.end[np.asarray(cluster.iteration_ops[k])].max()

@@ -1,12 +1,16 @@
-"""High-level simulation entry points.
+"""Simulation entry points and the one seam from a cell to a simulation.
 
-:func:`simulate_cluster` is the one call experiments make: model name ->
-schedule (via the ordering wizard) -> cluster graph -> compiled simulation
--> recorded iterations with the paper's metrics. Mirrors the paper's
-measurement protocol: discard warm-up iterations, record the next N
-(§6 Setup: discard 2, record 10). Every iteration is a pure function of
-``(config.seed, index)``, so the discarded indices are skipped rather
-than simulated: the recorded ones are ``warmup .. warmup+iterations-1``.
+:func:`compile_group` builds a group's model IR and compiled core once;
+:func:`bind_variant` binds one schedule (given, or the wizard's for an
+algorithm name via :func:`prepare_schedule`) and config to that core.
+Nothing else pairs an IR, a core and a schedule: the sweep's
+:func:`simulate_cell_group`, :func:`simulate_cluster`, ``trace_cell``
+and ``simulate_pipelined`` all go through them, and they look their
+layers (``build_model`` ... ``summarize_iteration``) up on this module
+at call time. Mirrors the paper's measurement protocol: discard warm-up
+iterations, record the next N (§6 Setup: discard 2, record 10). Each
+iteration is a pure function of ``(config.seed, index)``, so the
+discarded indices are never simulated.
 """
 
 from __future__ import annotations
@@ -36,12 +40,45 @@ def prepare_schedule(
 ) -> Schedule:
     """Offline ordering-wizard pass for a cluster configuration (§5):
     build the reference worker partition, trace it for TAC's oracle,
-    run the heuristic. Dispatches on the spec's backend (PS or
-    collective) and memoizes identical passes within the process — see
+    run the heuristic. ``'baseline'`` is no pass at all: it is the empty
+    schedule. Anything else dispatches on the spec's backend and is
+    memoized within the process — see
     :func:`repro.backends.prepare_comm_schedule`."""
+    if algorithm == "baseline":
+        return Schedule("baseline")
     return prepare_comm_schedule(
         ir, spec, algorithm, platform, trace_runs=trace_runs, seed=seed
     )
+
+
+def compile_group(
+    model: Union[str, ModelIR],
+    spec: ClusterSpec,
+    *,
+    platform: Union[str, Platform] = "envG",
+    batch_factor: float = 1.0,
+) -> tuple[ModelIR, CompiledCore]:
+    """A group's model IR (built at the paper batch size x
+    ``batch_factor`` unless given) and its compiled core on ``platform``.
+    The cluster graph comes from the graph memo; treat it as read-only."""
+    plat = PLATFORMS[platform] if isinstance(platform, str) else platform
+    ir = model if isinstance(model, ModelIR) else build_model(model, batch_factor=batch_factor)
+    return ir, CompiledCore(build_comm_graph(ir, spec), plat)
+
+
+def bind_variant(
+    ir: ModelIR,
+    spec: ClusterSpec,
+    core: CompiledCore,
+    schedule: Union[str, Schedule],
+    config: Optional[SimConfig] = None,
+) -> SimVariant:
+    """Bind one variant to ``core``: a given :class:`Schedule`, or the
+    wizard's schedule for an algorithm name (seeded by ``config.seed``)."""
+    cfg = config or SimConfig()
+    if isinstance(schedule, str):
+        schedule = prepare_schedule(ir, spec, schedule, core.platform, seed=cfg.seed)
+    return SimVariant(core, schedule, cfg)
 
 
 #: this process's count of group variants served from an earlier
@@ -71,9 +108,9 @@ def simulate_cluster(
     Either pass a precomputed ``schedule`` or an ``algorithm`` name for the
     wizard ('baseline', 'tic', 'tac', 'tic_plus', 'random', 'layerwise',
     'reverse_layerwise'); to sweep algorithms over one configuration
-    on one compiled core, use :func:`simulate_cell_group`. ``spec``
-    selects the communication backend by type: a PS
-    :class:`~repro.ps.cluster.ClusterSpec`, a collective
+    on one compiled core, use :func:`simulate_cell_group` (this is its
+    one-variant case). ``spec`` selects the communication backend by
+    type: a PS :class:`~repro.ps.cluster.ClusterSpec`, a collective
     :class:`~repro.collectives.CollectiveSpec`, or a multi-job
     :class:`~repro.sim.jobmix.JobMixSpec` (several jobs placed on
     shared hosts; per-job completions land in
@@ -87,26 +124,13 @@ def simulate_cluster(
     :func:`simulate_cell_group` relies on this to simulate each distinct
     ``(config, lowering)`` of a group once.
     """
-    plat = PLATFORMS[platform] if isinstance(platform, str) else platform
-    cfg = config or SimConfig()
-    ir = model if isinstance(model, ModelIR) else build_model(model, batch_factor=batch_factor)
-    if schedule is None:
-        schedule = _wizard_schedule(ir, spec, algorithm, plat, cfg)
-    core = CompiledCore(build_comm_graph(ir, spec), plat)
-    return _run_variant(ir, spec, plat, SimVariant(core, schedule, cfg))
+    variant = (schedule if schedule is not None else algorithm, config)
+    return simulate_cell_group(
+        model, spec, [variant], platform=platform, batch_factor=batch_factor
+    )[0]
 
 
-def _wizard_schedule(
-    ir: ModelIR, spec: ClusterSpec, algorithm: str, plat: Platform, cfg: SimConfig
-) -> Schedule:
-    if algorithm == "baseline":
-        return Schedule("baseline")
-    return prepare_schedule(ir, spec, algorithm, plat, seed=cfg.seed)
-
-
-def _run_variant(
-    ir: ModelIR, spec: ClusterSpec, plat: Platform, sim: SimVariant
-) -> SimulationResult:
+def _run_variant(ir: ModelIR, spec: ClusterSpec, sim: SimVariant) -> SimulationResult:
     """Run and summarize ``sim.config``'s recorded iterations.
 
     These are indices ``cfg.warmup .. cfg.warmup + cfg.iterations - 1``.
@@ -122,7 +146,7 @@ def _run_variant(
         n_ps=spec.n_ps,
         workload=spec.workload,
         algorithm=sim.schedule.algorithm,
-        platform=plat.name,
+        platform=sim.core.platform.name,
         n_params=ir.n_param_tensors,
     )
     # iter_iterations streams records (slabbed batch setup inside): each
@@ -135,22 +159,23 @@ def _run_variant(
 def simulate_cell_group(
     model: Union[str, ModelIR],
     spec: ClusterSpec,
-    variants: Sequence[tuple[str, Optional[SimConfig]]],
+    variants: Sequence[tuple[Union[str, Schedule], Optional[SimConfig]]],
     *,
     platform: Union[str, Platform] = "envG",
     batch_factor: float = 1.0,
 ) -> list[SimulationResult]:
-    """Compile once, simulate many: build the model IR, the cluster graph
-    AND the engine's :class:`~repro.sim.engine.CompiledCore` arrays a
-    single time, then bind a lightweight
-    :class:`~repro.sim.engine.SimVariant` per ``(algorithm, config)``
-    variant. This is the sweep runner's unit of work — a grid's algorithms
-    and iteration counts differ only in ``Schedule`` and ``SimConfig``, so
-    recompiling the dependency CSR/resource/channel arrays per cell (as
-    earlier revisions did) is pure waste. Each variant is still fully
-    deterministic in its own config: the engine seeds from
-    ``(config.seed, iteration)`` and never mutates the core or the cluster
-    graph, so results are identical to separate one-shot
+    """Compile once, simulate many: :func:`compile_group` builds the
+    model IR, the cluster graph AND the engine's
+    :class:`~repro.sim.engine.CompiledCore` arrays a single time, then
+    :func:`bind_variant` binds a lightweight
+    :class:`~repro.sim.engine.SimVariant` per ``(schedule, config)``
+    variant, where ``schedule`` is an algorithm name for the wizard or a
+    given :class:`Schedule`. This is the sweep runner's unit of work — a
+    grid's algorithms and iteration counts differ only in ``Schedule``
+    and ``SimConfig``, so the core is never recompiled per cell. Each
+    variant is still fully deterministic in its own config: the engine
+    seeds from ``(config.seed, iteration)`` and never mutates the core or
+    the cluster graph, so results are identical to separate one-shot
     :func:`simulate_cluster` calls.
 
     Each distinct ``(config, lowering)`` is simulated once. The key is
@@ -163,27 +188,23 @@ def simulate_cell_group(
     each such reuse adds one to ``variant_memo_hits``. Keys are computed
     only once a group reaches its second variant, so single-variant
     groups pay nothing."""
-    plat = PLATFORMS[platform] if isinstance(platform, str) else platform
-    ir = model if isinstance(model, ModelIR) else build_model(model, batch_factor=batch_factor)
-    cluster = build_comm_graph(ir, spec)
-    core = CompiledCore(cluster, plat)
+    ir, core = compile_group(model, spec, platform=platform, batch_factor=batch_factor)
     results: list[SimulationResult] = []
     seen: dict[tuple, SimulationResult] = {}
     first: Optional[SimVariant] = None  # keyed once a second variant arrives
-    for algorithm, config in variants:
-        cfg = config or SimConfig()
-        sim = SimVariant(core, _wizard_schedule(ir, spec, algorithm, plat, cfg), cfg)
+    for schedule, config in variants:
+        sim = bind_variant(ir, spec, core, schedule, config)
         if not results:
             first = sim
-            results.append(_run_variant(ir, spec, plat, sim))
+            results.append(_run_variant(ir, spec, sim))
             continue
         if first is not None:
             seen[first.config, first.lowering_digest()] = results[0]
             first = None
-        key = (cfg, sim.lowering_digest())
+        key = (sim.config, sim.lowering_digest())
         earlier = seen.get(key)
         if earlier is None:
-            result = seen[key] = _run_variant(ir, spec, plat, sim)
+            result = seen[key] = _run_variant(ir, spec, sim)
         else:
             _variant_memo_stats["variant_memo_hits"] += 1
             result = replace(

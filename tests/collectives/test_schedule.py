@@ -5,11 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import backends
-from repro.collectives import (
-    CollectiveSpec,
-    build_collective_graph,
-    prepare_collective_schedule,
-)
+from repro.backends import prepare_comm_schedule
+from repro.collectives import CollectiveSpec, build_collective_graph
 from repro.core.schedules import Schedule, chunk_ranks
 from repro.ps.cluster import ClusterSpec
 from repro.sim import SimConfig, simulate_cluster
@@ -40,9 +37,7 @@ def test_chunk_ranks_tie_breaks_by_chunk_order():
 def test_wizard_covers_all_parameters(algorithm):
     ir = tiny_model()
     spec = CollectiveSpec(n_workers=2)
-    schedule = prepare_collective_schedule(
-        ir, spec, algorithm, PLATFORMS["envG"]
-    )
+    schedule = prepare_comm_schedule(ir, spec, algorithm, PLATFORMS["envG"])
     assert set(schedule.priorities) == {p.name for p in ir.params}
 
 
@@ -51,7 +46,7 @@ def test_engine_assigns_priorities_to_every_chunk_transfer():
     spec = CollectiveSpec(n_workers=3, partition_bytes=2048)
     plat = PLATFORMS["envG"]
     cluster = build_collective_graph(ir, spec)
-    schedule = prepare_collective_schedule(ir, spec, "tic", plat)
+    schedule = prepare_comm_schedule(ir, spec, "tic", plat)
     sim = SimVariant(CompiledCore(cluster, plat), schedule, SimConfig())
     chunk_op_ids = {
         t.op_id

@@ -145,6 +145,14 @@ def test_capture_trace_rejects_out_of_range_cell(index):
         capture_trace("fig13", cell_index=index)
 
 
+def test_capture_trace_rejects_unknown_scale():
+    from repro.registry import UnknownNameError
+
+    with pytest.raises(UnknownNameError) as exc:
+        capture_trace("fig13", scale="humongous")
+    assert str(exc.value).startswith("unknown scale 'humongous'; available: quick, full")
+
+
 # ----------------------------------------------------------------------
 # Trace reductions (sanity on a real headline trace)
 # ----------------------------------------------------------------------

@@ -96,24 +96,22 @@ def test_kernels_record_identical_streams(case):
 def test_jobmix_cell_streams_agree_across_kernels():
     """A co-scheduled 2-job mix (shared-NIC packed placement) traces
     identically through ``trace_cell`` (one iteration alone) and through
-    a batched run of the same cell, and the joined Trace carries the job
-    tags."""
+    a batched run of the same cell bound through the runner's seam, and
+    the joined Trace carries the job tags."""
     from repro.api.jobmix_scenarios import CONTENTION_MIX
-    from repro.backends import build_comm_graph
-    from repro.core.schedules import Schedule
-    from repro.models import build_model
     from repro.obs.capture import trace_cell
     from repro.obs.trace import Trace
+    from repro.sim.runner import bind_variant, compile_group
 
     cell = CONTENTION_MIX.cells(SimConfig(iterations=2, warmup=1))[1]
     alone = trace_cell(cell)
 
     cfg = cell.config.with_(trace=True)
-    ir = build_model(cell.model, batch_factor=cell.batch_factor)
-    plat = PLATFORMS[cell.platform]
     assert cell.algorithm == "baseline"
-    schedule = Schedule("baseline")
-    sim = SimVariant(CompiledCore(build_comm_graph(ir, cell.spec), plat), schedule, cfg)
+    ir, core = compile_group(
+        cell.model, cell.spec, platform=cell.platform, batch_factor=cell.batch_factor
+    )
+    sim = bind_variant(ir, cell.spec, core, cell.algorithm, cfg)
     batched = sim.run_iterations(0, cfg.warmup + cfg.iterations)[alone.iteration]
     trace = Trace.from_record(sim, batched)
 
@@ -122,6 +120,33 @@ def test_jobmix_cell_streams_agree_across_kernels():
     assert alone.trace.chunk_start.tolist() == trace.chunk_start.tolist()
     assert alone.trace.jobs == ("j0", "j1")
     assert set(np.unique(alone.trace.job)) == {0, 1}
+
+
+#: TAC cells (AlexNet v2, envC, 2 workers) and the makespan of their
+#: first recorded iteration.
+WIZARD_CELLS = {
+    "ps": (("ps", {"n_workers": 2, "n_ps": 1}), 14.188319040714811),
+    "allreduce": (("allreduce", {"n_workers": 2}), 14.550929735957148),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(WIZARD_CELLS))
+def test_traced_wizard_cell_matches_the_sweep(backend):
+    """``trace_cell`` binds a wizard-scheduled cell exactly as the sweep
+    does: its traced iteration has the sweep's recorded makespan."""
+    from repro.backends import make_spec
+    from repro.obs.capture import trace_cell
+    from repro.sweep import SimCell, SweepRunner
+
+    (name, kwargs), makespan = WIZARD_CELLS[backend]
+    cell = SimCell(
+        model="AlexNet v2", spec=make_spec(name, **kwargs), algorithm="tac",
+        platform="envC", config=SimConfig(iterations=2, warmup=1),
+    )
+    with SweepRunner(jobs=1, cache_dir=None) as sweep:
+        swept = sweep.run_cells([cell])[0].iterations[0].makespan
+    traced = trace_cell(cell).trace.makespan
+    assert swept == traced == makespan
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,13 @@ def test_pipelined_requires_window_of_two():
                            platform=FLAT)
 
 
+def test_pipelined_rejects_non_ps_specs():
+    from repro.collectives import CollectiveSpec
+
+    with pytest.raises(TypeError, match="needs a ClusterSpec, not CollectiveSpec"):
+        simulate_pipelined("AlexNet v2", CollectiveSpec(n_workers=2))
+
+
 def test_pipelined_iterations_finish_in_order():
     result = simulate_pipelined(
         tiny_model(), ClusterSpec(2, 1, "training"), window=3,

@@ -10,6 +10,7 @@ import pytest
 
 import repro
 from repro.api import registry as api_registry
+from repro.api.context import SCALES
 from repro.backends import backends
 from repro.backends.placement import PLACEMENTS
 from repro.models.zoo import MODELS
@@ -32,6 +33,7 @@ def tables() -> dict[str, Registry]:
         "exporters": EXPORTERS,
         "platforms": PLATFORMS,
         "models": MODELS,
+        "scales": SCALES,
     }
 
 
