@@ -10,24 +10,29 @@ spec object fully names a cluster shape; this module dispatches on its
 sweep runner and the experiment drivers stay backend-agnostic.
 Third-party backends register with :func:`register_backend`.
 
-The module also owns the **wizard memo** (ROADMAP item): an in-process
-cache of ordering-wizard passes keyed by the *reference projection* of a
-spec — the fields the reference partition actually depends on. A PS
-reference depends on (workload, n_ps, sharding) but not worker count; a
-collective reference depends on nothing but the model. One TAC trace
-therefore serves a whole worker-scaling sweep instead of being recomputed
-per cell, the same way simulated cells are cached on disk.
+The module also owns the in-process memos. A :class:`Memo` is a bounded
+least-recently-used map that builds on a miss and counts its hits and
+misses in :data:`MEMO_COUNTERS`; every memo is keyed on exactly what its
+build reads. The two reference backends (PS and all-reduce) memoize
+inside their own functions:
 
-It likewise owns the **graph memo**: an in-process cache of assembled
-cluster DAGs keyed by (model structural fingerprint, spec). A sweep
-group already builds its graph once (and compiles the engine's
-:class:`~repro.sim.engine.CompiledCore` arrays once — see
-:func:`repro.sim.runner.simulate_cell_group`), but groups that differ
-only in platform or simulation knobs describe the *same* DAG; the memo
-lets them share it instead of re-assembling tens of thousands of ops.
-Consumers treat memoized graphs as immutable — the engine never writes
-to a ClusterGraph, and callers that want to mutate one must build it
-directly via their backend's ``build_graph``.
+* the **graph memo** holds assembled cluster DAGs keyed by (model
+  structural fingerprint, spec). Groups that differ only in platform or
+  simulation knobs describe the *same* DAG and share it instead of
+  re-assembling tens of thousands of ops. Consumers treat memoized
+  graphs as immutable — the engine never writes to a ClusterGraph, and
+  callers that want to mutate one must build it directly
+  (``build_cluster_graph``/``build_collective_graph``).
+* the **wizard memo** holds ordering-wizard passes keyed by the
+  *reference projection* of a spec — the ``(workload, n_ps, sharding)``
+  the reference partition is built from (§5: the wizard runs once, on
+  one reference worker). A PS reference does not depend on the worker
+  count; the collective reference is the PS training reference with one
+  shard. One TAC trace therefore serves a whole worker-scaling sweep,
+  and both backends.
+
+A job mix memoizes nothing as a whole: it is composed from its jobs'
+memoized entries (:mod:`repro.sim.jobmix`).
 """
 
 from __future__ import annotations
@@ -39,14 +44,60 @@ from typing import Callable
 
 from ..registry import Registry
 
-#: Most entries a wizard memo holds before evicting its oldest (a
-#: schedule is a few KB; sweeps touch far fewer distinct references).
-_MEMO_CAP = 256
+#: hit/miss counters of every :class:`Memo` in this process (plus the
+#: sweep's variant reuse, ``variant_memo_hits``), read into run telemetry
+#: by :func:`repro.obs.telemetry.memo_counters`. Pool workers count their
+#: own memos; the runner surfaces the driver-process view.
+MEMO_COUNTERS: dict[str, int] = {}
 
-#: Most assembled cluster DAGs kept in-process. Graphs are large (tens of
-#: thousands of ops for deep models at scale), so the cap is small — the
-#: memo targets back-to-back groups of one sweep, not a session's history.
-_GRAPH_MEMO_CAP = 8
+_MISSING = object()
+
+
+class Memo:
+    """A named in-process memo of at most ``cap`` entries, evicting the
+    least recently used; counts ``<name>_memo_hits``/``_misses`` in
+    :data:`MEMO_COUNTERS`."""
+
+    def __init__(self, name: str, cap: int) -> None:
+        self.cap = cap
+        self._entries: dict = {}
+        self._hits, self._misses = f"{name}_memo_hits", f"{name}_memo_misses"
+        MEMO_COUNTERS.setdefault(self._hits, 0)
+        MEMO_COUNTERS.setdefault(self._misses, 0)
+
+    def get(self, key, build: Callable[[], object]):
+        """The value memoized under ``key``; on a miss, ``build()`` it and
+        store it as the most recent entry."""
+        value = self._entries.pop(key, _MISSING)
+        if value is _MISSING:
+            MEMO_COUNTERS[self._misses] += 1
+            value = build()
+            while len(self._entries) >= self.cap:
+                self._entries.pop(next(iter(self._entries)))
+        else:
+            MEMO_COUNTERS[self._hits] += 1
+        self._entries[key] = value  # (re)inserted as the most recent entry
+        return value
+
+    def keys(self) -> list:
+        """Memoized keys, least recently used first."""
+        return list(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+
+#: assembled cluster DAGs. Graphs are large (tens of thousands of ops for
+#: deep models at scale), so the cap is small — the memo targets
+#: back-to-back groups of one sweep, not a session's history.
+GRAPH_MEMO = Memo("graph", 8)
+
+#: ordering-wizard passes (a schedule is a few KB; sweeps touch far fewer
+#: distinct references).
+WIZARD_MEMO = Memo("wizard", 256)
 
 
 @dataclass(frozen=True)
@@ -55,16 +106,14 @@ class CommBackend:
 
     ``build_graph(ir, spec)`` assembles the one-iteration cluster DAG;
     ``prepare_schedule(ir, spec, algorithm, platform, *, trace_runs,
-    seed)`` runs the ordering wizard; ``schedule_key(spec)`` projects a
-    spec onto the fields its reference partition depends on (the wizard
-    memo key — coarser is better, wrong is catastrophic).
+    seed)`` runs the ordering wizard. Either may memoize (see
+    :class:`Memo`) on what it reads.
     """
 
     name: str
     spec_type: type
     build_graph: Callable
     prepare_schedule: Callable
-    schedule_key: Callable
 
     def describe(self) -> str:
         return f"{self.name} ({self.spec_type.__name__})"
@@ -90,28 +139,39 @@ def _reference_backend(name, spec_type, build_graph, reference_of) -> CommBacken
     """A backend whose wizard runs on one worker's reference partition.
 
     ``reference_of(spec)`` projects a spec onto the ``(workload, n_ps,
-    sharding)`` its reference partition is built from. The same
-    projection, prefixed by the backend name, is the wizard-memo key, so
-    the key holds exactly what the pass reads."""
+    sharding)`` its reference partition is built from. Graphs memoize on
+    (model fingerprint, spec) in :data:`GRAPH_MEMO`; wizard passes on
+    (model fingerprint, projection, wizard knobs) in :data:`WIZARD_MEMO`,
+    with no backend name, so backends with equal references share a
+    pass. The model's structural fingerprint is a content hash of the
+    full IR, so two different models never collide."""
+
+    def build(ir, spec):
+        return GRAPH_MEMO.get(
+            (ir.structural_fingerprint(), spec), lambda: build_graph(ir, spec)
+        )
 
     def prepare(ir, spec, algorithm, platform, *, trace_runs: int = 5, seed: int = 0):
-        from ..core.wizard import compute_schedule
-        from ..ps.reference import build_reference_partition
+        workload, n_ps, sharding = reference = reference_of(spec)
 
-        workload, n_ps, sharding = reference_of(spec)
-        reference = build_reference_partition(
-            ir, workload=workload, n_ps=n_ps, sharding=sharding
-        )
-        return compute_schedule(
-            reference, algorithm, platform=platform, trace_runs=trace_runs, seed=seed
-        )
+        def wizard():
+            from ..core.wizard import compute_schedule
+            from ..ps.reference import build_reference_partition
+
+            partition = build_reference_partition(
+                ir, workload=workload, n_ps=n_ps, sharding=sharding
+            )
+            return compute_schedule(
+                partition, algorithm, platform=platform, trace_runs=trace_runs,
+                seed=seed,
+            )
+
+        key = (ir.structural_fingerprint(), reference, algorithm, platform,
+               trace_runs, seed)
+        return WIZARD_MEMO.get(key, wizard)
 
     return CommBackend(
-        name=name,
-        spec_type=spec_type,
-        build_graph=build_graph,
-        prepare_schedule=prepare,
-        schedule_key=lambda spec: (name, *reference_of(spec)),
+        name=name, spec_type=spec_type, build_graph=build, prepare_schedule=prepare
     )
 
 
@@ -122,12 +182,7 @@ def _ensure_defaults() -> None:
     _defaults_loaded = True  # set first: the registrations below re-enter
     from ..collectives import CollectiveSpec, build_collective_graph
     from ..ps.cluster import ClusterSpec, build_cluster_graph
-    from ..sim.jobmix import (
-        JobMixSpec,
-        build_jobmix_graph,
-        jobmix_schedule_key,
-        prepare_jobmix_schedule,
-    )
+    from ..sim.jobmix import JobMixSpec, build_jobmix_graph, prepare_jobmix_schedule
 
     register_backend(
         _reference_backend(
@@ -141,7 +196,8 @@ def _ensure_defaults() -> None:
     # question. The collective wizard is the PS wizard on a training
     # reference with one pseudo shard (the collective wire); the engine
     # lowers its priorities onto chunks (core.schedules.chunk_ranks). The
-    # reference depends only on the model: one pass serves every cell.
+    # reference depends only on the model, and equals the PS training
+    # reference with one shard: one pass serves every cell of both.
     register_backend(
         _reference_backend(
             "allreduce", CollectiveSpec, build_collective_graph,
@@ -154,7 +210,6 @@ def _ensure_defaults() -> None:
             spec_type=JobMixSpec,
             build_graph=build_jobmix_graph,
             prepare_schedule=prepare_jobmix_schedule,
-            schedule_key=jobmix_schedule_key,
         )
     )
 
@@ -208,64 +263,13 @@ def backend_for_spec(spec) -> CommBackend:
     return backend
 
 
-_graph_memo: dict[tuple, object] = {}
-
-#: in-process memo hit/miss counters, read by :mod:`repro.obs.telemetry`
-#: into run telemetry. Per-process: pool workers count their own memos
-#: (the runner surfaces the driver-process view).
-_memo_stats = {
-    "graph_memo_hits": 0,
-    "graph_memo_misses": 0,
-    "wizard_memo_hits": 0,
-    "wizard_memo_misses": 0,
-}
-
-
-def memo_stats() -> dict:
-    """Snapshot of this process's graph/wizard memo hit-miss counters."""
-    return dict(_memo_stats)
-
-
 def build_comm_graph(ir, spec):
     """Assemble the cluster DAG for ``spec``, whichever backend owns it.
 
-    Memoized per (model structural fingerprint, spec): two sweep groups
-    over the same DAG — e.g. one cluster shape swept across platforms —
-    share one assembled graph. Eviction is least-recently-used, so the
-    per-job graphs every job mix reuses outlive the stream of one-off
-    mixes. The returned graph must be treated as read-only; call the
-    backend's ``build_graph`` directly to get a private, mutable
-    instance.
+    The built-in backends memoize (see :data:`GRAPH_MEMO`): treat the
+    returned graph as read-only.
     """
-    backend = backend_for_spec(spec)
-    key = (ir.structural_fingerprint(), spec)
-    graph = _graph_memo.pop(key, None)
-    if graph is None:
-        _memo_stats["graph_memo_misses"] += 1
-        graph = backend.build_graph(ir, spec)
-        while len(_graph_memo) >= _GRAPH_MEMO_CAP:
-            _graph_memo.pop(next(iter(_graph_memo)))
-    else:
-        _memo_stats["graph_memo_hits"] += 1
-    _graph_memo[key] = graph  # (re)inserted as the most recent entry
-    return graph
-
-
-def graph_memo_size() -> int:
-    """Assembled graphs currently memoized (diagnostics/tests)."""
-    return len(_graph_memo)
-
-
-def clear_graph_memo() -> None:
-    """Drop all memoized cluster graphs (tests)."""
-    _graph_memo.clear()
-
-
-# ----------------------------------------------------------------------
-# Wizard memo
-# ----------------------------------------------------------------------
-
-_schedule_memo: dict[tuple, object] = {}
+    return backend_for_spec(spec).build_graph(ir, spec)
 
 
 def prepare_comm_schedule(
@@ -277,43 +281,12 @@ def prepare_comm_schedule(
     trace_runs: int = 5,
     seed: int = 0,
 ):
-    """Backend-dispatched, memoized ordering-wizard pass.
+    """The ordering-wizard pass for ``spec``, whichever backend owns it.
 
-    The memo key combines the model's structural fingerprint (a content
-    hash of the full IR — nodes, wiring, FLOPs, parameter census — so two
-    different models can never collide), the backend's reference
-    projection of ``spec``, and the wizard knobs. Results are
+    The built-in backends memoize (see :data:`WIZARD_MEMO`). Results are
     deterministic in the key, so reuse is exact; only the ``meta``
     wall-clock diagnostics of a reused schedule reflect the original run.
     """
-    backend = backend_for_spec(spec)
-    key = (
-        ir.structural_fingerprint(),
-        backend.schedule_key(spec),
-        algorithm,
-        platform,
-        trace_runs,
-        seed,
+    return backend_for_spec(spec).prepare_schedule(
+        ir, spec, algorithm, platform, trace_runs=trace_runs, seed=seed
     )
-    schedule = _schedule_memo.get(key)
-    if schedule is None:
-        _memo_stats["wizard_memo_misses"] += 1
-        schedule = backend.prepare_schedule(
-            ir, spec, algorithm, platform, trace_runs=trace_runs, seed=seed
-        )
-        while len(_schedule_memo) >= _MEMO_CAP:
-            _schedule_memo.pop(next(iter(_schedule_memo)))
-        _schedule_memo[key] = schedule
-    else:
-        _memo_stats["wizard_memo_hits"] += 1
-    return schedule
-
-
-def schedule_memo_size() -> int:
-    """Entries currently memoized (diagnostics/tests)."""
-    return len(_schedule_memo)
-
-
-def clear_schedule_memo() -> None:
-    """Drop all memoized wizard passes (tests)."""
-    _schedule_memo.clear()

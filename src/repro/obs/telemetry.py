@@ -36,6 +36,8 @@ Counter schema (all optional — absent means zero):
 ``cache_hits/misses/writes``  on-disk cache counters (delta per scenario)
 ``wizard_memo_hits/misses``   in-process ordering-wizard memo counters
 ``graph_memo_hits/misses``    in-process cluster-graph memo counters
+``shape_core_memo_hits/misses``  in-process per-job compiled-core memo
+                              counters (job mixes)
 ``variant_memo_hits``         group variants served from an earlier variant
                               with an equal ``(config, lowering)`` (see
                               :func:`repro.sim.runner.simulate_cell_group`)
@@ -124,15 +126,14 @@ class _Timer:
 
 
 def memo_counters() -> dict[str, float]:
-    """This process's graph/wizard memo counters (see
-    :func:`repro.backends.memo_stats`) and variant-reuse counter (see
-    :func:`repro.sim.runner.variant_memo_stats`), as telemetry-ready
-    floats."""
-    from ..backends import memo_stats
-    from ..sim.runner import variant_memo_stats
+    """This process's memo counters (every
+    :class:`~repro.backends.Memo`'s hits and misses, and the variant
+    reuse of :func:`repro.sim.runner.simulate_cell_group`), as
+    telemetry-ready floats."""
+    from ..backends import MEMO_COUNTERS
+    from ..sim import runner  # noqa: F401  (its memos register their counters)
 
-    counters = {**memo_stats(), **variant_memo_stats()}
-    return {name: float(value) for name, value in counters.items()}
+    return {name: float(value) for name, value in MEMO_COUNTERS.items()}
 
 
 def merge_rows(rows: Iterable[Mapping]) -> dict[str, float]:

@@ -21,26 +21,33 @@ placement's ``host_map`` and the namespaced (``j0/``, ``j1/``, ...)
 per-job surfaces the metrics layer reads. The mix is a concatenation —
 op ids of job *i* are its own ids plus an offset — so
 :class:`~repro.sim.engine.CompiledCore` never walks a union DAG for it.
-:func:`compose_core` compiles every job *shape* once (memoized on model
-fingerprint, backend spec and platform) and block-concatenates the
-per-shape arrays with op/resource/channel offsets, remapping NIC
-resources through ``host_map``, the only coupling between jobs: devices
-sharing a host share NIC resources in the composed core. The composed
-core equals, attribute for attribute, the core compiled from the spliced
-union DAG (pinned by ``tests/sim/test_jobmix_compose.py``); that union
-still exists as :attr:`JobMixGraph.graph`, spliced on first access for
-the readers that need op names (trace export, timelines). A 1-job mix on
+:func:`compose_core` compiles every job *shape* once (memoized in
+:data:`SHAPE_CORE_MEMO` on model fingerprint, backend spec and
+platform) and block-concatenates the per-shape arrays with
+op/resource/channel offsets, remapping NIC resources through
+``host_map``, the only coupling between jobs: devices sharing a host
+share NIC resources in the composed core. The composed core equals,
+attribute for attribute, the core compiled from the spliced union DAG
+(pinned by ``tests/sim/test_jobmix_compose.py``); that union still
+exists as :attr:`JobMixGraph.graph`, spliced on first access for the
+readers that need op names (trace export, timelines). A 1-job mix on
 the ``dedicated`` placement is **byte-identical** to the plain
 single-job path (pinned by ``tests/sim/test_jobmix_golden.py``).
 
 **Priority namespaces.** :func:`prepare_jobmix_schedule` runs the
-ordering wizard per job (memoized, per-job reference projections) and
-composes the passes by prefixing every priority key. The §5.1 counter
-groups are per (link, iteration) and links are per job, so the composed
-rank arrays are re-normalized densely within each job's own groups —
-rank arrays from independent wizard passes can never collide across
-jobs. ``algorithm='mix'`` uses each job's own :attr:`JobSpec.algorithm`;
-any other name applies one algorithm to every job.
+ordering wizard per job (through the backends' wizard memo, keyed on
+each job's reference projection) and composes the passes by prefixing
+every priority key. The §5.1 counter groups are per (link, iteration)
+and links are per job, so the composed rank arrays are re-normalized
+densely within each job's own groups — rank arrays from independent
+wizard passes can never collide across jobs. ``algorithm='mix'`` uses
+each job's own :attr:`JobSpec.algorithm`; any other name applies one
+algorithm to every job.
+
+**Per-job memos only.** No memo holds a whole mix: a stream of mixes
+(a cluster replay prices hundreds of compositions) rarely repeats one,
+while its job shapes repeat constantly. Every mix is composed afresh
+from per-job graph, wizard and shape-core entries.
 
 Batch-size scaling (``batch_factor``) is not supported for mixes: every
 job builds at its model's native batch size.
@@ -54,17 +61,19 @@ from typing import Optional
 
 import numpy as np
 
+from ..backends import Memo
 from ..core.schedules import Schedule
 from ..graph import Graph, Op, Resource, ResourceKind
 from ..graph.dag import GraphError
-from ..ps.cluster import Transfer
+from ..ps.cluster import WORKLOADS, Transfer
+from ..registry import did_you_mean
 
 #: workload label reported for mixed-job results.
 MIX_WORKLOAD = "mix"
 
-#: Most per-shape compiled cores kept in-process, like the backends'
-#: graph memo (each core pins its job's cluster DAG).
-_SHAPE_CORE_CAP = 8
+#: per-shape compiled cores, capped like the backends' graph memo (each
+#: core pins its job's cluster DAG).
+SHAPE_CORE_MEMO = Memo("shape_core", 8)
 
 
 def job_label(index: int) -> str:
@@ -91,8 +100,39 @@ class JobSpec:
     faults: object = None
 
     def __post_init__(self) -> None:
+        from ..backends import backends
+        from ..core.wizard import ALGORITHMS
+        from ..models.zoo import MODELS
+
+        if self.model not in MODELS:
+            raise ValueError(
+                f"unknown model {self.model!r}" + did_you_mean(self.model, MODELS)
+            )
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(
+                f"unknown algorithm {self.algorithm!r}; one of {ALGORITHMS}"
+                + did_you_mean(self.algorithm, ALGORITHMS)
+            )
+        # a job is one single-job cluster: a mix cannot nest
+        known = [name for name in backends() if name != "jobmix"]
+        if self.backend not in known:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; one of {known}"
+                + did_you_mean(self.backend, known)
+            )
         if self.n_workers <= 0:
             raise ValueError("n_workers must be positive")
+        if self.backend == "ps":
+            if self.n_ps < 1:
+                raise ValueError(f"a ps job needs n_ps >= 1, got {self.n_ps}")
+            if self.workload not in WORKLOADS:
+                raise ValueError(f"workload must be one of {WORKLOADS}")
+        elif self.workload != "training":
+            # only the PS spec carries a workload: anything else trains
+            raise ValueError(
+                f"backend {self.backend!r} only trains; "
+                f"workload={self.workload!r} needs backend='ps'"
+            )
         # NaN slips through a plain `< 0` check and would poison the
         # compiled deferred-release table (event time comparisons against
         # NaN are all False); infinities would defer the job forever.
@@ -354,22 +394,14 @@ def job_fault_plan(spec):
     return plan
 
 
-_shape_cores: dict[tuple, object] = {}
-
-
 def _shape_core(part: JobPart, platform):
-    """The compiled core of one job shape on ``platform`` (memoized,
-    least-recently-used eviction)."""
-    key = (part.fingerprint, part.cluster.spec, platform)
-    core = _shape_cores.pop(key, None)
-    if core is None:
-        from .engine import CompiledCore
+    """The compiled core of one job shape on ``platform`` (memoized)."""
+    from .engine import CompiledCore
 
-        core = CompiledCore(part.cluster, platform)
-        while len(_shape_cores) >= _SHAPE_CORE_CAP:
-            _shape_cores.pop(next(iter(_shape_cores)))
-    _shape_cores[key] = core
-    return core
+    return SHAPE_CORE_MEMO.get(
+        (part.fingerprint, part.cluster.spec, platform),
+        lambda: CompiledCore(part.cluster, platform),
+    )
 
 
 def _remap(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -567,9 +599,3 @@ def prepare_jobmix_schedule(
         meta={"jobs": tuple(algorithms)},
     )
 
-
-def jobmix_schedule_key(spec: JobMixSpec) -> tuple:
-    """Wizard-memo projection of a mix: the full jobs tuple (coarser
-    projections risk cross-mix collisions; placement and arrivals do not
-    influence the wizard, so they are excluded)."""
-    return ("jobmix", spec.jobs)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Sequence, Union
 
-from ..backends import build_comm_graph, prepare_comm_schedule
+from ..backends import MEMO_COUNTERS, build_comm_graph, prepare_comm_schedule
 from ..core.schedules import Schedule
 from ..models import build_model
 from ..models.ir import ModelIR
@@ -41,9 +41,9 @@ def prepare_schedule(
     """Offline ordering-wizard pass for a cluster configuration (§5):
     build the reference worker partition, trace it for TAC's oracle,
     run the heuristic. ``'baseline'`` is no pass at all: it is the empty
-    schedule. Anything else dispatches on the spec's backend and is
-    memoized within the process — see
-    :func:`repro.backends.prepare_comm_schedule`."""
+    schedule. Anything else dispatches on the spec's backend, whose
+    wizard memoizes within the process — see
+    :data:`repro.backends.WIZARD_MEMO`."""
     if algorithm == "baseline":
         return Schedule("baseline")
     return prepare_comm_schedule(
@@ -81,16 +81,9 @@ def bind_variant(
     return SimVariant(core, schedule, cfg)
 
 
-#: this process's count of group variants served from an earlier
-#: variant's result (see :func:`simulate_cell_group`), read into run
-#: telemetry by :func:`repro.obs.telemetry.memo_counters` beside the
-#: graph and wizard memo counters.
-_variant_memo_stats = {"variant_memo_hits": 0}
-
-
-def variant_memo_stats() -> dict:
-    """Snapshot of this process's variant-reuse counter."""
-    return dict(_variant_memo_stats)
+#: group variants served from an earlier variant's result (see
+#: :func:`simulate_cell_group`), counted beside the memo counters.
+MEMO_COUNTERS.setdefault("variant_memo_hits", 0)
 
 
 def simulate_cluster(
@@ -206,7 +199,7 @@ def simulate_cell_group(
         if earlier is None:
             result = seen[key] = _run_variant(ir, spec, sim)
         else:
-            _variant_memo_stats["variant_memo_hits"] += 1
+            MEMO_COUNTERS["variant_memo_hits"] += 1
             result = replace(
                 earlier,
                 algorithm=sim.schedule.algorithm,

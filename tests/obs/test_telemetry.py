@@ -75,6 +75,7 @@ def test_memo_counters_shape():
     assert set(counters) == {
         "graph_memo_hits", "graph_memo_misses",
         "wizard_memo_hits", "wizard_memo_misses",
+        "shape_core_memo_hits", "shape_core_memo_misses",
         "variant_memo_hits",
     }
     assert all(isinstance(v, float) for v in counters.values())

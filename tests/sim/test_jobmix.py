@@ -27,7 +27,6 @@ from repro.sim import (
     prepare_jobmix_schedule,
     simulate_cluster,
 )
-from repro.sim.jobmix import jobmix_schedule_key
 from repro.sweep import SimCell
 from repro.sweep.serialize import result_from_dict, result_to_dict
 from repro.timing import PLATFORMS
@@ -67,6 +66,38 @@ def test_job_spec_rejects_bad_arrival(arrival):
     # release event table; infinities would defer the job forever.
     with pytest.raises(ValueError, match="arrival"):
         JobSpec("AlexNet v2", n_workers=2, n_ps=1, arrival=arrival)
+
+
+def test_job_spec_rejects_unknown_model_with_hint():
+    with pytest.raises(ValueError, match="unknown model .*did you mean 'AlexNet v2'"):
+        JobSpec("Alexnet v2")
+
+
+def test_job_spec_rejects_unknown_algorithm_with_hint():
+    # once accepted, then retried and quarantined as a sweep cell
+    with pytest.raises(ValueError, match="unknown algorithm .*did you mean 'tac'"):
+        JobSpec("AlexNet v2", algorithm="tacc")
+
+
+def test_job_spec_rejects_unknown_backend_with_hint():
+    with pytest.raises(ValueError, match="unknown backend .*did you mean 'allreduce'"):
+        JobSpec("AlexNet v2", backend="allreduc")
+    with pytest.raises(ValueError, match="unknown backend 'jobmix'"):
+        JobSpec("AlexNet v2", backend="jobmix")  # a mix does not nest
+
+
+def test_ps_job_needs_a_parameter_server():
+    with pytest.raises(ValueError, match="n_ps >= 1"):
+        JobSpec("AlexNet v2", n_ps=0)
+    with pytest.raises(ValueError, match="workload must be one of"):
+        JobSpec("AlexNet v2", workload="serving")
+
+
+def test_allreduce_job_must_train():
+    # once accepted: it simulated training but reported 'inference'
+    with pytest.raises(ValueError, match="only trains"):
+        JobSpec("AlexNet v2", backend="allreduce", workload="inference")
+    assert JobSpec("AlexNet v2", backend="allreduce", n_ps=0).to_spec().n_workers == 2
 
 
 def test_mix_spec_is_a_registered_backend():
@@ -131,14 +162,6 @@ def test_mix_algorithm_dispatches_per_job():
     sched = prepare_jobmix_schedule(None, spec, "mix", platform)
     assert sched.meta["jobs"] == ("tic", "baseline")
     assert all(k.startswith("j0/") for k in sched.priorities)  # j1 is baseline
-
-
-def test_schedule_key_separates_mixes():
-    other = JobMixSpec(jobs=(TWO_ALEX.jobs[0],))
-    assert jobmix_schedule_key(TWO_ALEX) != jobmix_schedule_key(other)
-    assert jobmix_schedule_key(TWO_ALEX) == jobmix_schedule_key(
-        JobMixSpec(jobs=TWO_ALEX.jobs, placement="spread", n_hosts=6)
-    )  # placement does not influence the wizard
 
 
 # ----------------------------------------------------------------------

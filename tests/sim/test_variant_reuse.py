@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.api.scenarios import make_spec
-from repro.backends import build_comm_graph
+from repro.backends import MEMO_COUNTERS, build_comm_graph
 from repro.models import build_model
 from repro.ps.cluster import ClusterSpec
 from repro.sim import (
@@ -26,7 +26,6 @@ from repro.sim import (
     simulate_cluster,
     summarize_iteration,
 )
-from repro.sim.runner import variant_memo_stats
 from repro.sweep.serialize import result_to_dict
 from repro.timing import PLATFORMS
 
@@ -42,7 +41,7 @@ PS_DISTINCT = ("Inception v2", ClusterSpec(4, 1, "inference"), "envC")
 
 
 def _hits() -> int:
-    return variant_memo_stats()["variant_memo_hits"]
+    return MEMO_COUNTERS["variant_memo_hits"]
 
 
 def _group(model, spec, variants, platform="envG"):

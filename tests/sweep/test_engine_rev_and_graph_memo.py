@@ -48,18 +48,18 @@ def test_cache_key_material_is_json(tmp_path):
 # graph memo
 # ----------------------------------------------------------------------
 def test_build_comm_graph_memoizes_plain_calls():
-    backends.clear_graph_memo()
+    backends.GRAPH_MEMO.clear()
     ir = tiny_model()
     spec = ClusterSpec(2, 1, "training")
     a = backends.build_comm_graph(ir, spec)
     b = backends.build_comm_graph(ir, spec)
     assert a is b
-    assert backends.graph_memo_size() == 1
+    assert len(backends.GRAPH_MEMO) == 1
     # a different spec is a different graph
     c = backends.build_comm_graph(ir, ClusterSpec(3, 1, "training"))
     assert c is not a
-    assert backends.graph_memo_size() == 2
-    backends.clear_graph_memo()
+    assert len(backends.GRAPH_MEMO) == 2
+    backends.GRAPH_MEMO.clear()
 
 
 def test_graph_memo_distinguishes_structurally_different_models():
@@ -72,31 +72,31 @@ def test_graph_memo_distinguishes_structurally_different_models():
         b.softmax("predictions")
         return b.build()
 
-    backends.clear_graph_memo()
+    backends.GRAPH_MEMO.clear()
     spec = ClusterSpec(2, 1, "training")
     a = backends.build_comm_graph(variant(True), spec)
     b = backends.build_comm_graph(variant(False), spec)
     assert a is not b
-    assert backends.graph_memo_size() == 2
-    backends.clear_graph_memo()
+    assert len(backends.GRAPH_MEMO) == 2
+    backends.GRAPH_MEMO.clear()
 
 
 def test_graph_memo_capacity_bounded():
-    backends.clear_graph_memo()
+    backends.GRAPH_MEMO.clear()
     ir = tiny_model()
-    for w in range(1, backends._GRAPH_MEMO_CAP + 4):
+    for w in range(1, backends.GRAPH_MEMO.cap + 4):
         backends.build_comm_graph(ir, ClusterSpec(w, 1, "inference"))
-    assert backends.graph_memo_size() == backends._GRAPH_MEMO_CAP
-    backends.clear_graph_memo()
+    assert len(backends.GRAPH_MEMO) == backends.GRAPH_MEMO.cap
+    backends.GRAPH_MEMO.clear()
 
 
 def test_graph_memo_evicts_least_recently_used():
-    backends.clear_graph_memo()
+    backends.GRAPH_MEMO.clear()
     ir = tiny_model()
     kept = backends.build_comm_graph(ir, ClusterSpec(1, 1, "inference"))
-    for w in range(2, backends._GRAPH_MEMO_CAP + 4):
+    for w in range(2, backends.GRAPH_MEMO.cap + 4):
         # touching the first graph keeps it fresh while others cycle out
         assert backends.build_comm_graph(ir, ClusterSpec(1, 1, "inference")) is kept
         backends.build_comm_graph(ir, ClusterSpec(w, 1, "inference"))
     assert backends.build_comm_graph(ir, ClusterSpec(1, 1, "inference")) is kept
-    backends.clear_graph_memo()
+    backends.GRAPH_MEMO.clear()
