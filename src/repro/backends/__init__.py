@@ -16,13 +16,17 @@ misses in :data:`MEMO_COUNTERS`; every memo is keyed on exactly what its
 build reads. The two reference backends (PS and all-reduce) memoize
 inside their own functions:
 
-* the **graph memo** holds assembled cluster DAGs keyed by (model
-  structural fingerprint, spec). Groups that differ only in platform or
-  simulation knobs describe the *same* DAG and share it instead of
-  re-assembling tens of thousands of ops. Consumers treat memoized
-  graphs as immutable — the engine never writes to a ClusterGraph, and
-  callers that want to mutate one must build it directly
-  (``build_cluster_graph``/``build_collective_graph``).
+* the **graph memo** holds assembled cluster DAGs (their block layouts,
+  see :mod:`repro.graph.tiling`) keyed by (model structural
+  fingerprint, spec). Groups that differ only in platform or
+  simulation knobs describe the *same* DAG and share it. Consumers
+  treat memoized graphs as immutable — the engine never writes to a
+  ClusterGraph, and callers that want to mutate one must build it
+  directly (``build_cluster_graph``/``build_collective_graph``).
+* the **replica memo** holds the worker replicas those builders place
+  once per worker (:func:`worker_replica`), keyed on what emission
+  reads, so a sweep over cluster shapes emits each replica once; each
+  replica keeps its compiled block per platform.
 * the **wizard memo** holds ordering-wizard passes keyed by the
   *reference projection* of a spec — the ``(workload, n_ps, sharding)``
   the reference partition is built from (§5: the wizard runs once, on
@@ -90,14 +94,44 @@ class Memo:
         self._entries.clear()
 
 
-#: assembled cluster DAGs. Graphs are large (tens of thousands of ops for
-#: deep models at scale), so the cap is small — the memo targets
-#: back-to-back groups of one sweep, not a session's history.
+#: assembled cluster DAGs. A DAG whose op-level graph has been read holds
+#: it (tens of thousands of ops for deep models at scale), so the cap is
+#: small — the memo targets back-to-back groups of one sweep, not a
+#: session's history.
 GRAPH_MEMO = Memo("graph", 8)
 
 #: ordering-wizard passes (a schedule is a few KB; sweeps touch far fewer
 #: distinct references).
 WIZARD_MEMO = Memo("wizard", 256)
+
+#: emitted worker replicas with their compiled blocks. A replica is one
+#: worker's ops, far smaller than a cluster graph, so more are kept.
+REPLICA_MEMO = Memo("replica", 32)
+
+
+def worker_replica(ir, mode: str, placement, stamp, template: str):
+    """The :class:`~repro.graph.tiling.Replica` a cluster builder places
+    once per worker: ``ir`` emitted in worker ``mode`` under
+    ``placement`` (parameter -> PS device), stamped by ``stamp`` and
+    compiled on ``template``.
+
+    Memoized in :data:`REPLICA_MEMO` on (model fingerprint, mode, stamp,
+    placement, template), which fixes the replica independently of the
+    cluster shape, so a sweep over worker counts, partition sizes or
+    topologies emits it once. The replica carries its compiled block per
+    platform, so each is also compiled once per platform."""
+    from ..graph.tiling import Replica
+    from ..models.emit import emit_graph
+
+    def emit():
+        emitted = emit_graph(ir, mode, placement=placement)
+        return Replica(emitted.graph, emitted.output_ops, stamp, template)
+
+    key = (
+        ir.structural_fingerprint(), mode, stamp,
+        tuple(placement[p.name] for p in ir.params), template,
+    )
+    return REPLICA_MEMO.get(key, emit)
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..backends import worker_replica
 from ..graph import Graph, Op, OpKind, Resource
-from ..models.emit import WORKER_TRAINING, emit_graph
+from ..graph.tiling import Tiling
+from ..models.emit import WORKER_TRAINING
 from ..models.ir import ModelIR
 from ..ps.cluster import Transfer
 from .hierarchical import emit_hierarchical_allreduce
@@ -54,7 +56,12 @@ LOCAL = "local"
 
 @dataclass
 class CollectiveGraph:
-    """A fully assembled, resource-tagged collective DAG (one iteration).
+    """A resource-tagged collective DAG (one iteration), held as its
+    block layout: :attr:`tiling` places one stamped model replica per
+    worker after the all-reduce glue (gradient-ready roots, chunk chains,
+    updates). The op-level :attr:`graph` is spliced only when first read;
+    the engine compiles the layout directly
+    (:func:`repro.sim.compile.tile_core`).
 
     Field names mirror :class:`~repro.ps.cluster.ClusterGraph` so the
     simulator, metrics and analysis layers consume either interchangeably.
@@ -62,7 +69,7 @@ class CollectiveGraph:
 
     spec: CollectiveSpec
     model: ModelIR
-    graph: Graph
+    tiling: Tiling
     chunks: list[Chunk]
     #: every transfer, grouped by the link resource it occupies.
     transfers_by_link: dict[Resource, list[Transfer]] = field(default_factory=dict)
@@ -80,6 +87,11 @@ class CollectiveGraph:
     n_iterations: int = 1
 
     @property
+    def graph(self) -> Graph:
+        """The assembled op-level DAG (spliced on first read)."""
+        return self.tiling.graph
+
+    @property
     def param_transfers(self) -> list[Transfer]:
         """No PS-style parameter pulls exist in this backend."""
         return []
@@ -88,12 +100,14 @@ class CollectiveGraph:
         self.transfers_by_link.setdefault(link, []).append(transfer)
 
 
-def _stamp(worker: str):
+def _stamp(worker: str, prefix: str = ""):
     """``Graph.splice`` rebuild that stamps a replica op onto ``worker``'s
-    compute resource. Parameter recvs become zero-cost local ``READ``
-    entries and gradient sends zero-cost ``COMPUTE`` markers: the
-    all-reduce, not a PS pull or push, moves the bytes."""
+    compute resource as ``{prefix}{worker}/{name}``. Parameter recvs
+    become zero-cost local ``READ`` entries and gradient sends zero-cost
+    ``COMPUTE`` markers: the all-reduce, not a PS pull or push, moves the
+    bytes."""
     compute = Resource.compute(worker)
+    name_prefix = f"{prefix}{worker}/"
 
     def rebuild(op: Op, new_id: int) -> Op:
         kind, cost, attrs = op.kind, op.cost, dict(op.attrs)
@@ -106,7 +120,7 @@ def _stamp(worker: str):
             kind, cost = OpKind.COMPUTE, 0.0
             attrs["grad_marker"] = True
         return Op(
-            new_id, f"{worker}/{op.name}", kind, compute, cost, op.param,
+            new_id, name_prefix + op.name, kind, compute, cost, op.param,
             worker, attrs,
         )
 
@@ -118,19 +132,24 @@ def build_collective_graph(ir: ModelIR, spec: CollectiveSpec) -> CollectiveGraph
     chunks = partition_tensors(
         ir.params, spec.partition_bytes, fuse=spec.fuse
     )
-    g = Graph(
+    workers = spec.workers
+    replica = worker_replica(
+        ir, WORKER_TRAINING, {p.name: LOCAL for p in ir.params}, _stamp,
+        workers[0],
+    )
+    t = Tiling(
         f"{ir.name}/allreduce-{spec.topology}/w{spec.n_workers}"
-        f"/p{spec.partition_bytes}"
+        f"/p{spec.partition_bytes}",
+        replica,
     )
     cluster = CollectiveGraph(
         spec=spec,
         model=ir,
-        graph=g,
+        tiling=t,
         chunks=chunks,
         chunk_params={c.name: c.params for c in chunks},
         chunk_order={c.name: c.index for c in chunks},
     )
-    workers = spec.workers
     chunk_of_param = {p: c for c in chunks for p in c.params}
     worker_ops = {w: [] for w in workers}
 
@@ -139,7 +158,7 @@ def build_collective_graph(ir: ModelIR, spec: CollectiveSpec) -> CollectiveGraph
     for w in workers:
         compute = Resource.compute(w)
         for c in chunks:
-            op = g.add_op(
+            op_id = t.add_op(
                 f"{w}/{c.name}/grad_ready",
                 OpKind.READ,
                 (),
@@ -149,14 +168,14 @@ def build_collective_graph(ir: ModelIR, spec: CollectiveSpec) -> CollectiveGraph
                 timing_key=f"{c.name}/grad_ready",
                 chunk_root=c.name,
             )
-            roots[(w, c.name)] = op.op_id
-            worker_ops[w].append(op.op_id)
+            roots[(w, c.name)] = op_id
+            worker_ops[w].append(op_id)
 
     # --- all-reduce chain per chunk --------------------------------------
     def make_add_transfer(chunk: Chunk):
         def add_transfer(name, src, dst, nbytes, deps) -> int:
             link = Resource.link(src, dst)
-            op = g.add_op(
+            op_id = t.add_op(
                 name,
                 OpKind.SEND,
                 deps,
@@ -168,15 +187,15 @@ def build_collective_graph(ir: ModelIR, spec: CollectiveSpec) -> CollectiveGraph
                 chunk=chunk.name,
             )
             cluster._register_transfer(
-                link, Transfer(op.op_id, chunk.name, src, dst, "chunk", 0)
+                link, Transfer(op_id, chunk.name, src, dst, "chunk", 0)
             )
-            worker_ops[src].append(op.op_id)
-            return op.op_id
+            worker_ops[src].append(op_id)
+            return op_id
 
         return add_transfer
 
     def add_compute(name, device, flops, deps) -> int:
-        op = g.add_op(
+        op_id = t.add_op(
             name,
             OpKind.AGGREGATE,
             deps,
@@ -185,8 +204,8 @@ def build_collective_graph(ir: ModelIR, spec: CollectiveSpec) -> CollectiveGraph
             resource=Resource.compute(device),
             timing_key=name.split("/", 1)[1],
         )
-        worker_ops[device].append(op.op_id)
-        return op.op_id
+        worker_ops[device].append(op_id)
+        return op_id
 
     update_ids: dict[tuple[str, str], int] = {}
     for c in chunks:
@@ -214,7 +233,7 @@ def build_collective_graph(ir: ModelIR, spec: CollectiveSpec) -> CollectiveGraph
             for group in groups:
                 reduce_share[group[0]] = (L - 1) / L * c.n_elements
         for w in workers:
-            op = g.add_op(
+            op_id = t.add_op(
                 f"{w}/{c.name}/update",
                 OpKind.UPDATE,
                 [finish[w]],
@@ -223,25 +242,24 @@ def build_collective_graph(ir: ModelIR, spec: CollectiveSpec) -> CollectiveGraph
                 resource=Resource.compute(w),
                 timing_key=f"{c.name}/update",
             )
-            update_ids[(w, c.name)] = op.op_id
-            worker_ops[w].append(op.op_id)
+            update_ids[(w, c.name)] = op_id
+            worker_ops[w].append(op_id)
 
     # --- worker replicas, gated by the chunk updates ---------------------
-    placement = {p.name: LOCAL for p in ir.params}
-    replica = emit_graph(ir, WORKER_TRAINING, placement=placement)
     param_entries = [op for op in replica.graph if op.kind is OpKind.RECV]
+    size = len(replica)
     for w in workers:
-        ids = g.splice(replica.graph, _stamp(w))
-        worker_ops[w].extend(ids)
+        offset = t.place(w)
+        worker_ops[w].extend(range(offset, offset + size))
         recvs: dict[str, int] = {}
         for local in param_entries:
             # Parameter entry: locally resident, served once this
             # window's all-reduce has updated it.
             update_id = update_ids[(w, chunk_of_param[local.param].name)]
-            g.add_edge(update_id, ids[local.op_id])
+            t.add_edge(update_id, offset + local.op_id)
             recvs[local.param] = update_id
         cluster.param_recvs[w] = recvs
 
     cluster.worker_ops = worker_ops
-    cluster.iteration_ops[0] = list(range(len(g)))
+    cluster.iteration_ops[0] = list(range(t.n))
     return cluster

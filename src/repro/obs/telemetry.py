@@ -38,6 +38,8 @@ Counter schema (all optional — absent means zero):
 ``graph_memo_hits/misses``    in-process cluster-graph memo counters
 ``shape_core_memo_hits/misses``  in-process per-job compiled-core memo
                               counters (job mixes)
+``replica_memo_hits/misses``  in-process compiled worker-replica memo
+                              counters (see :mod:`repro.sim.compile`)
 ``variant_memo_hits``         group variants served from an earlier variant
                               with an equal ``(config, lowering)`` (see
                               :func:`repro.sim.runner.simulate_cell_group`)

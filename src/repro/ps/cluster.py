@@ -27,10 +27,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+from ..backends import worker_replica
 from ..graph import Graph, Op, OpKind, Resource
-from ..models.emit import WORKER_INFERENCE, WORKER_TRAINING, emit_graph
+from ..graph.tiling import Tiling
+from ..models.emit import WORKER_INFERENCE, WORKER_TRAINING
 from ..models.ir import ModelIR
-from .sharding import ps_device_names, shard_parameters, worker_device_names
+from ..registry import did_you_mean
+from .sharding import (
+    STRATEGIES,
+    ps_device_names,
+    shard_parameters,
+    worker_device_names,
+)
 
 WORKLOADS = ("inference", "training")
 
@@ -54,6 +62,11 @@ class ClusterSpec:
             raise ValueError("n_workers and n_ps must be positive")
         if self.workload not in WORKLOADS:
             raise ValueError(f"workload must be one of {WORKLOADS}")
+        if self.sharding not in STRATEGIES:
+            raise ValueError(
+                f"unknown sharding {self.sharding!r}; one of {STRATEGIES}"
+                + did_you_mean(self.sharding, STRATEGIES)
+            )
 
     @property
     def workers(self) -> list[str]:
@@ -81,12 +94,18 @@ class Transfer:
 
 @dataclass
 class ClusterGraph:
-    """A fully assembled, resource-tagged cluster DAG (one iteration by
-    default; ``n_iterations > 1`` unrolls a pipelined window)."""
+    """A resource-tagged cluster DAG (one iteration by default;
+    ``n_iterations > 1`` unrolls a pipelined window), held as its block
+    layout: :attr:`tiling` places one stamped model replica per (worker,
+    iteration) beside the PS ops. The op-level :attr:`graph` is spliced
+    only when first read (trace export, timelines, structural tests); the
+    engine compiles the layout directly
+    (:func:`repro.sim.compile.tile_core`). Every other field is computed
+    from the layout and indexes the spliced graph's op ids."""
 
     spec: ClusterSpec
     model: ModelIR
-    graph: Graph
+    tiling: Tiling
     placement: dict[str, str]
     #: every transfer, grouped by the link resource it occupies.
     transfers_by_link: dict[Resource, list[Transfer]] = field(default_factory=dict)
@@ -97,6 +116,11 @@ class ClusterGraph:
     #: op ids per unrolled iteration (for pipelined span accounting).
     iteration_ops: dict[int, list[int]] = field(default_factory=dict)
     n_iterations: int = 1
+
+    @property
+    def graph(self) -> Graph:
+        """The assembled op-level DAG (spliced on first read)."""
+        return self.tiling.graph
 
     @property
     def param_transfers(self) -> list[Transfer]:
@@ -111,11 +135,13 @@ class ClusterGraph:
         self.transfers_by_link.setdefault(link, []).append(transfer)
 
 
-def _stamp(name_prefix: str, worker: str):
-    """``Graph.splice`` rebuild that stamps a replica op onto ``worker``:
-    recvs occupy the PS->worker link, gradient sends the worker->PS link,
-    everything else the worker's compute resource."""
+def _stamp(worker: str, prefix: str):
+    """``Graph.splice`` rebuild that stamps a replica op onto ``worker``
+    as ``{prefix}{worker}/{name}``: recvs occupy the PS->worker link,
+    gradient sends the worker->PS link, everything else the worker's
+    compute resource."""
     compute = Resource.compute(worker)
+    name_prefix = f"{prefix}{worker}/"
 
     def rebuild(op: Op, new_id: int) -> Op:
         if op.kind is OpKind.RECV:
@@ -159,24 +185,26 @@ def build_cluster_graph(
         if missing:
             raise ValueError(f"placement missing parameters, e.g. {missing[:3]}")
 
+    params = ir.params
     mode = WORKER_TRAINING if spec.workload == "training" else WORKER_INFERENCE
-    g = Graph(
+    replica = worker_replica(ir, mode, placement, _stamp, spec.workers[0])
+    t = Tiling(
         f"{ir.name}/{spec.workload}/w{spec.n_workers}xps{spec.n_ps}"
-        + (f"/unrolled{n_iterations}" if n_iterations > 1 else "")
+        + (f"/unrolled{n_iterations}" if n_iterations > 1 else ""),
+        replica,
     )
     cluster = ClusterGraph(
-        spec=spec, model=ir, graph=g, placement=dict(placement),
+        spec=spec, model=ir, tiling=t, placement=dict(placement),
         n_iterations=n_iterations,
     )
-    params = ir.params
     training = spec.workload == "training"
-    replica = emit_graph(ir, mode, placement=placement)
+    size = len(replica)
 
     #: iteration-(k-1) update op per param (training pipelining).
-    prev_update: dict[str, Op] = {}
+    prev_update: dict[str, int] = {}
     #: iteration-(k-1) final output op per worker (inference agent loop).
-    prev_output: dict[str, Op] = {}
-    final_local_name = replica.output_ops[list(ir.nodes)[-1]]
+    prev_output: dict[str, int] = {}
+    final_local = replica.graph.op(replica.output_ops[list(ir.nodes)[-1]]).op_id
     comm_ops = [op for op in replica.graph if op.kind.is_communication]
 
     for k in range(n_iterations):
@@ -184,110 +212,108 @@ def build_cluster_graph(
         iteration_op_ids: list[int] = []
 
         # --- PS-side reads: serve the latest updated value ---------------
-        read_ops: dict[str, Op] = {}
+        read_ops: dict[str, int] = {}
         for p in params:
             ps_dev = placement[p.name]
-            deps = []
-            if p.name in prev_update:
-                deps.append(prev_update[p.name].op_id)
-            read_ops[p.name] = g.add_op(
+            read_ops[p.name] = t.add_op(
                 f"{prefix}{ps_dev}/{p.name}/read",
                 OpKind.READ,
-                deps,
+                [prev_update[p.name]] if p.name in prev_update else [],
                 cost=0.0,
                 param=p.name,
                 device=ps_dev,
                 resource=Resource.compute(ps_dev),
                 timing_key=f"{p.name}/ps_read",
             )
-            iteration_op_ids.append(read_ops[p.name].op_id)
+            iteration_op_ids.append(read_ops[p.name])
 
         # --- worker replicas, stitched to the PS subgraphs ---------------
-        grad_send_ops: dict[str, list[Op]] = {p.name: [] for p in params}
+        #: per param, its gradient sends as (op id, worker).
+        grad_sends: dict[str, list[tuple[int, str]]] = {p.name: [] for p in params}
         for worker in spec.workers:
-            ids = g.splice(replica.graph, _stamp(prefix + worker + "/", worker))
+            offset = t.place(worker, prefix)
+            ids = range(offset, offset + size)
             cluster.worker_ops.setdefault(worker, []).extend(ids)
             recv_ids: dict[str, int] = {}
             done = 0  # replica ops already listed in iteration_op_ids
             for local in comm_ops:
-                op = g.op(ids[local.op_id])
-                ps_dev = op.attrs["ps"]
-                if op.kind is OpKind.RECV:
-                    recv_ids[op.param] = op.op_id
+                op_id = offset + local.op_id
+                ps_dev = local.attrs["ps"]
+                if local.kind is OpKind.RECV:
+                    recv_ids[local.param] = op_id
                     cluster._register_transfer(
-                        op.resource,
-                        Transfer(op.op_id, op.param, ps_dev, worker, "param", k),
+                        Resource.link(ps_dev, worker),
+                        Transfer(op_id, local.param, ps_dev, worker, "param", k),
                     )
                     # PS-side send activation: the §5.1 hand-off point,
                     # listed right after the recv it feeds.
                     iteration_op_ids.extend(ids[done:local.op_id + 1])
                     done = local.op_id + 1
-                    send_deps = [read_ops[op.param].op_id]
+                    send_deps = [read_ops[local.param]]
                     if worker in prev_output:
                         # agent loop: next pull requested after acting
-                        send_deps.append(prev_output[worker].op_id)
-                    send = g.add_op(
-                        f"{prefix}{ps_dev}/{op.param}/send->{worker}",
+                        send_deps.append(prev_output[worker])
+                    send = t.add_op(
+                        f"{prefix}{ps_dev}/{local.param}/send->{worker}",
                         OpKind.SEND,
                         send_deps,
                         cost=0.0,
-                        param=op.param,
+                        param=local.param,
                         device=ps_dev,
                         resource=Resource.compute(ps_dev),
-                        timing_key=f"{op.param}/ps_send",
+                        timing_key=f"{local.param}/ps_send",
                         # Activation/bookkeeping op on the PS compute
                         # resource; payload time lives on the recv op.
                         activation_only=True,
                     )
-                    iteration_op_ids.append(send.op_id)
-                    g.add_edge(send.op_id, op.op_id)
+                    iteration_op_ids.append(send)
+                    t.add_edge(send, op_id)
                 else:  # gradient push
-                    grad_send_ops[op.param].append(op)
+                    grad_sends[local.param].append((op_id, worker))
                     cluster._register_transfer(
-                        op.resource,
-                        Transfer(op.op_id, op.param, worker, ps_dev, "grad", k),
+                        Resource.link(worker, ps_dev),
+                        Transfer(op_id, local.param, worker, ps_dev, "grad", k),
                     )
             iteration_op_ids.extend(ids[done:])
             cluster.param_recvs[worker] = recv_ids
             if not training:
-                prev_output[worker] = g.op(f"{prefix}{worker}/{final_local_name}")
+                prev_output[worker] = offset + final_local
 
         # --- training: gradient recv / aggregate / update per parameter --
         if training:
             for p in params:
                 ps_dev = placement[p.name]
                 ps_compute = Resource.compute(ps_dev)
-                recv_acts = []
-                for send_op in grad_send_ops[p.name]:
-                    recv_acts.append(
-                        g.add_op(
-                            f"{prefix}{ps_dev}/{p.name}/recv<-{send_op.device}",
-                            OpKind.RECV,
-                            [send_op.op_id],
-                            cost=0.0,
-                            param=p.name,
-                            device=ps_dev,
-                            resource=ps_compute,
-                            timing_key=f"{p.name}/ps_recv_grad",
-                            # PS-side activation: zero-cost bookkeeping,
-                            # not a second pass over the channel.
-                            activation_only=True,
-                        )
+                recv_acts = [
+                    t.add_op(
+                        f"{prefix}{ps_dev}/{p.name}/recv<-{worker}",
+                        OpKind.RECV,
+                        [send_id],
+                        cost=0.0,
+                        param=p.name,
+                        device=ps_dev,
+                        resource=ps_compute,
+                        timing_key=f"{p.name}/ps_recv_grad",
+                        # PS-side activation: zero-cost bookkeeping,
+                        # not a second pass over the channel.
+                        activation_only=True,
                     )
-                agg = g.add_op(
+                    for send_id, worker in grad_sends[p.name]
+                ]
+                agg = t.add_op(
                     f"{prefix}{ps_dev}/{p.name}/aggregate",
                     OpKind.AGGREGATE,
-                    [r.op_id for r in recv_acts],
+                    recv_acts,
                     cost=float(spec.n_workers * p.n_elements),
                     param=p.name,
                     device=ps_dev,
                     resource=ps_compute,
                     timing_key=f"{p.name}/ps_aggregate",
                 )
-                update = g.add_op(
+                update = t.add_op(
                     f"{prefix}{ps_dev}/{p.name}/update",
                     OpKind.UPDATE,
-                    [agg.op_id],
+                    [agg],
                     cost=2.0 * p.n_elements,
                     param=p.name,
                     device=ps_dev,
@@ -295,9 +321,7 @@ def build_cluster_graph(
                     timing_key=f"{p.name}/ps_update",
                 )
                 prev_update[p.name] = update
-                iteration_op_ids.extend(
-                    [r.op_id for r in recv_acts] + [agg.op_id, update.op_id]
-                )
+                iteration_op_ids.extend(recv_acts + [agg, update])
         cluster.iteration_ops[k] = iteration_op_ids
 
     return cluster

@@ -33,15 +33,19 @@ iteration index).
   pair), oracle durations, and the per-(link, iteration) parameter-group
   structure the §5.1 counters operate on. It is independent of any
   :class:`~repro.core.schedules.Schedule` or :class:`SimConfig`, so one
-  core serves every algorithm/config variant of a cell group.
+  core serves every algorithm/config variant of a cell group. A cluster
+  is compiled from its block layout, never from its op-level graph
+  (:mod:`repro.sim.compile`): the worker replica is compiled once per
+  platform and tiled with numpy at every worker's op offset, beside the
+  backend's glue ops compiled as one small block.
 * :class:`SimVariant` binds a core to one ``(schedule, config)`` pair:
   dense gate/priority arrays, slowdown-scaled durations, jitter sigma.
   Variant compilation touches only O(n) array fills — no graph traversal.
 
 **Multi-job mixes.** A core of a job mix (see :mod:`repro.sim.jobmix`)
-is composed from per-shape compiled blocks rather than compiled from a
-union DAG, and carries job tags (``jobs``/``job_of``) and per-root
-release times (``root_times``): roots of a job with a non-zero arrival
+is composed from per-shape cores by the same block assembly, and
+carries job tags (``jobs``/``job_of``) and per-root release times
+(``root_times``): roots of a job with a non-zero arrival
 offset enter the event loop through deferred code-3 heap events instead
 of the t=0 init path, and a placement's ``host_map`` lets co-located
 jobs share NIC resources while keeping per-job wire channels. Single-job
@@ -76,13 +80,13 @@ from typing import Optional
 import numpy as np
 
 from ..core.schedules import Schedule, chunk_ranks
-from ..graph import OpKind, ResourceKind
 from ..obs.events import TraceEvents
 from ..ps.cluster import ClusterGraph
 from ..registry import did_you_mean
 from ..timing import Platform
 from .config import SimConfig
-from .jobmix import JobMixGraph, compose_core, job_fault_plan
+from .compile import compile_graph, tile_core
+from .jobmix import JobMixGraph, compose_core
 
 #: Revision of the engine's compiled-array layout / numerical contract.
 #: Folded into the sweep cache key (see :mod:`repro.sweep.fingerprint`):
@@ -233,57 +237,24 @@ def _raw_stream(bit_generator):
     return random, integers
 
 
-def _find_activation(g, transfer_op_id: int) -> Optional[int]:
-    """The PS-side send-activation op feeding a param transfer (§5.1's
-    hand-off point), or ``None`` when the graph has no such op."""
-    for pred in g.predecessors(transfer_op_id):
-        if pred.kind is OpKind.SEND and pred.attrs.get("activation_only"):
-            return pred.op_id
-    return None
-
-
-def egress_tables(chan_eid: list[int], n_res: int) -> tuple[list, list, list]:
-    """Round-robin tables of the wire channels: egress NIC ids in order of
-    their lowest channel id, each egress's channel ids ascending, and the
-    resource id -> position-in-egress map (-1 for non-egress resources).
-    Channels are numbered by first transfer, so these are the reference
-    orders: egress NICs by first transfer, channels by first transfer
-    on their pair."""
-    egress_ids: list[int] = []
-    eg_chan_lists: list[list[int]] = []
-    eg_pos = [-1] * n_res
-    for c, eid in enumerate(chan_eid):
-        pos = eg_pos[eid]
-        if pos < 0:
-            pos = eg_pos[eid] = len(egress_ids)
-            egress_ids.append(eid)
-            eg_chan_lists.append([])
-        eg_chan_lists[pos].append(c)
-    return egress_ids, eg_chan_lists, eg_pos
-
-
-def nic_capacity(res_index: dict[str, int], platform: Platform) -> np.ndarray:
-    """Concurrent capacity per resource id: one for compute engines,
-    ``platform.nic_slots(host)`` for NICs."""
-    capacity = np.ones(len(res_index), dtype=np.int64)
-    for name, rid in res_index.items():
-        if name.startswith(("nic_out:", "nic_in:")):
-            capacity[rid] = platform.nic_slots(name.split(":", 1)[1])
-    return capacity
-
-
 class CompiledCore:
     """``(cluster, platform)`` lowered to immutable flat arrays.
 
-    ``cluster`` is either a PS :class:`~repro.ps.cluster.ClusterGraph` or a
-    collective :class:`~repro.collectives.CollectiveGraph` — the engine
-    only consumes their shared surface (``graph``, ``transfers_by_link``,
-    ``worker_ops``) plus, for collective graphs, the chunk metadata that
-    lowers schedule priorities onto chunk transfer ops. A
-    :class:`~repro.sim.jobmix.JobMixGraph` is composed from its jobs'
-    per-shape cores (:func:`~repro.sim.jobmix.compose_core`); the
-    optional ``host_map``/``job_ops``/``job_arrivals`` surfaces of the
-    traversal compile describe the same mix as a spliced union DAG.
+    ``cluster`` is one of:
+
+    * a PS :class:`~repro.ps.cluster.ClusterGraph` or a collective
+      :class:`~repro.collectives.CollectiveGraph`: tiled from its
+      :attr:`tiling` (:func:`~repro.sim.compile.tile_core`), with its
+      ``transfers_by_link`` and, for collectives, the chunk metadata that
+      lowers schedule priorities onto chunk transfer ops. The cluster's
+      op-level ``graph`` is never read, so never spliced;
+    * a :class:`~repro.sim.jobmix.JobMixGraph`: composed from its jobs'
+      per-shape cores (:func:`~repro.sim.jobmix.compose_core`);
+    * any other surface with a ``graph`` (and ``transfers_by_link``; the
+      optional ``host_map``/``job_ops``/``job_arrivals`` describe a mix
+      as a spliced union DAG): walked op by op by the block compiler
+      (:func:`~repro.sim.compile.compile_graph`), the reference the two
+      routes above are tested against.
 
     Everything here is independent of :class:`Schedule` and
     :class:`SimConfig`; bind those with :class:`SimVariant`. The arrays are
@@ -293,196 +264,12 @@ class CompiledCore:
 
     def __init__(self, cluster: ClusterGraph, platform: Platform) -> None:
         if isinstance(cluster, JobMixGraph):
-            # a job mix never walks its union DAG: its core is composed
-            # from per-shape compiled blocks (see repro.sim.jobmix)
-            self._adopt(*compose_core(cluster, platform))
-            return
-        self.cluster = cluster
-        self.platform = platform
-        g = cluster.graph
-        n = self.n = len(g)
-
-        # --- dependency structure -------------------------------------
-        self.base_indeg = np.array([g.in_degree(i) for i in range(n)], dtype=np.int32)
-        succ_lists = [g.succ_ids(i) for i in range(n)]
-        self.succ_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum([len(s) for s in succ_lists], out=self.succ_indptr[1:])
-        self.succ_indices = (
-            np.fromiter((s for lst in succ_lists for s in lst), dtype=np.int64)
-            if self.succ_indptr[-1]
-            else np.zeros(0, dtype=np.int64)
-        )
-
-        # --- resources --------------------------------------------------
-        # ``host_map`` (job-mix placements) maps logical device names onto
-        # shared physical hosts: co-located jobs then share NIC resources
-        # (and their capacity) while each logical (src, dst) device pair
-        # keeps its own wire channel — separate TCP connections round-
-        # robining on one shared NIC. Empty/missing map = dedicated hosts.
-        host_map: dict[str, str] = getattr(cluster, "host_map", None) or {}
-        self._res_index: dict[str, int] = {}
-        self.is_transfer = np.zeros(n, dtype=bool)
-        self.op_res = np.full(n, -1, dtype=np.int64)  # compute ops
-        self.t_egress = np.full(n, -1, dtype=np.int64)
-        self.t_ingress = np.full(n, -1, dtype=np.int64)
-        self.base_dur = np.zeros(n)  # raw platform times (no slowdown)
-        self.wire_base = np.zeros(n)
-        self.lat = np.zeros(n)
-        device_ops: dict[str, list[int]] = {}
-        tr_pair: dict[int, tuple[str, str]] = {}
-        for op in g:
-            if op.resource is None:
-                raise ValueError(f"op {op.name!r} has no resource tag")
-            if op.resource.kind is ResourceKind.LINK:
-                src, dst = op.resource.name[len("link:"):].split("->")
-                tr_pair[op.op_id] = (src, dst)
-                self.is_transfer[op.op_id] = True
-                self.t_egress[op.op_id] = self._rid(
-                    f"nic_out:{host_map.get(src, src)}"
-                )
-                self.t_ingress[op.op_id] = self._rid(
-                    f"nic_in:{host_map.get(dst, dst)}"
-                )
-                self.wire_base[op.op_id] = op.cost / platform.bandwidth_bps
-                self.lat[op.op_id] = platform.rpc_latency_s
-            else:
-                self.op_res[op.op_id] = self._rid(op.resource.name)
-                self.base_dur[op.op_id] = platform.op_time(op)
-                device_ops.setdefault(op.device, []).append(op.op_id)
-        self.n_res = len(self._res_index)
-        #: compute op ids per device (slowdown lowering; transfers excluded).
-        self.device_compute_ops = {
-            dev: np.array(ids, dtype=np.int64) for dev, ids in device_ops.items()
-        }
-
-        # --- wire channels ----------------------------------------------
-        # One integer channel id per directional *logical* (src, dst)
-        # device pair, numbered by first appearance in op-id order. With
-        # dedicated hosts the logical pair and the (egress, ingress) NIC
-        # pair are in bijection, so the numbering is identical to the
-        # reference engine's NIC-pair keying; under a shared-host
-        # placement, co-located jobs keep distinct channels (distinct TCP
-        # connections) on the shared NICs. ``egress_ids``/``eg_chan_lists``
-        # preserve the reference round-robin orders: egress NICs by first
-        # transfer, channels within an egress by first transfer on that
-        # pair.
-        chan_index: dict[tuple[str, str], int] = {}
-        self.t_chan = np.full(n, -1, dtype=np.int64)
-        chan_eid: list[int] = []
-        chan_iid: list[int] = []
-        chan_devices: list[tuple[str, str]] = []
-        chan_sizes: list[int] = []
-        for op_id in np.flatnonzero(self.is_transfer):
-            op_id = int(op_id)
-            key = tr_pair[op_id]
-            c = chan_index.get(key)
-            if c is None:
-                c = chan_index[key] = len(chan_index)
-                chan_eid.append(int(self.t_egress[op_id]))
-                chan_iid.append(int(self.t_ingress[op_id]))
-                chan_devices.append(key)
-                chan_sizes.append(0)
-            self.t_chan[op_id] = c
-            chan_sizes[c] += 1
-        self.n_wire_channels = len(chan_index)
-        self.chan_eid = chan_eid
-        self.chan_iid = chan_iid
-        #: logical (src, dst) device pair per channel id — the fault
-        #: layer's link universe (see :mod:`repro.faults.compile`).
-        self.chan_devices = chan_devices
-        #: ``eg_pos``: resource id -> position in ``egress_ids`` (-1 for
-        #: non-egress).
-        self.egress_ids, self.eg_chan_lists, self.eg_pos = egress_tables(
-            chan_eid, self.n_res
-        )
-        #: flat per-channel queue layout: channel c owns slots
-        #: [q_base[c], q_base[c+1]) of a shared buffer (CSR over channels).
-        self.q_base = [0] * (self.n_wire_channels + 1)
-        for c, size in enumerate(chan_sizes):
-            self.q_base[c + 1] = self.q_base[c] + size
-        self.q_slots = self.q_base[-1]
-
-        #: collective chunk transfers (reduce-scatter/all-gather steps);
-        #: gated by priority rank at the channel queue, not by §5.1
-        #: sender counters (there is no PS-side hand-off op to gate).
-        self.is_chunk = np.zeros(n, dtype=bool)
-        chunk_op_ids: list[int] = []
-        chunk_param_names: list[str] = []
-        for transfers in cluster.transfers_by_link.values():
-            for t in transfers:
-                if t.kind == "chunk":
-                    self.is_chunk[t.op_id] = True
-                    chunk_op_ids.append(t.op_id)
-                    chunk_param_names.append(t.param)
-        self.chunk_op_ids = chunk_op_ids
-        self.chunk_param_names = chunk_param_names
-
-        #: concurrent-capacity per resource: compute engines run one op at
-        #: a time; a NIC sustains platform.nic_slots(device) full-rate
-        #: connections (PS NICs are fatter than worker NICs in envG).
-        self.capacity = nic_capacity(self._res_index, platform)
-
-        # --- §5.1 counter-channel structure -----------------------------
-        # One counter per (link, iteration) parameter group, in (sorted
-        # link name, sorted iteration) order — the reference gate-compile
-        # order. Schedules bind ranks onto these groups per variant.
-        # ``None`` activation ids are legal until a variant requests
-        # sender enforcement.
-        self.param_groups: list[tuple[tuple[str, ...], list[int], list[Optional[int]]]] = []
-        for _link, transfers in sorted(
-            cluster.transfers_by_link.items(), key=lambda kv: kv[0].name
-        ):
-            by_iteration: dict[int, list] = {}
-            for t in transfers:
-                if t.kind == "param":
-                    by_iteration.setdefault(t.iteration, []).append(t)
-            for k in sorted(by_iteration):
-                group = by_iteration[k]
-                self.param_groups.append(
-                    (
-                        tuple(t.param for t in group),
-                        [t.op_id for t in group],
-                        [_find_activation(g, t.op_id) for t in group],
-                    )
-                )
-
-        # --- root ops (in-degree zero, ascending op id) ------------------
-        self.roots = [int(i) for i in np.flatnonzero(self.base_indeg == 0)]
-
-        # --- job tags + arrival offsets (multi-job mixes) -----------------
-        # ``job_ops``/``job_arrivals`` are optional cluster surfaces (set
-        # by the job-mix builder): op ids per job label, and each job's
-        # arrival offset in seconds. Single-job clusters leave them empty:
-        # every root then releases at t=0 through the original init path.
-        job_ops: dict = getattr(cluster, "job_ops", None) or {}
-        job_arrivals: dict = getattr(cluster, "job_arrivals", None) or {}
-        self.jobs = tuple(job_ops)
-        self.job_of = np.full(n, -1, dtype=np.int32)
-        for j, ids in enumerate(job_ops.values()):
-            self.job_of[np.asarray(list(ids), dtype=np.int64)] = j
-        arrival_of = np.zeros(n)
-        for label, t0 in job_arrivals.items():
-            if t0:
-                ids = np.asarray(list(job_ops[label]), dtype=np.int64)
-                arrival_of[ids] = float(t0)
-        #: release time per root (parallel to ``roots``; zeros = legacy).
-        self.root_times = arrival_of[np.asarray(self.roots, dtype=np.int64)] \
-            if self.roots else np.zeros(0)
-
-        # --- per-job fault scoping --------------------------------------
-        # A job-mix spec may attach a FaultPlan per job, scoped into the
-        # job's ``j<i>/`` namespace. Variants merge this with
-        # SimConfig.faults when compiling fault windows.
-        self.job_faults = job_fault_plan(getattr(cluster, "spec", None))
-
-        # --- resource_loads index arrays ---------------------------------
-        self.tr_ids = np.flatnonzero(self.is_transfer)
-        self.tr_eg = self.t_egress[self.tr_ids]
-        self.tr_in = self.t_ingress[self.tr_ids]
-        self.comp_ids = np.flatnonzero(~self.is_transfer)
-        self.comp_res = self.op_res[self.comp_ids]
-
-        self._build_mirrors()
+            tables = compose_core(cluster, platform)
+        elif getattr(cluster, "tiling", None) is not None:
+            tables = tile_core(cluster, platform)
+        else:
+            tables = compile_graph(cluster, platform)
+        self._adopt(*tables)
 
     def _adopt(self, arrays: dict, state: dict) -> None:
         for name, arr in arrays.items():
@@ -499,16 +286,12 @@ class CompiledCore:
         # --- python-native mirrors for the event loop --------------------
         # Scalar indexing of numpy arrays costs ~10x a list index in the
         # interpreter; the hot loop reads these instead.
-        n = self.n
         self.base_indeg_list = self.base_indeg.tolist()
-        self.succ_indptr_list = self.succ_indptr.tolist()
-        self.succ_indices_list = self.succ_indices.tolist()
+        indptr = self.succ_indptr.tolist()
+        succ = self.succ_indices.tolist()
         #: per-op successor id lists (CSR unpacked once: the succ walk is
         #: the single most-executed statement of the event loop).
-        self.succ_of = [
-            self.succ_indices_list[self.succ_indptr_list[i]:self.succ_indptr_list[i + 1]]
-            for i in range(n)
-        ]
+        self.succ_of = [succ[a:b] for a, b in zip(indptr, indptr[1:])]
         self.is_transfer_list = self.is_transfer.tolist()
         self.is_chunk_list = self.is_chunk.tolist()
         self.op_res_list = self.op_res.tolist()
@@ -520,12 +303,6 @@ class CompiledCore:
         self.root_times_list = self.root_times.tolist()
 
     # ------------------------------------------------------------------
-    def _rid(self, name: str) -> int:
-        rid = self._res_index.get(name)
-        if rid is None:
-            rid = self._res_index[name] = len(self._res_index)
-        return rid
-
     def resource_names(self) -> list[str]:
         """Resource names in id order (compute + NIC resources)."""
         return [name for name, _ in sorted(self._res_index.items(), key=lambda kv: kv[1])]

@@ -23,8 +23,9 @@ op ids of job *i* are its own ids plus an offset — so
 :class:`~repro.sim.engine.CompiledCore` never walks a union DAG for it.
 :func:`compose_core` compiles every job *shape* once (memoized in
 :data:`SHAPE_CORE_MEMO` on model fingerprint, backend spec and
-platform) and block-concatenates the per-shape arrays with
-op/resource/channel offsets, remapping NIC resources through
+platform) and places the per-shape arrays at their op offsets with
+:func:`repro.sim.compile.assemble` (the block assembly that also tiles
+one job's worker replicas), remapping NIC resources through
 ``host_map``, the only coupling between jobs: devices sharing a host
 share NIC resources in the composed core. The composed core equals,
 attribute for attribute, the core compiled from the spliced union DAG
@@ -67,6 +68,7 @@ from ..graph import Graph, Op, Resource, ResourceKind
 from ..graph.dag import GraphError
 from ..ps.cluster import WORKLOADS, Transfer
 from ..registry import did_you_mean
+from .compile import assemble
 
 #: workload label reported for mixed-job results.
 MIX_WORKLOAD = "mix"
@@ -127,6 +129,7 @@ class JobSpec:
                 raise ValueError(f"a ps job needs n_ps >= 1, got {self.n_ps}")
             if self.workload not in WORKLOADS:
                 raise ValueError(f"workload must be one of {WORKLOADS}")
+            self.to_spec()  # the cluster spec checks the sharding name
         elif self.workload != "training":
             # only the PS spec carries a workload: anything else trains
             raise ValueError(
@@ -357,7 +360,7 @@ def build_jobmix_graph(ir, spec: JobMixSpec) -> JobMixGraph:
                 build_comm_graph(jir, shape[1]), jir.structural_fingerprint()
             )
         sub, fingerprint = shapes[shape]
-        n = len(sub.graph)
+        n = sub.tiling.n
         parts.append(JobPart(label, sub, fingerprint, offset))
         devices_by_job.append([prefix + d for d in job.devices()])
         mix.job_ops[label] = range(offset, offset + n)
@@ -404,155 +407,66 @@ def _shape_core(part: JobPart, platform):
     )
 
 
-def _remap(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``table[ids]`` where ``ids >= 0``; -1 entries stay -1."""
-    out = np.full_like(ids, -1)
-    hit = ids >= 0
-    out[hit] = table[ids[hit]]
-    return out
-
-
 def compose_core(mix: JobMixGraph, platform) -> tuple[dict, dict]:
     """The compiled-core tables of ``mix``, composed from per-shape cores.
 
     Returns ``(arrays, state)`` in the layout
     :meth:`~repro.sim.engine.CompiledCore._adopt` takes, equal attribute
-    for attribute to compiling the spliced union DAG:
-
-    * ops, edges, channels, chunks and roots concatenate in job order,
-      offset by the job's first op / channel id;
-    * resource ids walk each job's local ids in order, renamed (compute:
-      ``j<i>/`` prefix; NIC: through ``host_map``) and deduplicated
-      first-seen — the order the union's op walk assigns; capacities
-      follow from the host names;
-    * egress NICs are ordered by their lowest channel id, each listing
-      its channels ascending;
-    * §5.1 parameter groups are ordered by job label *string*
-      (``j1 < j10 < j2``: the union sorts them by prefixed link name),
-      then by each job's own order.
+    for attribute to compiling the spliced union DAG. Each job's core is
+    placed at its op offset by :func:`repro.sim.compile.assemble`, its
+    devices under the ``j<i>/`` prefix and its NICs renamed through
+    ``host_map``, so devices sharing a host share NIC resources. §5.1
+    parameter groups are ordered by job label *string* (``j1 < j10 <
+    j2``: the union sorts them by prefixed link name), then by each
+    job's own order.
     """
-    from .engine import egress_tables, nic_capacity
-
     parts = mix.parts
     cores = [_shape_core(part, platform) for part in parts]
-    host_map = mix.host_map
-
-    res_index: dict[str, int] = {}
-    res_maps = []
-    for part, core in zip(parts, cores):
-        ids = []
-        for name in core._res_index:  # insertion order == local id order
-            kind, dev = name.split(":", 1)
-            dev = part.prefix + dev
-            if kind in ("nic_out", "nic_in"):
-                dev = host_map.get(dev, dev)
-            ids.append(res_index.setdefault(f"{kind}:{dev}", len(res_index)))
-        res_maps.append(np.array(ids, dtype=np.int64))
-    n_res = len(res_index)
-
-    def cat(arrays) -> np.ndarray:
-        return np.concatenate(list(arrays))
-
-    edges = 0
-    indptr = [np.zeros(1, dtype=np.int64)]
-    chan_off = 0
-    t_chan = []
-    chan_eid: list[int] = []
-    chan_iid: list[int] = []
-    chan_devices: list[tuple[str, str]] = []
-    q_base = [0]
-    device_ops: dict = {}
-    chunk_op_ids: list[int] = []
-    chunk_param_names: list[str] = []
-    roots: list[int] = []
-    root_times = []
-    for part, core, rmap in zip(parts, cores, res_maps):
-        p, off = part.prefix, part.offset
-        indptr.append(core.succ_indptr[1:] + edges)
-        edges += int(core.succ_indptr[-1])
-        t_chan.append(np.where(core.t_chan >= 0, core.t_chan + chan_off, -1))
-        chan_off += core.n_wire_channels
-        rids = rmap.tolist()
-        chan_eid += [rids[r] for r in core.chan_eid]
-        chan_iid += [rids[r] for r in core.chan_iid]
-        chan_devices += [(p + s, p + d) for s, d in core.chan_devices]
-        q_base += [q_base[-1] + b for b in core.q_base[1:]]
-        for dev, ids in core.device_compute_ops.items():
-            device_ops.setdefault(p + dev if dev else None, []).append(ids + off)
-        chunk_op_ids += [i + off for i in core.chunk_op_ids]
-        chunk_param_names += [p + name for name in core.chunk_param_names]
-        roots += [r + off for r in core.roots]
-        arrival = mix.job_arrivals[part.label]
-        root_times.append(np.full(len(core.roots), arrival if arrival else 0.0))
-
-    param_groups = [
-        (
-            tuple(part.prefix + x for x in params),
-            [i + part.offset for i in op_ids],
-            [None if a is None else a + part.offset for a in acts],
-        )
-        for part, core in sorted(zip(parts, cores), key=lambda pc: pc[0].label)
-        for params, op_ids, acts in core.param_groups
-    ]
-    egress_ids, eg_chan_lists, eg_pos = egress_tables(chan_eid, n_res)
-
-    is_transfer = cat(c.is_transfer for c in cores)
-    op_res = cat(_remap(c.op_res, m) for c, m in zip(cores, res_maps))
-    t_egress = cat(_remap(c.t_egress, m) for c, m in zip(cores, res_maps))
-    t_ingress = cat(_remap(c.t_ingress, m) for c, m in zip(cores, res_maps))
-    tr_ids = np.flatnonzero(is_transfer)
-    comp_ids = np.flatnonzero(~is_transfer)
-    arrays = {
-        "base_indeg": cat(c.base_indeg for c in cores),
-        "succ_indptr": cat(indptr),
-        "succ_indices": cat(
-            c.succ_indices + part.offset for part, c in zip(parts, cores)
-        ),
-        "is_transfer": is_transfer,
-        "op_res": op_res,
-        "t_egress": t_egress,
-        "t_ingress": t_ingress,
-        "base_dur": cat(c.base_dur for c in cores),
-        "wire_base": cat(c.wire_base for c in cores),
-        "lat": cat(c.lat for c in cores),
-        "t_chan": cat(t_chan),
-        "is_chunk": cat(c.is_chunk for c in cores),
-        "capacity": nic_capacity(res_index, platform),
-        "tr_ids": tr_ids,
-        "tr_eg": t_egress[tr_ids],
-        "tr_in": t_ingress[tr_ids],
-        "comp_ids": comp_ids,
-        "comp_res": op_res[comp_ids],
-        "root_times": cat(root_times),
-        "job_of": cat(
-            np.full(c.n, j, dtype=np.int32) for j, c in enumerate(cores)
-        ),
-    }
-    state = {
-        "cluster": mix,
-        "platform": platform,
-        "n": len(is_transfer),
-        "n_res": n_res,
-        "n_wire_channels": chan_off,
-        "_res_index": res_index,
-        "chan_eid": chan_eid,
-        "chan_iid": chan_iid,
-        "chan_devices": chan_devices,
-        "egress_ids": egress_ids,
-        "eg_chan_lists": eg_chan_lists,
-        "eg_pos": eg_pos,
-        "q_base": q_base,
-        "q_slots": q_base[-1],
-        "chunk_op_ids": chunk_op_ids,
-        "chunk_param_names": chunk_param_names,
-        "param_groups": param_groups,
-        "roots": roots,
-        "jobs": tuple(part.label for part in parts),
-        "job_faults": job_fault_plan(mix.spec),
-        "device_compute_ops": {
-            dev: np.concatenate(ids) for dev, ids in device_ops.items()
-        },
-    }
+    arrays, state = assemble(
+        [
+            (
+                core,
+                np.arange(part.offset, part.offset + core.n, dtype=np.int64),
+                lambda dev, _prefix=part.prefix: _prefix + dev,
+            )
+            for part, core in zip(parts, cores)
+        ],
+        sum(core.n for core in cores),
+        platform,
+        host_map=mix.host_map,
+    )
+    job_of = np.repeat(
+        np.arange(len(parts), dtype=np.int32), [core.n for core in cores]
+    )
+    arrival = np.array(
+        [mix.job_arrivals[part.label] or 0.0 for part in parts], dtype=float
+    )
+    arrays["job_of"] = job_of
+    arrays["root_times"] = arrival[job_of[np.asarray(state["roots"], dtype=np.int64)]]
+    state.update(
+        cluster=mix,
+        chunk_op_ids=[
+            i + part.offset
+            for part, core in zip(parts, cores)
+            for i in core.chunk_op_ids
+        ],
+        chunk_param_names=[
+            part.prefix + name
+            for part, core in zip(parts, cores)
+            for name in core.chunk_param_names
+        ],
+        param_groups=[
+            (
+                tuple(part.prefix + x for x in params),
+                [i + part.offset for i in op_ids],
+                [None if a is None else a + part.offset for a in acts],
+            )
+            for part, core in sorted(zip(parts, cores), key=lambda pc: pc[0].label)
+            for params, op_ids, acts in core.param_groups
+        ],
+        jobs=tuple(part.label for part in parts),
+        job_faults=job_fault_plan(mix.spec),
+    )
     return arrays, state
 
 

@@ -76,6 +76,7 @@ def test_memo_counters_shape():
         "graph_memo_hits", "graph_memo_misses",
         "wizard_memo_hits", "wizard_memo_misses",
         "shape_core_memo_hits", "shape_core_memo_misses",
+        "replica_memo_hits", "replica_memo_misses",
         "variant_memo_hits",
     }
     assert all(isinstance(v, float) for v in counters.values())

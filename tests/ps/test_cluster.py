@@ -142,3 +142,14 @@ def test_reference_partition_recv_params_ordered(ir):
 def test_reference_partition_inference_has_no_sends(ir):
     ref = build_reference_partition(ir, workload="inference", n_ps=1)
     assert not ref.graph.ops_of_kind(OpKind.SEND)
+
+
+def test_unknown_sharding_fails_at_construction():
+    with pytest.raises(ValueError, match="unknown sharding 'round-robin'.*"
+                       "did you mean 'round_robin'"):
+        ClusterSpec(2, 1, "training", sharding="round-robin")
+    # a PS job of a mix is checked when it is declared, not when built
+    from repro.sim import JobSpec
+
+    with pytest.raises(ValueError, match="unknown sharding 'bogus'"):
+        JobSpec("AlexNet v2", sharding="bogus")

@@ -134,7 +134,7 @@ def test_untagged_resource_rejected():
     g = Graph()
     g.add_op("naked")
     bad = build_cluster_graph(tiny_model(), ClusterSpec(1, 1, "inference"))
-    bad.graph._ops[0].resource = None
+    bad.tiling.glue.op(0).resource = None  # the first PS read
     with pytest.raises(ValueError, match="resource tag"):
         SimVariant(CompiledCore(bad, FLAT))
 

@@ -39,7 +39,7 @@ ARRAY_ATTRS = (
     "base_indeg", "succ_indptr", "succ_indices", "is_transfer", "op_res",
     "t_egress", "t_ingress", "base_dur", "wire_base", "lat", "t_chan",
     "is_chunk", "capacity", "tr_ids", "tr_eg", "tr_in", "comp_ids",
-    "comp_res", "root_times", "job_of",
+    "comp_res", "root_times", "job_of", "res_first", "chan_first",
 )
 
 #: every non-array attribute of a compiled core the engine reads.
@@ -52,18 +52,20 @@ STATE_ATTRS = (
 MODELS = ("AlexNet v2", "VGG-16")
 
 
-def spliced_core(mix, platform=PLATFORM) -> CompiledCore:
-    """The traversal compile of ``mix``'s spliced union DAG."""
+#: cluster surfaces the traversal compile reads besides the graph.
+SURFACES = (
+    "spec", "transfers_by_link", "worker_ops", "chunk_params", "chunk_order",
+    "job_ops", "job_arrivals", "host_map",
+)
+
+
+def spliced_core(cluster, platform=PLATFORM) -> CompiledCore:
+    """The traversal compile of ``cluster``'s spliced DAG (a job mix's
+    union, or a single job's replicas and glue)."""
     surface = SimpleNamespace(
-        spec=mix.spec,
-        graph=mix.graph,
-        transfers_by_link=mix.transfers_by_link,
-        worker_ops=mix.worker_ops,
-        chunk_params=mix.chunk_params,
-        chunk_order=mix.chunk_order,
-        job_ops=mix.job_ops,
-        job_arrivals=mix.job_arrivals,
-        host_map=mix.host_map,
+        graph=cluster.graph,
+        **{name: getattr(cluster, name) for name in SURFACES
+           if hasattr(cluster, name)},
     )
     return CompiledCore(surface, platform)
 

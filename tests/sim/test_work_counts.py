@@ -12,7 +12,13 @@ guard that the runner looks them up there at call time.
 
 from __future__ import annotations
 
-from repro.backends import GRAPH_MEMO, MEMO_COUNTERS, WIZARD_MEMO, make_spec
+from repro.backends import (
+    GRAPH_MEMO,
+    MEMO_COUNTERS,
+    REPLICA_MEMO,
+    WIZARD_MEMO,
+    make_spec,
+)
 from repro.sim import JobMixSpec, JobSpec, SimConfig
 from repro.sim import runner
 from repro.sim.jobmix import SHAPE_CORE_MEMO
@@ -49,7 +55,7 @@ MIXES = (
     PAIR.solo(0),
 )
 MIX_ALGORITHMS = ("baseline", "mix", "tac")
-MEMOS = (GRAPH_MEMO, WIZARD_MEMO, SHAPE_CORE_MEMO)
+MEMOS = (GRAPH_MEMO, WIZARD_MEMO, SHAPE_CORE_MEMO, REPLICA_MEMO)
 
 
 def _counting(monkeypatch, name: str, calls: dict) -> None:
@@ -94,6 +100,9 @@ def test_fixed_grid_work_counts(monkeypatch):
     assert calls["build_model"] == 6
     assert calls["build_comm_graph"] == 6
     assert (memo["graph_memo_misses"], memo["graph_memo_hits"]) == (6, 0)
+    # one worker replica per (model, backend): the two PS worker counts
+    # place the same replica (one shard, so one placement)
+    assert (memo["replica_memo_misses"], memo["replica_memo_hits"]) == (4, 2)
     assert calls["CompiledCore"] == 6
     # one pass per (model, algorithm): the all-reduce reference is the
     # PS training reference with one shard, so it shares the PS pass
@@ -119,6 +128,8 @@ def test_fixed_jobmix_grid_work_counts(monkeypatch):
     # two job shapes (AlexNet PS, Inception all-reduce) build and compile
     # once; the other three jobs reuse them. No mix is memoized whole.
     assert (memo["graph_memo_misses"], memo["graph_memo_hits"]) == (2, 2)
+    # each job shape's graph build emits its worker replica once
+    assert (memo["replica_memo_misses"], memo["replica_memo_hits"]) == (2, 0)
     assert (memo["shape_core_memo_misses"], memo["shape_core_memo_hits"]) == (2, 3)
     # one pass per (model, reference, algorithm): AlexNet tic and tac,
     # Inception tic and tac; later mixes reuse them
