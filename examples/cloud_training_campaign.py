@@ -33,7 +33,7 @@ def main() -> None:
 
     # --- offline wizard pass (§5) -------------------------------------
     reference = build_reference_partition(ir, workload="training", n_ps=1)
-    oracle = estimate_time_oracle(reference.graph, ENV_G, runs=5, seed=0)
+    oracle = estimate_time_oracle(reference.graph, ENV_G, seed=0)
     tic = compute_schedule(reference, "tic")
     tac = compute_schedule(reference, "tac", oracle=oracle)
     print(f"wizard: TIC {tic.meta['wizard_seconds']*1e3:.0f} ms, "

@@ -297,7 +297,7 @@ register_scenario(Scenario(
 ))
 
 #: Four jobs, twelve logical devices, twelve host slots on two racks
-#: (4+2 hosts at rack_size=4): zero headroom, so every placement except
+#: (4+2 hosts, racks of four): zero headroom, so every placement except
 #: ``dedicated`` co-locates somebody. The mix is deliberately skewed —
 #: two communication-heavy VGG-16 TAC jobs bracketing two lighter TIC
 #: jobs, arrivals staggered — the shape the ROADMAP flagged as the open

@@ -139,8 +139,8 @@ class CommBackend:
     """One communication architecture the simulator can execute.
 
     ``build_graph(ir, spec)`` assembles the one-iteration cluster DAG;
-    ``prepare_schedule(ir, spec, algorithm, platform, *, trace_runs,
-    seed)`` runs the ordering wizard. Either may memoize (see
+    ``prepare_schedule(ir, spec, algorithm, platform, *, seed)`` runs
+    the ordering wizard. Either may memoize (see
     :class:`Memo`) on what it reads.
     """
 
@@ -175,7 +175,8 @@ def _reference_backend(name, spec_type, build_graph, reference_of) -> CommBacken
     ``reference_of(spec)`` projects a spec onto the ``(workload, n_ps,
     sharding)`` its reference partition is built from. Graphs memoize on
     (model fingerprint, spec) in :data:`GRAPH_MEMO`; wizard passes on
-    (model fingerprint, projection, wizard knobs) in :data:`WIZARD_MEMO`,
+    (model fingerprint, projection, algorithm, platform, seed) in
+    :data:`WIZARD_MEMO`,
     with no backend name, so backends with equal references share a
     pass. The model's structural fingerprint is a content hash of the
     full IR, so two different models never collide."""
@@ -185,7 +186,7 @@ def _reference_backend(name, spec_type, build_graph, reference_of) -> CommBacken
             (ir.structural_fingerprint(), spec), lambda: build_graph(ir, spec)
         )
 
-    def prepare(ir, spec, algorithm, platform, *, trace_runs: int = 5, seed: int = 0):
+    def prepare(ir, spec, algorithm, platform, *, seed: int = 0):
         workload, n_ps, sharding = reference = reference_of(spec)
 
         def wizard():
@@ -195,13 +196,9 @@ def _reference_backend(name, spec_type, build_graph, reference_of) -> CommBacken
             partition = build_reference_partition(
                 ir, workload=workload, n_ps=n_ps, sharding=sharding
             )
-            return compute_schedule(
-                partition, algorithm, platform=platform, trace_runs=trace_runs,
-                seed=seed,
-            )
+            return compute_schedule(partition, algorithm, platform=platform, seed=seed)
 
-        key = (ir.structural_fingerprint(), reference, algorithm, platform,
-               trace_runs, seed)
+        key = (ir.structural_fingerprint(), reference, algorithm, platform, seed)
         return WIZARD_MEMO.get(key, wizard)
 
     return CommBackend(
@@ -306,15 +303,7 @@ def build_comm_graph(ir, spec):
     return backend_for_spec(spec).build_graph(ir, spec)
 
 
-def prepare_comm_schedule(
-    ir,
-    spec,
-    algorithm: str,
-    platform,
-    *,
-    trace_runs: int = 5,
-    seed: int = 0,
-):
+def prepare_comm_schedule(ir, spec, algorithm: str, platform, *, seed: int = 0):
     """The ordering-wizard pass for ``spec``, whichever backend owns it.
 
     The built-in backends memoize (see :data:`WIZARD_MEMO`). Results are
@@ -322,5 +311,5 @@ def prepare_comm_schedule(
     wall-clock diagnostics of a reused schedule reflect the original run.
     """
     return backend_for_spec(spec).prepare_schedule(
-        ir, spec, algorithm, platform, trace_runs=trace_runs, seed=seed
+        ir, spec, algorithm, platform, seed=seed
     )

@@ -9,8 +9,8 @@ network bandwidth. Compute engines stay per logical device — the model is
 hosts with enough cores/accelerators per slot, shared commodity NICs.
 
 The physical cluster is ``n_hosts`` uniform hosts named ``host:N`` with
-``slots_per_host`` device slots each, optionally grouped into racks of
-``rack_size`` hosts (the ``rack_aware`` policy). Policies:
+``slots_per_host`` device slots each, grouped into racks of
+:data:`RACK_SIZE` hosts (read by the ``rack_aware`` policy). Policies:
 
 * ``dedicated`` — the identity map: every logical device is its own host
   (role NIC capacities apply — a ``j0/ps:0`` keeps its fat PS NIC). A
@@ -40,8 +40,8 @@ from ..registry import Registry, UnknownNameError
 #: device slots per shared host unless the mix spec overrides it.
 DEFAULT_SLOTS_PER_HOST = 2
 
-#: hosts per rack unless the mix spec overrides it.
-DEFAULT_RACK_SIZE = 4
+#: hosts per rack.
+RACK_SIZE = 4
 
 
 class PlacementError(ValueError):
@@ -56,13 +56,13 @@ class UnknownPlacementError(UnknownNameError):
 class PlacementPolicy:
     """One registered policy.
 
-    ``fn(devices_by_job, n_hosts, slots_per_host, rack_size)`` returns a
+    ``fn(devices_by_job, n_hosts, slots_per_host)`` returns a
     ``device -> host`` mapping covering every device of every job.
     """
 
     name: str
     description: str
-    fn: Callable[[Sequence[Sequence[str]], int, int, int], dict[str, str]]
+    fn: Callable[[Sequence[Sequence[str]], int, int], dict[str, str]]
 
 
 #: Registered placement policies by name.
@@ -80,7 +80,6 @@ def place_jobs(
     *,
     n_hosts: int = 0,
     slots_per_host: int = DEFAULT_SLOTS_PER_HOST,
-    rack_size: int = DEFAULT_RACK_SIZE,
 ) -> dict[str, str]:
     """Run ``policy`` over the jobs' device lists.
 
@@ -92,8 +91,6 @@ def place_jobs(
     total = sum(len(devs) for devs in devices_by_job)
     if slots_per_host <= 0:
         raise PlacementError(f"slots_per_host must be positive, got {slots_per_host}")
-    if rack_size <= 0:
-        raise PlacementError(f"rack_size must be positive, got {rack_size}")
     if n_hosts <= 0:
         n_hosts = -(-total // slots_per_host) if total else 0
     if total > n_hosts * slots_per_host:
@@ -101,23 +98,20 @@ def place_jobs(
             f"{total} logical devices do not fit on {n_hosts} hosts x "
             f"{slots_per_host} slots"
         )
-    mapping = PLACEMENTS[policy].fn(
-        devices_by_job, n_hosts, slots_per_host, rack_size
-    )
-    return mapping
+    return PLACEMENTS[policy].fn(devices_by_job, n_hosts, slots_per_host)
 
 
 # ----------------------------------------------------------------------
 # built-in policies
 # ----------------------------------------------------------------------
-def _dedicated(devices_by_job, n_hosts, slots_per_host, rack_size):
+def _dedicated(devices_by_job, n_hosts, slots_per_host):
     # Identity: each logical device is its own (role-named) host, so the
     # engine's NIC naming, channel structure and capacities are exactly
     # the single-job ones. The n_hosts/slots budget is ignored.
     return {d: d for devs in devices_by_job for d in devs}
 
 
-def _packed(devices_by_job, n_hosts, slots_per_host, rack_size):
+def _packed(devices_by_job, n_hosts, slots_per_host):
     mapping: dict[str, str] = {}
     slot = 0
     for devs in devices_by_job:
@@ -127,7 +121,7 @@ def _packed(devices_by_job, n_hosts, slots_per_host, rack_size):
     return mapping
 
 
-def _spread(devices_by_job, n_hosts, slots_per_host, rack_size):
+def _spread(devices_by_job, n_hosts, slots_per_host):
     load = [0] * n_hosts
     owners: list[set[int]] = [set() for _ in range(n_hosts)]
     mapping: dict[str, str] = {}
@@ -155,13 +149,13 @@ def _spread(devices_by_job, n_hosts, slots_per_host, rack_size):
     return mapping
 
 
-def _rack_aware(devices_by_job, n_hosts, slots_per_host, rack_size):
-    n_racks = -(-n_hosts // rack_size)
+def _rack_aware(devices_by_job, n_hosts, slots_per_host):
+    n_racks = -(-n_hosts // RACK_SIZE)
     load = [0] * n_hosts
     mapping: dict[str, str] = {}
 
     def rack_hosts(r):
-        return range(r * rack_size, min((r + 1) * rack_size, n_hosts))
+        return range(r * RACK_SIZE, min((r + 1) * RACK_SIZE, n_hosts))
 
     for devs in devices_by_job:
         # The whole job targets one rack — the one with the most free

@@ -129,9 +129,7 @@ def _stamp(worker: str, prefix: str = ""):
 
 def build_collective_graph(ir: ModelIR, spec: CollectiveSpec) -> CollectiveGraph:
     """Assemble the one-iteration collective DAG for ``ir`` under ``spec``."""
-    chunks = partition_tensors(
-        ir.params, spec.partition_bytes, fuse=spec.fuse
-    )
+    chunks = partition_tensors(ir.params, spec.partition_bytes)
     workers = spec.workers
     replica = worker_replica(
         ir, WORKER_TRAINING, {p.name: LOCAL for p in ir.params}, _stamp,

@@ -7,9 +7,8 @@ monopolizes the wire) nor the packet (too fine: per-transfer overhead
 dominates), but a configurable *chunk*:
 
 * tensors larger than ``partition_bytes`` split into near-equal pieces;
-* adjacent smaller tensors fuse into one chunk until the threshold is
-  reached (horovod-style bucketing; ``fuse=False`` keeps one chunk per
-  tensor).
+* adjacent smaller tensors are always fused into one chunk until the
+  threshold is reached (horovod-style bucketing).
 
 Chunks preserve the model's forward parameter order, so chunk index order
 is layerwise order and the TIC/TAC priority of a chunk (the minimum of its
@@ -43,10 +42,9 @@ class Chunk:
 def partition_tensors(
     params: Sequence[ParamTensor],
     partition_bytes: int,
-    *,
-    fuse: bool = True,
 ) -> list[Chunk]:
-    """Slice/fuse ``params`` (in order) into chunks of ~``partition_bytes``."""
+    """Slice ``params`` (in order) into chunks of ~``partition_bytes``,
+    fusing small neighbours."""
     if partition_bytes <= 0:
         raise ValueError("partition_bytes must be positive")
     chunks: list[Chunk] = []
@@ -81,10 +79,6 @@ def partition_tensors(
                         n_elements=base + (1 if i < rem else 0),
                     )
                 )
-            continue
-        if not fuse:
-            bucket, bucket_elements = [p.name], p.n_elements
-            flush()
             continue
         if bucket and (bucket_elements + p.n_elements) > max_elements:
             flush()

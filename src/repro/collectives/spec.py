@@ -20,9 +20,10 @@ Two topologies are modeled (see :mod:`repro.collectives.ring` and
 
 ``partition_bytes`` is the ByteScheduler-style tensor partition/fusion
 knob: gradients larger than the threshold split into multiple chunks,
-smaller adjacent gradients fuse into one chunk (``fuse=False`` disables
-fusion, keeping one chunk per tensor). Chunks — not raw tensors — are the
-unit the TIC/TAC priorities order on the wire.
+and smaller adjacent gradients are always fused into one chunk. Chunks —
+not raw tensors — are the unit the TIC/TAC priorities order on the wire.
+The hierarchical group size is derived from ``n_workers``
+(:attr:`CollectiveSpec.effective_group_size`), never set.
 """
 
 from __future__ import annotations
@@ -38,17 +39,13 @@ TOPOLOGIES = ("ring", "hierarchical")
 class CollectiveSpec:
     """Cluster shape for the collective (all-reduce) backend.
 
-    ``group_size=0`` picks a group size automatically for hierarchical
-    topologies: the largest divisor of ``n_workers`` that is at most 4 and
-    leaves at least two groups (falling back to groups of one — a plain
-    ring among all workers — when no such divisor exists).
+    Hierarchical topologies group the workers by
+    :attr:`effective_group_size`, a rule of ``n_workers`` alone.
     """
 
     n_workers: int
     topology: str = "ring"
     partition_bytes: int = 4 * 2**20
-    fuse: bool = True
-    group_size: int = 0
 
     def __post_init__(self) -> None:
         if self.n_workers <= 0:
@@ -57,14 +54,6 @@ class CollectiveSpec:
             raise ValueError(f"topology must be one of {TOPOLOGIES}")
         if self.partition_bytes <= 0:
             raise ValueError("partition_bytes must be positive")
-        if self.group_size < 0:
-            raise ValueError("group_size must be >= 0 (0 = auto)")
-        if self.group_size:
-            if self.n_workers % self.group_size:
-                raise ValueError(
-                    f"group_size {self.group_size} must divide "
-                    f"n_workers {self.n_workers}"
-                )
 
     # -- ClusterSpec-compatible surface ---------------------------------
     @property
@@ -84,9 +73,10 @@ class CollectiveSpec:
     # -- hierarchical grouping ------------------------------------------
     @property
     def effective_group_size(self) -> int:
-        """The resolved group size (``group_size`` or the auto rule)."""
-        if self.group_size:
-            return self.group_size
+        """Workers per hierarchical group: the largest divisor of
+        ``n_workers`` that is at most 4 and leaves at least two groups
+        (groups of one — a plain ring among all workers — when no such
+        divisor exists)."""
         best = 1
         for g in range(2, min(4, self.n_workers) + 1):
             if self.n_workers % g == 0 and self.n_workers // g >= 2:

@@ -43,14 +43,14 @@ def compute_schedule(
     *,
     oracle: Optional[TimeOracleLike] = None,
     platform: Optional[Platform] = None,
-    trace_runs: int = 5,
     seed: int = 0,
 ) -> Schedule:
     """Run one scheduling algorithm on a reference worker partition.
 
     ``'tac'`` needs the estimated per-op times: pass an ``oracle``, or a
-    ``platform`` to trace the reference on (min of ``trace_runs`` runs,
-    §5). All other algorithms are timing-independent.
+    ``platform`` to trace the reference on (min of
+    :data:`~repro.timing.TRACE_RUNS` runs, §5). All other algorithms are
+    timing-independent.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(
@@ -65,9 +65,7 @@ def compute_schedule(
         return tic_plus(reference.graph)
     if algorithm == "tac":
         if oracle is None and platform is not None:
-            oracle = estimate_time_oracle(
-                reference.graph, platform, runs=trace_runs, seed=seed
-            )
+            oracle = estimate_time_oracle(reference.graph, platform, seed=seed)
         if oracle is None:
             raise ValueError("TAC requires a time oracle or a platform to trace")
         return tac(reference.graph, oracle)
@@ -87,19 +85,16 @@ def schedule_model(
     n_ps: int = 1,
     platform: str | Platform = "envG",
     batch_factor: float = 1.0,
-    trace_runs: int = 5,
     seed: int = 0,
 ) -> Schedule:
     """End-to-end convenience: model name -> schedule.
 
     Builds the model IR (paper batch size x ``batch_factor``), emits the
     reference worker partition for ``workload`` with ``n_ps`` shards,
-    traces it on ``platform`` for TAC's oracle (min of ``trace_runs`` runs,
-    §5), and runs ``algorithm``.
+    traces it on ``platform`` for TAC's oracle (min of
+    :data:`~repro.timing.TRACE_RUNS` runs, §5), and runs ``algorithm``.
     """
     ir = model if isinstance(model, ModelIR) else build_model(model, batch_factor=batch_factor)
     reference = build_reference_partition(ir, workload=workload, n_ps=n_ps)
     plat = PLATFORMS[platform] if isinstance(platform, str) else platform
-    return compute_schedule(
-        reference, algorithm, platform=plat, trace_runs=trace_runs, seed=seed
-    )
+    return compute_schedule(reference, algorithm, platform=plat, seed=seed)

@@ -30,7 +30,7 @@ from .plan import FaultPlan, FaultPlanError
 def _merge_windows(raw: list) -> list:
     """Compose raw (possibly overlapping) windows into sorted disjoint
     stretches with multiplicative rates; drop rate-1 (no-op) stretches
-    and fuse adjacent equal-rate neighbours."""
+    and merge adjacent equal-rate neighbours."""
     bounds = sorted({b for w0, w1, _r in raw for b in (w0, w1)})
     out: list = []
     for a, b in zip(bounds, bounds[1:]):

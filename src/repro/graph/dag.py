@@ -323,9 +323,6 @@ class Graph:
         wanted = set(kinds) if kinds is not None else None
         return sum(op.cost for op in self._ops if wanted is None or op.kind in wanted)
 
-    def subgraph_ids(self, predicate: Callable[[Op], bool]) -> list[int]:
-        return [op.op_id for op in self._ops if predicate(op)]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         kinds = {}
         for op in self._ops:

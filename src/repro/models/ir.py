@@ -121,10 +121,6 @@ class ModelIR:
         """Table 1's ``Total Par Size (MiB)`` column."""
         return self.total_param_bytes / 2**20
 
-    @property
-    def n_param_elements(self) -> int:
-        return sum(p.n_elements for p in self.params)
-
     def forward_flops(self) -> float:
         """Total forward FLOPs for one batch."""
         return sum(n.flops for n in self)

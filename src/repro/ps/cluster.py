@@ -25,7 +25,6 @@ next iteration. The makespan of this DAG is the paper's iteration time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
 
 from ..backends import worker_replica
 from ..graph import Graph, Op, OpKind, Resource
@@ -162,10 +161,10 @@ def build_cluster_graph(
     ir: ModelIR,
     spec: ClusterSpec,
     *,
-    placement: Optional[Mapping[str, str]] = None,
     n_iterations: int = 1,
 ) -> ClusterGraph:
-    """Assemble the cluster DAG for ``ir`` under ``spec``.
+    """Assemble the cluster DAG for ``ir`` under ``spec``, its parameters
+    placed on the PS shards by ``spec.sharding``.
 
     ``n_iterations=1`` (default) builds the barrier-to-barrier iteration
     used throughout the paper's measurement protocol. ``n_iterations>1``
@@ -177,13 +176,7 @@ def build_cluster_graph(
     """
     if n_iterations <= 0:
         raise ValueError("n_iterations must be positive")
-    if placement is None:
-        placement = shard_parameters(ir.params, spec.ps, spec.sharding)
-    else:
-        placement = dict(placement)
-        missing = [p.name for p in ir.params if p.name not in placement]
-        if missing:
-            raise ValueError(f"placement missing parameters, e.g. {missing[:3]}")
+    placement = shard_parameters(ir.params, spec.ps, spec.sharding)
 
     params = ir.params
     mode = WORKER_TRAINING if spec.workload == "training" else WORKER_INFERENCE
@@ -194,7 +187,7 @@ def build_cluster_graph(
         replica,
     )
     cluster = ClusterGraph(
-        spec=spec, model=ir, tiling=t, placement=dict(placement),
+        spec=spec, model=ir, tiling=t, placement=placement,
         n_iterations=n_iterations,
     )
     training = spec.workload == "training"

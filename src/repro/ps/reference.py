@@ -10,7 +10,6 @@ a full cluster assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
 
 from ..graph import Graph, PartitionedGraph, assign_worker_resources
 from ..models.emit import (
@@ -44,25 +43,23 @@ def build_reference_partition(
     workload: str = "training",
     n_ps: int = 1,
     sharding: str = "greedy",
-    placement: Optional[Mapping[str, str]] = None,
-    worker: str = "worker:0",
 ) -> ReferencePartition:
-    """Emit and resource-tag one worker replica of ``ir``.
+    """Emit and resource-tag one worker replica of ``ir`` as ``worker:0``,
+    its parameters placed on ``n_ps`` shards by ``sharding``.
 
     The partition sees one link per direction per PS shard, matching what
     that worker observes inside a full cluster.
     """
-    if placement is None:
-        placement = shard_parameters(ir.params, ps_device_names(n_ps), sharding)
-    else:
-        placement = dict(placement)
+    placement = shard_parameters(ir.params, ps_device_names(n_ps), sharding)
     mode = WORKER_TRAINING if workload == "training" else WORKER_INFERENCE
     result = emit_graph(ir, mode, placement=placement)
-    graph = assign_worker_resources(result.graph, worker, sorted(set(placement.values())))
+    graph = assign_worker_resources(
+        result.graph, "worker:0", sorted(set(placement.values()))
+    )
     graph.validate()
     return ReferencePartition(
         graph=graph,
         emit=result,
         partition=PartitionedGraph(graph),
-        placement=dict(placement),
+        placement=placement,
     )

@@ -71,13 +71,10 @@ class ReplayCluster:
     slots_per_host: int = 2
     placement: str = "packed"
     platform: str = "envC"
-    rack_size: int = 4
 
     def __post_init__(self) -> None:
-        if self.n_hosts <= 0 or self.slots_per_host <= 0 or self.rack_size <= 0:
-            raise ReplayError(
-                "n_hosts, slots_per_host and rack_size must be positive"
-            )
+        if self.n_hosts <= 0 or self.slots_per_host <= 0:
+            raise ReplayError("n_hosts and slots_per_host must be positive")
         PLACEMENTS[self.placement]  # fail fast with did-you-mean hints
         if self.platform not in PLATFORMS:
             raise ReplayError(
@@ -163,7 +160,6 @@ class _RateOracle:
             placement=placement,
             n_hosts=n_hosts,
             slots_per_host=self.cluster.slots_per_host,
-            rack_size=self.cluster.rack_size,
         )
         return SimCell(
             model=shapes[0][0],

@@ -66,7 +66,7 @@ event loop. Random compute picks, priority ties and gRPC reorder noise
 read the iteration generator's raw PCG64 stream through
 :func:`_raw_stream`, whose draws equal ``Generator.random()`` /
 ``Generator.integers()`` bit for bit (pinned draw by draw against numpy
-in ``tests/sim/test_kernel_parity.py``).
+in ``tests/sim/test_loop_parity.py``).
 """
 
 from __future__ import annotations
@@ -93,15 +93,6 @@ from .jobmix import JobMixGraph, compose_core
 #: bump it whenever the engine's numbers are *intended* to change, so
 #: cached cells simulated by an older engine can never be served as hits.
 ENGINE_REV = 3
-
-# Event codes (heap entries are (time, seq, code, op_id)).
-_COMPUTE_DONE = 0
-_TRANSFER_DONE = 1
-_CHUNK_DONE = 2
-#: deferred root release: a job-mix root op arriving at its job's offset
-#: (offset-zero roots keep the direct make_ready init path, bit-exact
-#: with the single-job engine).
-_ROOT_ARRIVAL = 3
 
 
 @dataclass
@@ -634,6 +625,11 @@ class SimVariant:
         ch_complete = [0] * self.n_channels  # dag-mode completion counters
         stamp = 0  # ready-arrival sequence (compute-queue order)
 
+        # Heap entries are (time, seq, code, op_id). Event codes: 0 compute
+        # done, 1 transfer done, 2 chunk done, 3 deferred root release (a
+        # job-mix root op arriving at its job's offset; offset-zero roots
+        # keep the direct make_ready init path, bit-exact with the
+        # single-job engine).
         heap: list[tuple[float, int, int, int]] = []
         seq = 0
         heappush = heapq.heappush

@@ -185,11 +185,18 @@ class JobMixSpec:
     placement: str = "dedicated"
     n_hosts: int = 0
     slots_per_host: int = 2
-    rack_size: int = 4
 
     def __post_init__(self) -> None:
         if not self.jobs:
             raise ValueError("a job mix needs at least one job")
+        if self.n_hosts < 0:
+            raise ValueError(
+                f"n_hosts must be >= 0 (0 = auto-size), got {self.n_hosts}"
+            )
+        if self.slots_per_host < 1:
+            raise ValueError(
+                f"slots_per_host must be >= 1, got {self.slots_per_host}"
+            )
         # fail fast (with did-you-mean hints) on unknown placement names
         from ..backends.placement import PLACEMENTS
 
@@ -379,7 +386,6 @@ def build_jobmix_graph(ir, spec: JobMixSpec) -> JobMixGraph:
         spec.placement,
         n_hosts=spec.n_hosts,
         slots_per_host=spec.slots_per_host,
-        rack_size=spec.rack_size,
     )
     return mix
 
@@ -476,7 +482,6 @@ def prepare_jobmix_schedule(
     algorithm: str,
     platform,
     *,
-    trace_runs: int = 5,
     seed: int = 0,
 ) -> Schedule:
     """Compose per-job wizard passes into one namespaced schedule.
@@ -500,8 +505,7 @@ def prepare_jobmix_schedule(
         shape = (job.model, job.to_spec(), alg)
         if shape not in passes:
             passes[shape] = prepare_comm_schedule(
-                build_model(job.model), shape[1], alg, platform,
-                trace_runs=trace_runs, seed=seed,
+                build_model(job.model), shape[1], alg, platform, seed=seed
             )
         sched = passes[shape]
         prefix = job_label(i) + "/"

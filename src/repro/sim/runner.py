@@ -35,7 +35,6 @@ def prepare_schedule(
     algorithm: str,
     platform: Platform,
     *,
-    trace_runs: int = 5,
     seed: int = 0,
 ) -> Schedule:
     """Offline ordering-wizard pass for a cluster configuration (§5):
@@ -46,9 +45,7 @@ def prepare_schedule(
     :data:`repro.backends.WIZARD_MEMO`."""
     if algorithm == "baseline":
         return Schedule("baseline")
-    return prepare_comm_schedule(
-        ir, spec, algorithm, platform, trace_runs=trace_runs, seed=seed
-    )
+    return prepare_comm_schedule(ir, spec, algorithm, platform, seed=seed)
 
 
 def compile_group(

@@ -10,6 +10,7 @@ from .oracle import (
 )
 from .platform import ENV_C, ENV_G, PLATFORMS, Platform
 from .tracer import (
+    TRACE_RUNS,
     TraceRecord,
     TracingModule,
     estimate_time_oracle,
@@ -28,6 +29,7 @@ __all__ = [
     "ENV_G",
     "PLATFORMS",
     "Platform",
+    "TRACE_RUNS",
     "TraceRecord",
     "TracingModule",
     "estimate_time_oracle",

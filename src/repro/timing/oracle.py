@@ -136,27 +136,21 @@ class PerturbedOracle(TimeOracle):
         return self.base(op) * factor
 
 
-def oracle_from_runs(
-    runs: Iterable[Mapping[str, float]],
-    *,
-    reducer: str = "min",
-) -> MappingTimeOracle:
+def oracle_from_runs(runs: Iterable[Mapping[str, float]]) -> MappingTimeOracle:
     """Build an oracle from several measured runs (the estimator of §5).
 
     ``runs`` is an iterable of per-run ``{op name: measured seconds}``
     tables. The paper "executes each operation 5 times ... and chooses the
-    minimum of all measured runs"; ``reducer`` may be ``"min"`` (paper),
-    ``"mean"`` or ``"median"`` (ablations).
+    minimum of all measured runs": each op's estimate is its minimum.
     """
-    if reducer not in ("min", "mean", "median"):
-        raise ValueError(f"unknown reducer {reducer!r}")
-    samples: dict[str, list[float]] = {}
+    table: dict[str, float] = {}
     n_runs = 0
     for run in runs:
         n_runs += 1
         for name, t in run.items():
-            samples.setdefault(name, []).append(float(t))
+            t = float(t)
+            if name not in table or t < table[name]:
+                table[name] = t
     if n_runs == 0:
         raise ValueError("oracle_from_runs needs at least one run")
-    reduce = {"min": min, "mean": lambda v: sum(v) / len(v), "median": np.median}[reducer]
-    return MappingTimeOracle({name: float(reduce(v)) for name, v in samples.items()})
+    return MappingTimeOracle(table)

@@ -2,7 +2,9 @@
 
 The paper extends TensorFlow's internal tracer to record per-op runtimes
 (including network transfers) over several executions; the time-oracle
-estimator then takes, for every op, the minimum across 5 measured runs.
+estimator then takes, for every op, the minimum across 5 measured runs
+(:data:`TRACE_RUNS`). That protocol is fixed: the pipeline takes a graph,
+a platform and a seed, and nothing else.
 
 Here the role of "an execution" is played by either
 
@@ -12,19 +14,25 @@ Here the role of "an execution" is played by either
   (:func:`trace_platform_runs`) — equivalent in distribution and much
   cheaper when all we need is the oracle.
 
-Both paths feed :func:`repro.timing.oracle.oracle_from_runs`.
+Both paths feed :func:`repro.timing.oracle.oracle_from_runs`. A
+jitter-free sample is a sample of a jitter-free platform
+(``platform.scaled(jitter_sigma=0.0)``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
 from ..graph import Graph
 from .oracle import MappingTimeOracle, oracle_from_runs
 from .platform import Platform
+
+#: executions traced per oracle estimate (§5: "executes each operation 5
+#: times ... and chooses the minimum").
+TRACE_RUNS = 5
 
 
 @dataclass
@@ -50,7 +58,8 @@ class TracingModule:
     """Accumulates :class:`TraceRecord` runs and estimates a time oracle.
 
     Mirrors the paper's pipeline: *tracing module → time-oracle estimator →
-    ordering wizard*. The default ``runs=5`` and ``reducer='min'`` match §5.
+    ordering wizard*: the oracle is the per-op minimum over the first
+    :data:`TRACE_RUNS` records, as in §5.
     """
 
     def __init__(self) -> None:
@@ -70,23 +79,19 @@ class TracingModule:
     def __len__(self) -> int:
         return len(self._records)
 
-    def estimate_oracle(
-        self, *, runs: Optional[int] = 5, reducer: str = "min"
-    ) -> MappingTimeOracle:
-        """Estimate the time oracle from the first ``runs`` recorded runs
-        (all runs when ``runs`` is None)."""
-        selected = self._records if runs is None else self._records[:runs]
+    def estimate_oracle(self) -> MappingTimeOracle:
+        """Estimate the time oracle from the first :data:`TRACE_RUNS`
+        recorded runs."""
+        selected = self._records[:TRACE_RUNS]
         if not selected:
             raise ValueError("no trace records collected yet")
-        return oracle_from_runs((r.times for r in selected), reducer=reducer)
+        return oracle_from_runs(r.times for r in selected)
 
 
 def sample_ground_truth(
     graph: Graph,
     platform: Platform,
     rng: np.random.Generator,
-    *,
-    jitter_sigma: Optional[float] = None,
 ) -> dict[str, float]:
     """One jittered sample of every op's duration — what one instrumented
     execution would measure.
@@ -95,7 +100,7 @@ def sample_ground_truth(
     ground-truth draw, so a trace assembled from these samples is
     distributed like a trace harvested from real simulator runs.
     """
-    sigma = platform.jitter_sigma if jitter_sigma is None else jitter_sigma
+    sigma = platform.jitter_sigma
     base = platform.time_vector(graph)
     if sigma > 0:
         base = base * rng.lognormal(mean=0.0, sigma=sigma, size=base.shape)
@@ -103,35 +108,24 @@ def sample_ground_truth(
 
 
 def trace_platform_runs(
-    graph: Graph,
-    platform: Platform,
-    *,
-    runs: int = 5,
-    seed: int = 0,
-    jitter_sigma: Optional[float] = None,
+    graph: Graph, platform: Platform, *, seed: int = 0
 ) -> TracingModule:
-    """Collect ``runs`` ground-truth samples into a :class:`TracingModule`."""
-    if runs <= 0:
-        raise ValueError("runs must be positive")
+    """Collect :data:`TRACE_RUNS` ground-truth samples into a
+    :class:`TracingModule`."""
     rng = np.random.default_rng(seed)
     tracer = TracingModule()
-    for i in range(runs):
-        times = sample_ground_truth(graph, platform, rng, jitter_sigma=jitter_sigma)
+    for i in range(TRACE_RUNS):
+        times = sample_ground_truth(graph, platform, rng)
         tracer.record(TraceRecord(times=times, makespan=sum(times.values()), meta={"run": i}))
     return tracer
 
 
 def estimate_time_oracle(
-    graph: Graph,
-    platform: Platform,
-    *,
-    runs: int = 5,
-    seed: int = 0,
-    reducer: str = "min",
+    graph: Graph, platform: Platform, *, seed: int = 0
 ) -> MappingTimeOracle:
-    """End-to-end §5 pipeline: trace ``runs`` executions, reduce per-op.
+    """End-to-end §5 pipeline: trace :data:`TRACE_RUNS` executions, take
+    each op's minimum.
 
     This is what experiments call to obtain the oracle TAC consumes.
     """
-    tracer = trace_platform_runs(graph, platform, runs=runs, seed=seed)
-    return tracer.estimate_oracle(runs=runs, reducer=reducer)
+    return trace_platform_runs(graph, platform, seed=seed).estimate_oracle()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.backends.placement import (
     PLACEMENTS,
+    RACK_SIZE,
     PlacementError,
     UnknownPlacementError,
     place_jobs,
@@ -105,12 +106,10 @@ def test_spread_separates_two_jobs_given_room():
 
 def test_rack_aware_keeps_a_job_in_one_rack_when_it_fits():
     devices = jobs_devices(2, [3, 3])
-    mapping = place_jobs(
-        devices, "rack_aware", n_hosts=8, slots_per_host=2, rack_size=4
-    )
+    mapping = place_jobs(devices, "rack_aware", n_hosts=8, slots_per_host=2)
 
     def rack(host: str) -> int:
-        return int(host.split(":")[1]) // 4
+        return int(host.split(":")[1]) // RACK_SIZE
 
     assert len({rack(mapping[d]) for d in devices[0]}) == 1
     assert len({rack(mapping[d]) for d in devices[1]}) == 1

@@ -24,7 +24,8 @@ def test_hierarchical_byte_conservation():
     """Per chunk: L(G-1) full-chunk reduces in, 2(L-1) ring bytes,
     L(G-1) full-chunk broadcasts out."""
     ir = tiny_model()
-    spec = CollectiveSpec(n_workers=8, topology="hierarchical", group_size=4)
+    spec = CollectiveSpec(n_workers=8, topology="hierarchical")
+    assert spec.effective_group_size == 4
     cluster = build_collective_graph(ir, spec)
     L, G = spec.n_groups, spec.effective_group_size
     M = ir.total_param_bytes
@@ -35,7 +36,8 @@ def test_hierarchical_byte_conservation():
 
 def test_group_reduce_ops_on_leaders_only():
     ir = tiny_model()
-    spec = CollectiveSpec(n_workers=4, topology="hierarchical", group_size=2)
+    spec = CollectiveSpec(n_workers=4, topology="hierarchical")
+    assert spec.effective_group_size == 2
     cluster = build_collective_graph(ir, spec)
     reduces = cluster.graph.ops_of_kind(OpKind.AGGREGATE)
     leaders = {group[0] for group in spec.groups()}
@@ -47,7 +49,8 @@ def test_hierarchical_single_chunk_matches_leader_bottleneck():
     """One chunk serializes the three phases: (G-1)M/B in, the leaders'
     ring, (G-1)M/B out."""
     ir = tiny_model()
-    spec = CollectiveSpec(n_workers=4, topology="hierarchical", group_size=2)
+    spec = CollectiveSpec(n_workers=4, topology="hierarchical")
+    assert spec.effective_group_size == 2
     res = simulate_cluster(
         ir, spec, algorithm="baseline", platform=WIRE,
         config=SimConfig(iterations=2, warmup=0),
@@ -60,11 +63,13 @@ def test_hierarchical_single_chunk_matches_leader_bottleneck():
 
 
 def test_group_of_one_degenerates_to_ring():
-    """group_size=1 makes every worker a leader: the hierarchical emitter
-    reduces to the plain ring (same wire bytes, same wire makespan)."""
+    """Groups of one (W=3 has no divisor that leaves two groups) make
+    every worker a leader: the hierarchical emitter reduces to the plain
+    ring (same wire bytes, same wire makespan)."""
     ir = tiny_model()
     ring = CollectiveSpec(n_workers=3, topology="ring")
-    hier = CollectiveSpec(n_workers=3, topology="hierarchical", group_size=1)
+    hier = CollectiveSpec(n_workers=3, topology="hierarchical")
+    assert hier.effective_group_size == 1
     ring_bytes = sum(
         op.cost for op in transfer_ops(build_collective_graph(ir, ring))
     )

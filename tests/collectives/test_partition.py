@@ -35,12 +35,6 @@ def test_small_tensors_fuse_up_to_threshold():
     assert [c.n_elements for c in chunks] == [200, 200]
 
 
-def test_fuse_disabled_keeps_one_chunk_per_tensor():
-    params = tensors((10,), (20,), (30,))
-    chunks = partition_tensors(params, partition_bytes=2**20, fuse=False)
-    assert [c.params for c in chunks] == [("p0",), ("p1",), ("p2",)]
-
-
 def test_chunk_indices_are_dense_and_ordered():
     params = tensors((1000,), (10,), (10,), (900,))
     chunks = partition_tensors(params, partition_bytes=400 * FLOAT_BYTES)
@@ -53,10 +47,10 @@ def test_partition_bytes_must_be_positive():
         partition_tensors(tensors((4,)), partition_bytes=0)
 
 
-@given(model_irs(), st.sampled_from([64, 1024, 2**20]), st.booleans())
+@given(model_irs(), st.sampled_from([64, 1024, 2**20]))
 @settings(max_examples=examples(20), deadline=None)
-def test_partition_conserves_model_bytes(ir, partition_bytes, fuse):
-    chunks = partition_tensors(ir.params, partition_bytes, fuse=fuse)
+def test_partition_conserves_model_bytes(ir, partition_bytes):
+    chunks = partition_tensors(ir.params, partition_bytes)
     assert sum(c.n_elements for c in chunks) == sum(
         p.n_elements for p in ir.params
     )
@@ -71,8 +65,6 @@ def test_spec_validation():
         CollectiveSpec(n_workers=2, topology="butterfly")
     with pytest.raises(ValueError, match="positive"):
         CollectiveSpec(n_workers=0)
-    with pytest.raises(ValueError, match="divide"):
-        CollectiveSpec(n_workers=4, topology="hierarchical", group_size=3)
     spec = CollectiveSpec(n_workers=4)
     assert spec.workload == "training"
     assert spec.n_ps == 0

@@ -91,11 +91,10 @@ def test_single_worker_degenerates_to_local_update():
     st.sampled_from([1, 2, 3, 4]),
     st.sampled_from(["ring", "hierarchical"]),
     st.sampled_from([256, 4096, 2**20]),
-    st.booleans(),
 )
 @settings(max_examples=examples(15), deadline=None)
 def test_collective_graph_structural_invariants(
-    ir, n_workers, topology, partition_bytes, fuse
+    ir, n_workers, topology, partition_bytes
 ):
     """Property test: any (model, W, topology, partitioning) yields a
     valid acyclic resource-tagged DAG with per-worker update coverage."""
@@ -103,7 +102,6 @@ def test_collective_graph_structural_invariants(
         n_workers=n_workers,
         topology=topology,
         partition_bytes=partition_bytes,
-        fuse=fuse,
     )
     cluster = build_collective_graph(ir, spec)
     g = cluster.graph

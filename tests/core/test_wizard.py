@@ -43,9 +43,7 @@ def test_schedule_model_tic_end_to_end():
 
 
 def test_schedule_model_tac_uses_traced_oracle():
-    schedule = schedule_model(
-        "AlexNet v2", "tac", workload="inference", platform="envG", trace_runs=3
-    )
+    schedule = schedule_model("AlexNet v2", "tac", workload="inference", platform="envG")
     order = schedule.order()
     assert order[0].startswith("conv1/")
     assert order[-1].startswith("fc8/")

@@ -96,7 +96,7 @@ SHAPES = {
         "136f5616a886d7edaf24da59abe0a80f14977f93d789620fb8d0c8fbc4c85e56",
     ),
     "hierarchical": (
-        _collective(alexnet, 4, "hierarchical", group_size=2),
+        _collective(alexnet, 4, "hierarchical"),
         "03380f74098ccde5bdf4484ee97bab58ae82319bc66c9d54a157140383c41556",
     ),
 }

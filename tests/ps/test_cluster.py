@@ -4,6 +4,7 @@ import pytest
 
 from repro.graph import GraphError, OpKind, PartitionedGraph, Resource
 from repro.ps import ClusterSpec, build_cluster_graph, build_reference_partition
+from repro.ps.sharding import shard_parameters
 
 from ..conftest import tiny_model
 
@@ -111,16 +112,11 @@ def test_worker_ops_cover_replicas(ir, train_cluster):
         assert set(recvs) == {p.name for p in ir.params}
 
 
-def test_explicit_placement_roundtrip(ir):
-    placement = {p.name: "ps:0" for p in ir.params}
-    cluster = build_cluster_graph(ir, ClusterSpec(2, 1, "training"),
-                                  placement=placement)
-    assert cluster.placement == placement
-
-
-def test_incomplete_placement_rejected(ir):
-    with pytest.raises(ValueError, match="missing"):
-        build_cluster_graph(ir, ClusterSpec(2, 1), placement={"x": "ps:0"})
+def test_placement_comes_from_sharding(ir):
+    spec = ClusterSpec(2, 2, "training", sharding="round_robin")
+    cluster = build_cluster_graph(ir, spec)
+    assert cluster.placement == shard_parameters(ir.params, spec.ps, "round_robin")
+    assert set(cluster.placement) == {p.name for p in ir.params}
 
 
 # ----------------------------------------------------------------------

@@ -60,6 +60,20 @@ def test_mix_spec_rejects_unknown_placement_with_hint():
         JobMixSpec(jobs=TWO_ALEX.jobs, placement="spreed")
 
 
+def test_mix_spec_rejects_negative_n_hosts():
+    # n_hosts=0 auto-sizes; a negative count must not run auto-sized
+    # under a cache key distinct from n_hosts=0.
+    with pytest.raises(ValueError, match="n_hosts"):
+        JobMixSpec(jobs=TWO_ALEX.jobs, placement="packed", n_hosts=-1)
+
+
+def test_mix_spec_rejects_zero_slots_per_host():
+    # must fail at construction, not at graph build (where a sweep would
+    # retry and then quarantine the cell).
+    with pytest.raises(ValueError, match="slots_per_host"):
+        JobMixSpec(jobs=TWO_ALEX.jobs, placement="packed", slots_per_host=0)
+
+
 @pytest.mark.parametrize("arrival", [-1.0, float("nan"), float("inf")])
 def test_job_spec_rejects_bad_arrival(arrival):
     # NaN would sail through a plain `< 0` check and poison the deferred-

@@ -90,20 +90,12 @@ def test_oracle_from_runs_min_is_paper_default():
     assert oracle_from_runs(runs).table["op"] == 3.0
 
 
-def test_oracle_from_runs_mean_and_median():
-    runs = [{"op": 1.0}, {"op": 2.0}, {"op": 9.0}]
-    assert oracle_from_runs(runs, reducer="mean").table["op"] == 4.0
-    assert oracle_from_runs(runs, reducer="median").table["op"] == 2.0
-
-
 def test_oracle_from_runs_handles_partial_coverage():
     runs = [{"a": 1.0}, {"a": 2.0, "b": 7.0}]
     oracle = oracle_from_runs(runs)
     assert oracle.table == {"a": 1.0, "b": 7.0}
 
 
-def test_oracle_from_runs_rejects_empty_and_bad_reducer():
+def test_oracle_from_runs_rejects_empty():
     with pytest.raises(ValueError, match="at least one"):
         oracle_from_runs([])
-    with pytest.raises(ValueError, match="reducer"):
-        oracle_from_runs([{"a": 1.0}], reducer="max")

@@ -8,6 +8,7 @@ from repro.timing import (
     ENV_C,
     ENV_G,
     PLATFORMS,
+    TRACE_RUNS,
     Platform,
     TraceRecord,
     TracingModule,
@@ -92,19 +93,17 @@ def test_sample_ground_truth_jitters_around_base(small_graph):
 
 def test_sample_ground_truth_zero_jitter_is_exact(small_graph):
     rng = np.random.default_rng(0)
-    times = sample_ground_truth(small_graph, ENV_G, rng, jitter_sigma=0.0)
+    times = sample_ground_truth(small_graph, ENV_G.scaled(jitter_sigma=0.0), rng)
     assert times["c"] == pytest.approx(ENV_G.op_time(small_graph.op("c")))
 
 
 def test_trace_platform_runs_collects_k_records(small_graph):
-    tracer = trace_platform_runs(small_graph, ENV_G, runs=5, seed=1)
-    assert len(tracer) == 5
-    with pytest.raises(ValueError, match="positive"):
-        trace_platform_runs(small_graph, ENV_G, runs=0)
+    tracer = trace_platform_runs(small_graph, ENV_G, seed=1)
+    assert len(tracer) == TRACE_RUNS == 5
 
 
 def test_estimator_takes_min_across_runs(small_graph):
-    tracer = trace_platform_runs(small_graph, ENV_G, runs=5, seed=1)
+    tracer = trace_platform_runs(small_graph, ENV_G, seed=1)
     oracle = tracer.estimate_oracle()
     samples = [r.times["c"] for r in tracer.records]
     assert oracle.table["c"] == min(samples)
@@ -128,6 +127,6 @@ def test_estimate_time_oracle_deterministic(small_graph):
 
 def test_estimated_oracle_near_ground_truth(small_graph):
     """min-of-5 under lognormal jitter lands below—but near—the base."""
-    oracle = estimate_time_oracle(small_graph, ENV_G, runs=5, seed=0)
+    oracle = estimate_time_oracle(small_graph, ENV_G, seed=0)
     base = ENV_G.op_time(small_graph.op("c"))
     assert 0.7 * base < oracle.table["c"] <= base * 1.05
