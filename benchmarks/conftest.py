@@ -11,8 +11,8 @@ simulations out across N processes and a warm ``results/.sweep-cache``
 turns re-runs into cache reads (delete it or set ``REPRO_NO_CACHE=1``
 to time cold simulations).
 
-Artifacts land in ``results/`` (CSV) — see EXPERIMENTS.md for the
-paper-vs-measured read-out of a full run.
+Artifacts land in ``results/`` (CSV) — the ``paper_pct`` column of
+``results/headline.csv`` is the paper-vs-measured read-out of a run.
 """
 
 from __future__ import annotations

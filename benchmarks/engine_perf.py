@@ -10,15 +10,17 @@ committed baseline in ``BENCH_engine.json``. Two entry points::
 ``--tolerance`` (default 25%) slower than the committed baseline — the
 perf-trajectory guard ISSUE 3 wired into CI. Because CI runners are
 heterogeneous, the comparison is normalized by a **calibration kernel**:
-an engine-independent mix of heap/list/RNG work timed in the same run,
-whose baseline cost is committed alongside the workload numbers. A host
-that is uniformly 1.8x slower scales every expectation by 1.8x, so only a
-*relative* engine regression trips the gate.
+an engine-independent mix of heap/list/RNG work whose baseline cost is
+committed alongside the workload numbers. A host that is uniformly 1.8x
+slower scales every expectation by 1.8x, so only a *relative* engine
+regression trips the gate. The samples are PAIRED: every timed workload
+repeat comes right after one calibration repeat (and one untimed warm
+call, since the kernel evicts the workload's caches), and each workload
+is scaled by the minimum of its own calibration repeats, so host-speed
+drift over the run hits a workload and its scale alike.
 
-``check`` gates against the committed ``pr4.python`` stage entry.
-``measure --update pr4`` rewrites that entry (plus calibration) in
-place; ``--update before|after`` keep maintaining the historic pr2/pr3
-blocks.
+``check`` gates against the committed ``pr4.python`` stage entry;
+``measure --update pr4`` rewrites that entry (plus calibration) in place.
 
 Workloads (chosen to cover both engine regimes):
 
@@ -123,16 +125,21 @@ def _calibration_kernel() -> float:
     return acc
 
 
-def measure(repeats: int = 5, trace: bool = False) -> tuple[dict, float]:
-    """(seconds-per-iteration per workload, calibration seconds)."""
+def measure(repeats: int = 5, trace: bool = False) -> tuple[dict, dict]:
+    """(seconds-per-iteration per workload, calibration seconds per
+    workload): each timed workload repeat follows one calibration
+    repeat, and both sides keep their minimum."""
     workloads = build_workloads(trace)
-    results = {}
-    for name, (fn, per_call) in workloads.items():
-        fn()  # warm caches (allocator, first-touch numpy paths)
-        best = min(_time_once(fn) for _ in range(repeats))
-        results[name] = best / per_call
+    results, calibration = {}, {}
     _calibration_kernel()
-    calibration = min(_time_once(_calibration_kernel) for _ in range(repeats))
+    for name, (fn, per_call) in workloads.items():
+        best = best_cal = float("inf")
+        for _ in range(repeats):
+            best_cal = min(best_cal, _time_once(_calibration_kernel))
+            fn()  # re-warm caches (allocator, first-touch numpy paths)
+            best = min(best, _time_once(fn))
+        results[name] = best / per_call
+        calibration[name] = best_cal
     return results, calibration
 
 
@@ -154,8 +161,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional slowdown vs baseline (check)")
-    parser.add_argument("--update",
-                        choices=["before", "after", "pr4", "pr7"],
+    parser.add_argument("--update", choices=["pr4", "pr7"],
                         help="write measurements into BENCH_engine.json "
                         "(pr7 records the trace-overhead stage)")
     args = parser.parse_args(argv)
@@ -165,45 +171,38 @@ def main(argv=None) -> int:
     results, calibration = measure(args.repeats)
     print(json.dumps(
         {**{k: round(v, 6) for k, v in results.items()},
-         "calibration": round(calibration, 6)},
+         "calibration": {k: round(v, 6) for k, v in calibration.items()}},
         indent=1,
     ))
 
-    if args.update:
+    if args.update == "pr4":
         bench = load_baseline()
-        if args.update == "pr4":
-            bench.setdefault("pr4", {})["python"] = {
-                "workloads": {k: round(v, 6) for k, v in results.items()},
-                "calibration": round(calibration, 6),
-            }
-        else:
-            bench[args.update] = {k: round(v, 6) for k, v in results.items()}
-            bench[f"{args.update}_calibration"] = round(calibration, 6)
-        _rederive(bench)
+        bench.setdefault("pr4", {})["python"] = {
+            "workloads": {k: round(v, 6) for k, v in results.items()},
+            "calibration": round(min(calibration.values()), 6),
+        }
         with open(BASELINE_PATH, "w") as fh:
             json.dump(bench, fh, indent=1)
             fh.write("\n")
-        print(f"updated {args.update!r} in {BASELINE_PATH}")
+        print(f"updated 'pr4' in {BASELINE_PATH}")
 
     if args.command == "check":
-        bench = load_baseline()
-        entry = bench["pr4"]["python"]
-        baseline, base_cal = entry["workloads"], entry.get("calibration")
-        scale = calibration / base_cal if base_cal else 1.0
-        print("baseline: pr4[python]")
-        print(f"host speed vs baseline host: {scale:.2f}x "
-              f"(calibration {calibration*1e3:.0f} ms vs {base_cal*1e3:.0f} ms)"
-              if base_cal else "no calibration baseline; absolute comparison")
+        entry = load_baseline()["pr4"]["python"]
+        baseline, base_cal = entry["workloads"], entry["calibration"]
+        print(f"baseline: pr4[python] (calibration {base_cal*1e3:.0f} ms); "
+              "each workload scaled by its paired calibration")
         failures = []
         for name, sec in results.items():
             ref = baseline.get(name)
             if ref is None:
                 continue
+            scale = calibration[name] / base_cal
             slowdown = sec / (ref * scale) - 1.0
             bad = slowdown > args.tolerance
             status = "FAIL" if bad else "ok"
             print(f"  {name}: {sec*1e3:.1f} ms vs scaled baseline "
-                  f"{ref*scale*1e3:.1f} ms ({slowdown:+.0%}) {status}")
+                  f"{ref*scale*1e3:.1f} ms (host {scale:.2f}x, "
+                  f"{slowdown:+.0%}) {status}")
             if bad:
                 failures.append(name)
         if failures:
@@ -261,17 +260,6 @@ def trace_overhead(args) -> int:
             fh.write("\n")
         print(f"updated 'pr7_trace' in {BASELINE_PATH}")
     return 0
-
-
-def _rederive(bench: dict) -> None:
-    """Recompute the derived pr2 -> pr3 speedup block."""
-    before, after = bench.get("before"), bench.get("after")
-    if before and after:
-        bench["speedup"] = {
-            k: round(before[k] / after[k], 2)
-            for k in after
-            if k in before and after[k]
-        }
 
 
 if __name__ == "__main__":

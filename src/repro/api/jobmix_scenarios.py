@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis import format_table
-from ..backends.placement import place_jobs
+from ..backends.placement import DEFAULT_SLOTS_PER_HOST, place_jobs
 from ..sim.jobmix import JobMixSpec, JobSpec, job_label
 from ..sweep.spec import SimCell
 from .engine import ScenarioRun
@@ -54,7 +54,7 @@ class JobMixScenario:
     platform: str = "envC"
     algorithms: tuple[str, ...] = ("mix",)
     n_hosts: int = 0
-    slots_per_host: int = 2
+    slots_per_host: int = DEFAULT_SLOTS_PER_HOST
 
     def all_placements(self) -> tuple[str, ...]:
         """``dedicated`` (the slowdown denominator) first, then the

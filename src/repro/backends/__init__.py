@@ -16,12 +16,13 @@ misses in :data:`MEMO_COUNTERS`; every memo is keyed on exactly what its
 build reads. The two reference backends (PS and all-reduce) memoize
 inside their own functions:
 
-* the **graph memo** holds assembled cluster DAGs (their block layouts,
-  see :mod:`repro.graph.tiling`) keyed by (model structural
-  fingerprint, spec). Groups that differ only in platform or
-  simulation knobs describe the *same* DAG and share it. Consumers
-  treat memoized graphs as immutable — the engine never writes to a
-  ClusterGraph, and callers that want to mutate one must build it
+* the **graph memo** holds assembled cluster DAGs — one
+  :class:`~repro.ps.cluster.ClusterGraph` per shape, whichever backend
+  built it (its block layout, see :mod:`repro.graph.tiling`) — keyed
+  by (model structural fingerprint, spec). Groups that differ only in
+  platform or simulation knobs describe the *same* DAG and share it.
+  Consumers treat memoized graphs as immutable — the engine never
+  writes to one, and callers that want to mutate one must build it
   directly (``build_cluster_graph``/``build_collective_graph``).
 * the **replica memo** holds the worker replicas those builders place
   once per worker (:func:`worker_replica`), keyed on what emission

@@ -9,7 +9,7 @@ link/NIC resources the simulator already models. See
 :mod:`repro.backends` for how specs dispatch between backends.
 """
 
-from .graph import CollectiveGraph, build_collective_graph
+from .graph import build_collective_graph
 from .hierarchical import emit_hierarchical_allreduce
 from .partition import Chunk, partition_tensors
 from .ring import emit_ring_allreduce
@@ -17,7 +17,6 @@ from .spec import TOPOLOGIES, CollectiveSpec
 
 __all__ = [
     "Chunk",
-    "CollectiveGraph",
     "CollectiveSpec",
     "TOPOLOGIES",
     "build_collective_graph",

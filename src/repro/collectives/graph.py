@@ -1,7 +1,7 @@
-"""Collective cluster-graph assembly (the all-reduce twin of
-:mod:`repro.ps.cluster`).
+"""Collective cluster-graph assembly: the all-reduce builder of the
+one cluster layout, :class:`~repro.ps.cluster.ClusterGraph`.
 
-One :class:`CollectiveGraph` holds a single barrier-to-barrier iteration of
+Here the layout holds a single barrier-to-barrier iteration of
 synchronous data-parallel training over W workers with no parameter
 server: gradients are synchronized by a ring or hierarchical all-reduce
 over chunk units (:mod:`repro.collectives.partition`), and every worker
@@ -36,14 +36,12 @@ count with micro reduce ops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..backends import worker_replica
-from ..graph import Graph, Op, OpKind, Resource
+from ..graph import Op, OpKind, Resource
 from ..graph.tiling import Tiling
 from ..models.emit import WORKER_TRAINING
 from ..models.ir import ModelIR
-from ..ps.cluster import Transfer
+from ..ps.cluster import ClusterGraph, Transfer
 from .hierarchical import emit_hierarchical_allreduce
 from .partition import Chunk, partition_tensors
 from .ring import emit_ring_allreduce
@@ -52,52 +50,6 @@ from .spec import CollectiveSpec
 #: pseudo PS device name satisfying worker emission's placement contract
 #: (parameters are locally resident in the collective backend).
 LOCAL = "local"
-
-
-@dataclass
-class CollectiveGraph:
-    """A resource-tagged collective DAG (one iteration), held as its
-    block layout: :attr:`tiling` places one stamped model replica per
-    worker after the all-reduce glue (gradient-ready roots, chunk chains,
-    updates). The op-level :attr:`graph` is spliced only when first read;
-    the engine compiles the layout directly
-    (:func:`repro.sim.compile.tile_core`).
-
-    Field names mirror :class:`~repro.ps.cluster.ClusterGraph` so the
-    simulator, metrics and analysis layers consume either interchangeably.
-    """
-
-    spec: CollectiveSpec
-    model: ModelIR
-    tiling: Tiling
-    chunks: list[Chunk]
-    #: every transfer, grouped by the link resource it occupies.
-    transfers_by_link: dict[Resource, list[Transfer]] = field(default_factory=dict)
-    #: op ids per worker device (for straggler accounting).
-    worker_ops: dict[str, list[int]] = field(default_factory=dict)
-    #: per-worker map param name -> op id delivering its reduced value
-    #: (the chunk update op; the ClusterGraph analogue maps to recvs).
-    param_recvs: dict[str, dict[str, int]] = field(default_factory=dict)
-    #: op ids per iteration (single window for now).
-    iteration_ops: dict[int, list[int]] = field(default_factory=dict)
-    #: chunk name -> member parameter names (the scheduling seam).
-    chunk_params: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: chunk name -> layerwise chunk index (priority tie-break).
-    chunk_order: dict[str, int] = field(default_factory=dict)
-    n_iterations: int = 1
-
-    @property
-    def graph(self) -> Graph:
-        """The assembled op-level DAG (spliced on first read)."""
-        return self.tiling.graph
-
-    @property
-    def param_transfers(self) -> list[Transfer]:
-        """No PS-style parameter pulls exist in this backend."""
-        return []
-
-    def _register_transfer(self, link: Resource, transfer: Transfer) -> None:
-        self.transfers_by_link.setdefault(link, []).append(transfer)
 
 
 def _stamp(worker: str, prefix: str = ""):
@@ -127,23 +79,22 @@ def _stamp(worker: str, prefix: str = ""):
     return rebuild
 
 
-def build_collective_graph(ir: ModelIR, spec: CollectiveSpec) -> CollectiveGraph:
+def build_collective_graph(ir: ModelIR, spec: CollectiveSpec) -> ClusterGraph:
     """Assemble the one-iteration collective DAG for ``ir`` under ``spec``."""
     chunks = partition_tensors(ir.params, spec.partition_bytes)
     workers = spec.workers
-    replica = worker_replica(
-        ir, WORKER_TRAINING, {p.name: LOCAL for p in ir.params}, _stamp,
-        workers[0],
-    )
+    placement = {p.name: LOCAL for p in ir.params}
+    replica = worker_replica(ir, WORKER_TRAINING, placement, _stamp, workers[0])
     t = Tiling(
         f"{ir.name}/allreduce-{spec.topology}/w{spec.n_workers}"
         f"/p{spec.partition_bytes}",
         replica,
     )
-    cluster = CollectiveGraph(
+    cluster = ClusterGraph(
         spec=spec,
         model=ir,
         tiling=t,
+        placement=placement,
         chunks=chunks,
         chunk_params={c.name: c.params for c in chunks},
         chunk_order={c.name: c.index for c in chunks},

@@ -39,6 +39,7 @@ from ..api.registry import (
     scenario,
     scenario_names,
 )
+from ..backends.placement import DEFAULT_SLOTS_PER_HOST
 
 
 #: exporter name -> one-line description for the listing.
@@ -200,7 +201,8 @@ def replay_main(argv: Sequence[str]) -> int:
     parser.add_argument("--admission", default="fifo",
                         help="admission policy (fifo/backfill; see list)")
     parser.add_argument("--n-hosts", type=int, default=8)
-    parser.add_argument("--slots-per-host", type=int, default=2)
+    parser.add_argument("--slots-per-host", type=int,
+                        default=DEFAULT_SLOTS_PER_HOST)
     parser.add_argument("--placement", default="packed",
                         help="placement policy for running jobs (packed/"
                         "spread/rack_aware; see list)")

@@ -16,8 +16,9 @@ op plus the small constellation of constant/shape/bookkeeping ops a real
 TensorFlow graph carries, and the backward pass mirrors the forward pass
 the way ``tf.gradients`` does (Backprop ops consuming both the incoming
 gradient and forward activations, ``AddN`` at fan-in points). Op *counts*
-therefore land near Table 1 without being padded to it; EXPERIMENTS.md
-reports the per-model deviation.
+therefore land near Table 1 without being padded to it; the
+``ops_inf_delta_pct``/``ops_train_delta_pct`` columns of
+``results/table1_models.csv`` report the per-model deviation.
 
 Every op carries ``attrs['timing_key']`` — its model-local name — so
 per-op timing oracles and priorities fitted on a reference worker transfer

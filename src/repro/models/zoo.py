@@ -4,7 +4,8 @@
 adds the extras and is the registry :func:`build_model` looks names up in);
 ``PAPER_TABLE_1`` holds the published characteristics used as reproduction
 targets (tests assert exact parameter-tensor counts and near-exact sizes,
-and EXPERIMENTS.md reports measured-vs-paper op counts).
+and the ``ops_inf_delta_pct``/``ops_train_delta_pct`` columns of
+``results/table1_models.csv`` report measured-vs-paper op counts).
 """
 
 from __future__ import annotations

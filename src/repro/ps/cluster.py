@@ -1,7 +1,15 @@
-"""Model-Replica + Parameter-Server cluster graph assembly (§2.2, Fig. 2).
+"""The single-job cluster layout, and its parameter-server builder
+(§2.2, Fig. 2).
 
-One :class:`ClusterGraph` holds everything a single synchronous iteration
-executes, resource-tagged:
+One :class:`ClusterGraph` holds everything a single synchronous
+iteration executes, resource-tagged, whichever backend built it:
+:func:`build_cluster_graph` here (parameter servers) or
+:func:`repro.collectives.build_collective_graph` (chunked all-reduce).
+Either way it is a worker replica per worker plus the backend's glue
+ops; the all-reduce builder also fills the chunk fields the engine
+lowers schedule priorities onto.
+
+The parameter-server builder places
 
 * per worker, a model replica whose parameters enter through ``recv`` roots
   (and, in training, whose gradients exit through ``send`` leaves);
@@ -25,6 +33,7 @@ next iteration. The makespan of this DAG is the paper's iteration time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..backends import worker_replica
 from ..graph import Graph, Op, OpKind, Resource
@@ -38,6 +47,9 @@ from .sharding import (
     shard_parameters,
     worker_device_names,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..collectives import Chunk, CollectiveSpec
 
 WORKLOADS = ("inference", "training")
 
@@ -84,7 +96,8 @@ class Transfer:
     param: str
     src: str
     dst: str
-    #: 'param' for PS->worker pulls (the recvs TicTac schedules) or 'grad'.
+    #: 'param' for PS->worker pulls (the recvs TicTac schedules), 'grad'
+    #: for gradient pushes, or 'chunk' for an all-reduce chunk step.
     kind: str
     #: which unrolled iteration this transfer belongs to (§5.1's counters
     #: are per worker *per iteration*).
@@ -93,27 +106,36 @@ class Transfer:
 
 @dataclass
 class ClusterGraph:
-    """A resource-tagged cluster DAG (one iteration by default;
-    ``n_iterations > 1`` unrolls a pipelined window), held as its block
-    layout: :attr:`tiling` places one stamped model replica per (worker,
-    iteration) beside the PS ops. The op-level :attr:`graph` is spliced
-    only when first read (trace export, timelines, structural tests); the
-    engine compiles the layout directly
+    """A resource-tagged single-job cluster DAG (one iteration by
+    default; ``n_iterations > 1`` unrolls a pipelined PS window), held as
+    its block layout: :attr:`tiling` places one stamped model replica per
+    (worker, iteration) beside the backend's glue ops. The op-level
+    :attr:`graph` is spliced only when first read (trace export,
+    timelines, structural tests); the engine compiles the layout directly
     (:func:`repro.sim.compile.tile_core`). Every other field is computed
     from the layout and indexes the spliced graph's op ids."""
 
-    spec: ClusterSpec
+    spec: ClusterSpec | CollectiveSpec
     model: ModelIR
     tiling: Tiling
+    #: param name -> the device serving it: its PS shard, or
+    #: :data:`repro.collectives.graph.LOCAL` under all-reduce.
     placement: dict[str, str]
     #: every transfer, grouped by the link resource it occupies.
     transfers_by_link: dict[Resource, list[Transfer]] = field(default_factory=dict)
     #: op ids per worker device (for straggler accounting).
     worker_ops: dict[str, list[int]] = field(default_factory=dict)
-    #: per-worker map param name -> recv transfer op id (last iteration).
+    #: per-worker map param name -> op id delivering its value: the PS
+    #: recv transfer (last iteration), or the all-reduce chunk update.
     param_recvs: dict[str, dict[str, int]] = field(default_factory=dict)
     #: op ids per unrolled iteration (for pipelined span accounting).
     iteration_ops: dict[int, list[int]] = field(default_factory=dict)
+    #: all-reduce chunks (empty under PS).
+    chunks: list[Chunk] = field(default_factory=list)
+    #: chunk name -> member parameter names (the scheduling seam).
+    chunk_params: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    #: chunk name -> layerwise chunk index (priority tie-break).
+    chunk_order: dict[str, int] = field(default_factory=dict)
     n_iterations: int = 1
 
     @property

@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from ..backends.placement import PLACEMENTS
+from ..backends.placement import DEFAULT_SLOTS_PER_HOST, PLACEMENTS
 from ..registry import did_you_mean
 from ..sim.config import SimConfig
 from ..sim.jobmix import JobMixSpec, JobSpec, job_label
@@ -68,7 +68,7 @@ class ReplayCluster:
     """The shared cluster a replay runs on: slot capacity + placement."""
 
     n_hosts: int = 8
-    slots_per_host: int = 2
+    slots_per_host: int = DEFAULT_SLOTS_PER_HOST
     placement: str = "packed"
     platform: str = "envC"
 

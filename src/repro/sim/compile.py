@@ -9,7 +9,9 @@ DAG:
 * :func:`compile_graph`, the **block compiler**: one walk over a
   :class:`~repro.graph.dag.Graph`'s ops in id order. It compiles the
   blocks below, and it is the reference the others are tested against.
-* :func:`tile_core` compiles a single-job cluster from its
+* :func:`tile_core` compiles a single-job
+  :class:`~repro.ps.cluster.ClusterGraph` (PS or all-reduce; both
+  builders return that one type) from its
   :class:`~repro.graph.tiling.Tiling`: the worker replica once per
   (model, mode, placement, platform) — the replica is memoized in
   :data:`repro.backends.REPLICA_MEMO` and carries its compiled blocks —

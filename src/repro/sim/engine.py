@@ -233,10 +233,10 @@ class CompiledCore:
 
     ``cluster`` is one of:
 
-    * a PS :class:`~repro.ps.cluster.ClusterGraph` or a collective
-      :class:`~repro.collectives.CollectiveGraph`: tiled from its
-      :attr:`tiling` (:func:`~repro.sim.compile.tile_core`), with its
-      ``transfers_by_link`` and, for collectives, the chunk metadata that
+    * a single-job :class:`~repro.ps.cluster.ClusterGraph`, PS or
+      all-reduce: tiled from its :attr:`tiling`
+      (:func:`~repro.sim.compile.tile_core`), with its
+      ``transfers_by_link`` and the chunk metadata (empty under PS) that
       lowers schedule priorities onto chunk transfer ops. The cluster's
       op-level ``graph`` is never read, so never spliced;
     * a :class:`~repro.sim.jobmix.JobMixGraph`: composed from its jobs'
@@ -256,7 +256,7 @@ class CompiledCore:
     def __init__(self, cluster: ClusterGraph, platform: Platform) -> None:
         if isinstance(cluster, JobMixGraph):
             tables = compose_core(cluster, platform)
-        elif getattr(cluster, "tiling", None) is not None:
+        elif isinstance(cluster, ClusterGraph):
             tables = tile_core(cluster, platform)
         else:
             tables = compile_graph(cluster, platform)

@@ -63,10 +63,11 @@ from typing import Optional
 import numpy as np
 
 from ..backends import Memo
+from ..backends.placement import DEFAULT_SLOTS_PER_HOST
 from ..core.schedules import Schedule
 from ..graph import Graph, Op, Resource, ResourceKind
 from ..graph.dag import GraphError
-from ..ps.cluster import WORKLOADS, Transfer
+from ..ps.cluster import WORKLOADS, ClusterGraph, Transfer
 from ..registry import did_you_mean
 from .compile import assemble
 
@@ -184,7 +185,7 @@ class JobMixSpec:
     jobs: tuple[JobSpec, ...]
     placement: str = "dedicated"
     n_hosts: int = 0
-    slots_per_host: int = 2
+    slots_per_host: int = DEFAULT_SLOTS_PER_HOST
 
     def __post_init__(self) -> None:
         if not self.jobs:
@@ -234,7 +235,7 @@ class JobPart:
 
     label: str
     #: the job's backend-built DAG (memoized by the backends: read-only).
-    cluster: object
+    cluster: ClusterGraph
     #: structural fingerprint of the job's model IR (shape-core memo key).
     fingerprint: str
     #: op id of the job's first op in the mix.
@@ -280,15 +281,6 @@ class JobMixGraph:
     def transfers_by_link(self) -> dict[Resource, list[Transfer]]:
         """Every transfer of the union, grouped by its (prefixed) link."""
         return self._spliced()[1]
-
-    @property
-    def param_transfers(self) -> list[Transfer]:
-        return [
-            t
-            for transfers in self.transfers_by_link.values()
-            for t in transfers
-            if t.kind == "param"
-        ]
 
     def _spliced(self) -> tuple:
         if self._union is None:
@@ -374,9 +366,9 @@ def build_jobmix_graph(ir, spec: JobMixSpec) -> JobMixGraph:
         mix.job_arrivals[label] = float(job.arrival)
         for worker, ids in sub.worker_ops.items():
             mix.worker_ops[prefix + worker] = [o + offset for o in ids]
-        for cname, params in (getattr(sub, "chunk_params", None) or {}).items():
+        for cname, params in sub.chunk_params.items():
             mix.chunk_params[prefix + cname] = tuple(prefix + p for p in params)
-        for cname, order in (getattr(sub, "chunk_order", None) or {}).items():
+        for cname, order in sub.chunk_order.items():
             mix.chunk_order[prefix + cname] = order
         offset += n
 

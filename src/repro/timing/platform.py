@@ -11,7 +11,7 @@ zoo's abstract op costs (FLOPs for compute ops, bytes for transfers) into
 seconds. The absolute constants are published peak/typical figures derated
 by an efficiency factor; the *ratios* (communication vs computation) are
 what shape every result in the paper, and they are covered by tests and by
-the calibration notes in EXPERIMENTS.md.
+the derivation comment above ``ENV_G`` below.
 
 Ground-truth execution in the simulator additionally applies per-run
 lognormal jitter (``jitter_sigma``) — the paper's "system-level performance

@@ -125,3 +125,27 @@ def test_collective_graph_structural_invariants(
         config=SimConfig(iterations=1, warmup=0),
     )
     assert np.isfinite(res.mean_iteration_time)
+
+
+def test_both_builders_return_one_cluster_layout():
+    """PS and all-reduce builders return the one ``ClusterGraph`` type:
+    the chunk fields stay empty under PS, the all-reduce placement holds
+    every parameter locally, and a mix prefixes only the all-reduce
+    job's chunks."""
+    from repro.collectives.graph import LOCAL
+    from repro.ps import ClusterGraph, ClusterSpec, build_cluster_graph
+    from repro.sim import JobMixSpec, JobSpec, build_jobmix_graph
+
+    ir = tiny_model()
+    ps = build_cluster_graph(ir, ClusterSpec(2, 1, "training"))
+    ar = build_collective_graph(ir, CollectiveSpec(n_workers=3, topology="ring"))
+    assert isinstance(ps, ClusterGraph) and isinstance(ar, ClusterGraph)
+    assert ps.chunks == [] and ps.chunk_params == {} and ps.chunk_order == {}
+    assert ar.chunks and ar.placement == {p.name: LOCAL for p in ir.params}
+
+    mix = build_jobmix_graph(None, JobMixSpec(jobs=(
+        JobSpec("AlexNet v2", n_workers=2, n_ps=1),
+        JobSpec("AlexNet v2", backend="allreduce", n_workers=2),
+    )))
+    assert mix.chunk_params
+    assert all(name.startswith("j1/") for name in mix.chunk_params)

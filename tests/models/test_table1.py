@@ -42,7 +42,8 @@ def test_batch_size_matches(zoo, name):
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_op_counts_within_structural_band(name):
     """Structural emission lands within 40% of TF's counts for every
-    model (most are within ~10%; see EXPERIMENTS.md)."""
+    model (most are within ~10%; see the ``ops_*_delta_pct`` columns of
+    ``results/table1_models.csv``)."""
     ref = PAPER_TABLE_1[name]
     inf, tr = op_counts(build_model(name))
     assert abs(inf - ref.ops_inference) / ref.ops_inference < 0.40
