@@ -31,10 +31,18 @@ Workloads (chosen to cover both engine regimes):
   with sender enforcement: gate bookkeeping + priority paths.
 * ``batch_10`` — ``run_iterations(0, 10)`` of the unscheduled sim: the
   amortized batch API end to end (per-second number is per iteration).
-* ``jobmix_packed`` — one iteration of a two-job AlexNet mix (the second
-  job arriving mid-flight) packed onto shared hosts on envC: the
-  multi-job union path — deferred root releases, shared-NIC channel
-  contention, per-job completion accounting.
+* ``jobmix_packed`` — ``run_iterations(0, 5)`` of a two-job AlexNet mix
+  (the second job arriving mid-flight) packed onto shared hosts on envC,
+  per-iteration seconds: the multi-job union path — deferred root
+  releases, shared-NIC channel contention, per-job completion
+  accounting. One iteration takes ~2 ms, too short to time alone
+  against the gate's tolerance, so five are timed per call.
+
+``measure`` also prints each workload's events per iteration and the
+loop's cost per event in ns. Events are counted from one traced
+iteration, not by the loop: every op completes once (a compute-done or
+transfer-done event), plus one chunk-done event per recorded chunk and
+one release event per deferred root.
 
 ``trace-overhead`` times every workload twice — ``SimConfig(trace=False)``
 vs ``trace=True`` — and prints the per-workload overhead of turning event
@@ -92,12 +100,30 @@ def build_workloads(trace: bool = False):
                             PLATFORMS["envC"])
     mix = SimVariant(mix_core, None, SimConfig(trace=trace))
 
+    # name -> (variant, iterations per timed call)
     return {
-        "iteration_unscheduled": (lambda: plain.run_iteration(0), 1),
-        "iteration_scheduled": (lambda: sched.run_iteration(0), 1),
-        "batch_10": (lambda: plain.run_iterations(0, 10), 10),
-        "jobmix_packed": (lambda: mix.run_iteration(0), 1),
+        "iteration_unscheduled": (plain, 1),
+        "iteration_scheduled": (sched, 1),
+        "batch_10": (plain, 10),
+        "jobmix_packed": (mix, 5),
     }
+
+
+def _timed_call(variant, per_call):
+    return lambda: variant.run_iterations(0, per_call)
+
+
+def events_per_iteration() -> dict:
+    """Heap events of iteration 0 of each workload, counted from its
+    trace: op completions, chunk-done events and deferred root releases."""
+    events = {}
+    for name, (variant, _per_call) in build_workloads(trace=True).items():
+        core = variant.core
+        trace = variant.run_iteration(0).trace
+        events[name] = int(
+            core.n + len(trace.chunk_op) + (core.root_times > 0).sum()
+        )
+    return events
 
 
 def _calibration_kernel() -> float:
@@ -132,7 +158,8 @@ def measure(repeats: int = 5, trace: bool = False) -> tuple[dict, dict]:
     workloads = build_workloads(trace)
     results, calibration = {}, {}
     _calibration_kernel()
-    for name, (fn, per_call) in workloads.items():
+    for name, (variant, per_call) in workloads.items():
+        fn = _timed_call(variant, per_call)
         best = best_cal = float("inf")
         for _ in range(repeats):
             best_cal = min(best_cal, _time_once(_calibration_kernel))
@@ -169,11 +196,15 @@ def main(argv=None) -> int:
         return trace_overhead(args)
 
     results, calibration = measure(args.repeats)
-    print(json.dumps(
-        {**{k: round(v, 6) for k, v in results.items()},
-         "calibration": {k: round(v, 6) for k, v in calibration.items()}},
-        indent=1,
-    ))
+    doc = {**{k: round(v, 6) for k, v in results.items()},
+           "calibration": {k: round(v, 6) for k, v in calibration.items()}}
+    if args.command == "measure":
+        events = events_per_iteration()
+        doc["events_per_iteration"] = events
+        doc["ns_per_event"] = {
+            k: round(results[k] / events[k] * 1e9, 1) for k in results
+        }
+    print(json.dumps(doc, indent=1))
 
     if args.update == "pr4":
         bench = load_baseline()
@@ -226,8 +257,9 @@ def trace_overhead(args) -> int:
     untraced_w = build_workloads(trace=False)
     traced_w = build_workloads(trace=True)
     untraced, traced = {}, {}
-    for name, (fn_u, per_call) in untraced_w.items():
-        fn_t, _ = traced_w[name]
+    for name, (variant, per_call) in untraced_w.items():
+        fn_u = _timed_call(variant, per_call)
+        fn_t = _timed_call(traced_w[name][0], per_call)
         fn_u()  # warm both variants before the paired repeats
         fn_t()
         best_u = best_t = float("inf")

@@ -66,7 +66,18 @@ event loop. Random compute picks, priority ties and gRPC reorder noise
 read the iteration generator's raw PCG64 stream through
 :func:`_raw_stream`, whose draws equal ``Generator.random()`` /
 ``Generator.integers()`` bit for bit (pinned draw by draw against numpy
-in ``tests/sim/test_loop_parity.py``).
+in ``tests/sim/test_loop_parity.py``). Three choices keep its cost per
+event down without changing a draw:
+
+* the chunk priority pick (:func:`_priority_pick`) finds a unique
+  lowest priority with C-level ``min``/``count``/``index`` and builds a
+  candidate list only for ties and unprioritized entries;
+* without §5.1 hand-off gates, a compute-done event refills its freed
+  slot inline and a ready compute successor joins its queue inline;
+  both repeat the body of a dispatch function, named at both sites;
+* the core's successor tables (``succ_of``) are tuples of ints, which
+  the cyclic GC untracks after one pass, so full collections stop
+  walking every live core's per-op lists.
 """
 
 from __future__ import annotations
@@ -228,6 +239,33 @@ def _raw_stream(bit_generator):
     return random, integers
 
 
+def _priority_pick(prios: list[int], integers) -> int:
+    """Queue index of the transfer a priority pick sends next.
+
+    ``prios`` holds the queued transfers' priorities in queue order
+    (``-1`` = unprioritized). The candidates are the entries with the
+    lowest known priority plus every unprioritized entry (all entries
+    when none is known); one candidate is taken as is, and among several
+    ``integers(n_candidates)`` draws the one to take in queue order.
+
+    Priorities are never negative except ``-1``, so the common queue is
+    all known: a unique minimum is found by the C-level ``min``/
+    ``count``/``index`` without building any candidate list, and only a
+    tie or an unprioritized entry builds one. The draws are those of the
+    candidate-list rule in every case.
+    """
+    lowest = min(prios)
+    if lowest >= 0:
+        n = prios.count(lowest)
+        if n == 1:
+            return prios.index(lowest)
+        return [i for i, p in enumerate(prios) if p == lowest][integers(n)]
+    known = [p for p in prios if p >= 0]
+    lowest = min(known) if known else -1
+    cands = [i for i, p in enumerate(prios) if p < 0 or p == lowest]
+    return cands[integers(len(cands))] if len(cands) > 1 else cands[0]
+
+
 class CompiledCore:
     """``(cluster, platform)`` lowered to immutable flat arrays.
 
@@ -280,9 +318,12 @@ class CompiledCore:
         self.base_indeg_list = self.base_indeg.tolist()
         indptr = self.succ_indptr.tolist()
         succ = self.succ_indices.tolist()
-        #: per-op successor id lists (CSR unpacked once: the succ walk is
-        #: the single most-executed statement of the event loop).
-        self.succ_of = [succ[a:b] for a, b in zip(indptr, indptr[1:])]
+        #: per-op successor id tuples (CSR unpacked once: the succ walk is
+        #: the single most-executed statement of the event loop). Tuples,
+        #: not lists: a tuple of ints leaves the cyclic GC after the first
+        #: collection that sees it, while a list is walked by every full
+        #: collection for as long as the core lives.
+        self.succ_of = [tuple(succ[a:b]) for a, b in zip(indptr, indptr[1:])]
         self.is_transfer_list = self.is_transfer.tolist()
         self.is_chunk_list = self.is_chunk.tolist()
         self.op_res_list = self.op_res.tolist()
@@ -762,7 +803,8 @@ class SimVariant:
             seq += 1
 
         def dispatch_compute_plain(rid: int, t: float) -> None:
-            # no §5.1 gates anywhere: the whole queue is eligible.
+            # no §5.1 gates anywhere: the whole queue is eligible. The
+            # main loop repeats this body inline (plain compute refill).
             nonlocal seq
             plain_ops = plain[rid]
             total = len(plain_ops)
@@ -818,20 +860,11 @@ class SimVariant:
                         # Priority pick: the idealized ready-queue
                         # semantics, and the gating for collective chunk
                         # streams under every enforcement mode but 'none'.
-                        prios = [prio_arr[qbuf[j]] for j in range(base + h, base + tl)]
-                        known = [p for p in prios if p >= 0]
-                        if known:
-                            lowest = min(known)
-                            cands = [
-                                i for i, p in enumerate(prios)
-                                if p < 0 or p == lowest
-                            ]
-                        else:
-                            cands = list(range(len(prios)))
-                        if len(cands) > 1:
-                            k = cands[rng_integers(len(cands))]
-                        else:
-                            k = cands[0]
+                        k = _priority_pick(
+                            list(map(prio_arr.__getitem__,
+                                     qbuf[base + h:base + tl])),
+                            rng_integers,
+                        )
                     elif mode_none and tl - h > 1:
                         k = rng_integers(tl - h)
                     elif mode_dag and has_dag:
@@ -932,7 +965,9 @@ class SimVariant:
                 else:
                     # stamps order the merged gated/plain eligibility
                     # pick; resources with no §5.1 channels never merge,
-                    # so their arrivals skip the counter entirely.
+                    # so their arrivals skip the counter entirely. The
+                    # main loop repeats this branch inline (plain compute
+                    # readiness).
                     plain[rid].append(op)
                 if active[rid] < cap[rid]:
                     dispatch_compute(rid, t)
@@ -949,6 +984,14 @@ class SimVariant:
                 make_ready(op, 0.0)
 
         # --- main loop -----------------------------------------------------
+        # Without §5.1 gates every compute queue is one plain list, and the
+        # two most frequent compute steps run inline instead of as calls:
+        # a compute-done event refills its freed slot at once (plain
+        # compute refill: one op leaves, one enters, so ``active`` stays),
+        # and a compute successor that becomes ready joins its queue and
+        # dispatches only on an idle device (plain compute readiness). They
+        # repeat dispatch_compute_plain's body and make_ready's ungated
+        # compute branch, each named at both sites.
         succ_of = core.succ_of
         while heap:
             t, _s, code, op = heappop(heap)
@@ -973,9 +1016,28 @@ class SimVariant:
             end[op] = t
             if code == 0:  # compute done
                 rid = op_res[op]
-                active[rid] -= 1
-                if plain[rid] or res_channels[rid]:
-                    dispatch_compute(rid, t)
+                if has_handoff:
+                    active[rid] -= 1
+                    if plain[rid] or res_channels[rid]:
+                        dispatch_compute_gated(rid, t)
+                elif plain[rid]:
+                    # plain compute refill (dispatch_compute_plain's body)
+                    plain_ops = plain[rid]
+                    total = len(plain_ops)
+                    nxt = plain_ops.pop(rng_integers(total) if total > 1 else 0)
+                    if tr:
+                        tr_depth[nxt] = total
+                    start[nxt] = t
+                    fc = fault_comp[rid]
+                    if fc is None:
+                        heappush(heap, (t + dur[nxt], seq, 0, nxt))
+                    else:
+                        heappush(
+                            heap, (_compute_fault_end(t, dur[nxt], fc), seq, 0, nxt)
+                        )
+                    seq += 1
+                else:
+                    active[rid] -= 1
             else:  # transfer done
                 if has_dag:
                     c = dg_ch[op]
@@ -988,7 +1050,16 @@ class SimVariant:
                 d = indeg[s] - 1
                 indeg[s] = d
                 if d == 0:
-                    make_ready(s, t)
+                    if not has_handoff and not is_transfer[s]:
+                        # plain compute readiness (make_ready's branch)
+                        if tr:
+                            tr_ready[s] = t
+                        rid = op_res[s]
+                        plain[rid].append(s)
+                        if active[rid] < cap[rid]:
+                            dispatch_compute_plain(rid, t)
+                    else:
+                        make_ready(s, t)
 
         end_arr = np.array(end)
         if np.isnan(end_arr).any():  # pragma: no cover - would indicate a bug

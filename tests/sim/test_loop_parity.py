@@ -13,6 +13,10 @@ loop. Its parity pins:
   ``run_iterations`` batch, or inside a batch split over several slabs
   gives the same record, on the PS golden cluster, on random collective
   IRs and on a co-scheduled job mix (``tests/sim/test_jobmix.py``);
+* the chunk priority pick (:func:`repro.sim.engine._priority_pick`)
+  takes the index and makes the draws of the candidate-list rule it
+  replaced, kept here as the reference;
+* a core's successor tables stay out of the cyclic GC;
 * the retired kernel choice stays retired: no config field, no variant
   attribute, and sweep cache keys equal to the ones written while it
   existed.
@@ -20,16 +24,25 @@ loop. Its parity pins:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import build_comm_graph
 from repro.collectives import CollectiveSpec
-from repro.sim import CompiledCore, SimConfig, SimVariant, engine
+from repro.sim import (
+    CompiledCore,
+    JobMixSpec,
+    JobSpec,
+    SimConfig,
+    SimVariant,
+    build_jobmix_graph,
+    engine,
+)
 
 from ..conftest import examples
 from ..strategies import model_irs
@@ -174,6 +187,87 @@ def test_raw_buffer_exhaustion_retry_is_bit_exact(monkeypatch):
     starved = SimVariant(core, layerwise(ir), cfg).run_iterations(0, 3)
     for a, b in zip(default, starved):
         assert _records_equal(a, b)
+
+
+# ----------------------------------------------------------------------
+# the chunk priority pick against the candidate-list rule
+# ----------------------------------------------------------------------
+def _reference_pick(prios, integers):
+    """The pick as the loop first wrote it: the lowest known priority
+    and every unprioritized (-1) entry are candidates, all entries when
+    none is known, and several candidates draw one in queue order."""
+    known = [p for p in prios if p >= 0]
+    if known:
+        lowest = min(known)
+        cands = [i for i, p in enumerate(prios) if p < 0 or p == lowest]
+    else:
+        cands = list(range(len(prios)))
+    if len(cands) > 1:
+        return cands[integers(len(cands))]
+    return cands[0]
+
+
+def _counting(integers, bounds):
+    def draw(total):
+        bounds.append(total)
+        return integers(total)
+
+    return draw
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=-1, max_value=4), min_size=1, max_size=12),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example([[3]], 0)  # one queued transfer
+@example([[5, 2, 7]], 0)  # a unique known minimum
+@example([[2, 1, 1, 3, 1]], 1)  # a tie at the minimum
+@example([[-1, -1, -1]], 2)  # nothing prioritized
+@example([[-1]], 3)  # one unprioritized transfer
+@example([[0, -1, 0, 4]], 4)  # unprioritized entries join the tie
+@example([[-1, 6]], 5)  # one known priority beside an unknown one
+@settings(max_examples=examples(60), deadline=None)
+def test_priority_pick_matches_candidate_rule(queues, seed):
+    """Over a sequence of queues drawing from one stream, the pick takes
+    the reference's index every time, with the same bounded draws, so
+    the stream after each pick is the reference's too."""
+    ref_bounds, new_bounds = [], []
+    _, ref_integers = engine._raw_stream(np.random.PCG64(seed))
+    _, new_integers = engine._raw_stream(np.random.PCG64(seed))
+    ref_draw = _counting(ref_integers, ref_bounds)
+    new_draw = _counting(new_integers, new_bounds)
+    for prios in queues:
+        assert engine._priority_pick(list(prios), new_draw) == _reference_pick(
+            prios, ref_draw
+        )
+        assert new_bounds == ref_bounds
+
+
+# ----------------------------------------------------------------------
+# successor tables stay out of the cyclic GC
+# ----------------------------------------------------------------------
+def test_successor_tables_are_untracked_by_gc():
+    """Successor tables are tuples of ints, which one full collection
+    untracks; a list would be walked by every later collection for as
+    long as its core lives. Checked on a PS, a ring and a job-mix core."""
+    mix = JobMixSpec(
+        jobs=(
+            JobSpec("AlexNet v2", n_workers=2, n_ps=1),
+            JobSpec("AlexNet v2", n_workers=2, n_ps=1, arrival=1.0),
+        ),
+        placement="packed",
+        n_hosts=3,
+    )
+    cores = [CompiledCore(build_cluster(b)[1], FLAT) for b in ("ps", "ring")]
+    cores.append(CompiledCore(build_jobmix_graph(None, mix), FLAT))
+    gc.collect()
+    for core in cores:
+        assert core.succ_of
+        assert not any(map(gc.is_tracked, core.succ_of))
 
 
 # ----------------------------------------------------------------------
